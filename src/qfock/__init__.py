@@ -7,7 +7,7 @@ from .spaces import (BlockSpectrum, DeformedContraction, DeformedSpace,
                      random_jti_contraction, spectral_map)
 from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
                    c_constant, creation, factorization_residual,
-                   first_quantization, q_inner, q_symmetrizer, r_star, s_q)
+                   first_quantization, r_star, s_q)
 from .wick import WickWord, crossing_number, wick_word
 from .quantize import (QuantizationChannel, conjugation_channel, gns_residual,
                        kadison_schwarz_margin, positivity_probe,
@@ -29,7 +29,7 @@ __all__ = [
     "random_jti_contraction", "spectral_map",
     "FockContext", "GradedOperator", "GradedVector", "annihilation",
     "c_constant", "creation", "factorization_residual", "first_quantization",
-    "q_inner", "q_symmetrizer", "r_star", "s_q",
+    "r_star", "s_q",
     "WickWord", "crossing_number", "wick_word",
     "QuantizationChannel", "conjugation_channel", "gns_residual",
     "kadison_schwarz_margin", "positivity_probe", "second_quantization",

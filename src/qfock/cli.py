@@ -2,13 +2,16 @@
 
 Reads an optional JSON config, applies flag overrides, runs the selected
 suite, writes the report file, prints a one-line-per-check summary, and exits
-nonzero if any check failed.  The output directory can also be set through
-the ``QFOCK_OUT_DIR`` environment variable.
+1 if any check failed.  Config and IO errors exit 2 with one line on stderr;
+the config and the output directory are checked before any check runs.  The
+output directory can also be set through the ``QFOCK_OUT_DIR`` environment
+variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -47,34 +50,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> SweepConfig:
-    if args.config:
-        config = SweepConfig.from_file(args.config)
-    else:
-        config = SweepConfig()
-    overrides = {}
-    if args.q_values:
-        overrides["q_values"] = tuple(args.q_values)
-    if args.spectra:
-        overrides["spectra"] = tuple(args.spectra)
-    if args.degree is not None:
-        overrides["degree"] = args.degree
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = SweepConfig(
-            q_values=overrides.get("q_values", config.q_values),
-            spectra=overrides.get("spectra", config.spectra),
-            degree=overrides.get("degree", config.degree),
-            seed=overrides.get("seed", config.seed),
-            samples=config.samples,
-            tolerances=config.tolerances)
-    return config
+    config = SweepConfig.from_file(args.config) if args.config else SweepConfig()
+    overrides = {name: getattr(args, name) for name in ("q_values", "spectra", "degree", "seed")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(config, **overrides)
 
 
 def resolve_out_path(args) -> str:
-    out = args.out or os.environ.get("QFOCK_OUT_DIR") or os.getcwd()
-    if os.path.isdir(out):
-        return os.path.join(out, f"reports.{args.format}")
+    """The report path; raises OSError, before any check runs, when its
+    directory does not exist or cannot be written."""
+    out = args.out
+    if not out or os.path.isdir(out):
+        out = os.path.join(out or os.environ.get("QFOCK_OUT_DIR") or os.getcwd(),
+                           f"reports.{args.format}")
+    directory = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(directory):
+        raise OSError(f"output directory {directory} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise OSError(f"output directory {directory} is not writable")
     return out
 
 
@@ -82,14 +75,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        path = resolve_out_path(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
     reports = run_suite(config, args.suite)
     elapsed = time.perf_counter() - started
-    path = resolve_out_path(args)
-    emit(reports, args.format, path, include_timing=args.timing)
+    try:
+        emit(reports, args.format, path, include_timing=args.timing)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

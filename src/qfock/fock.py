@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .spaces import DeformedSpace, deformed_inner
+from .spaces import DeformedSpace
 
 
 def c_constant(q: float, increment: float = 1e-14) -> float:
@@ -267,6 +267,15 @@ class GradedVector:
         return float(np.sqrt(max(total, 0.0)))
 
 
+def _degree_slices(ctx: FockContext, degrees):
+    """Place of each listed degree's block in the dense direct sum, and its size."""
+    slices, start = {}, 0
+    for n in degrees:
+        slices[n] = slice(start, start + ctx.block_size(n))
+        start += ctx.block_size(n)
+    return slices, start
+
+
 class GradedOperator:
     """Block operator between truncated Fock spaces, indexed (out degree, in degree)."""
 
@@ -330,31 +339,31 @@ class GradedOperator:
             out[m] = out[m] + B @ vec.blocks[n]
         return GradedVector(self.ctx_out, out)
 
-    def compress(self, degrees) -> "GradedOperator":
-        degrees = set(degrees)
-        return GradedOperator(self.ctx_out, self.ctx_in,
-                              {key: B for key, B in self.blocks.items()
-                               if key[0] in degrees and key[1] in degrees})
-
     def diagonal_part(self) -> "GradedOperator":
         return GradedOperator(self.ctx_out, self.ctx_in,
                               {key: B for key, B in self.blocks.items() if key[0] == key[1]})
 
-    def to_dense(self, gauge: bool = False) -> np.ndarray:
+    def to_dense(self, gauge: bool = False, window=None) -> np.ndarray:
         """Full matrix over the direct sum of degree blocks.
 
         With ``gauge=True`` the matrix is conjugated by the metric square
         roots, so plain spectral norms/eigenvalues refer to the q-inner
-        product geometry.
+        product geometry.  ``window`` keeps only the listed degrees, on both
+        sides and in increasing order; blocks outside it are ignored.
         """
-        No, Ni = self.ctx_out.degree + 1, self.ctx_in.degree + 1
-        off_out = np.cumsum([0] + [self.ctx_out.block_size(n) for n in range(No)])
-        off_in = np.cumsum([0] + [self.ctx_in.block_size(n) for n in range(Ni)])
-        full = np.zeros((off_out[-1], off_in[-1]), dtype=complex)
+        if window is None:
+            rows, n_rows = _degree_slices(self.ctx_out, range(self.ctx_out.degree + 1))
+            cols, n_cols = _degree_slices(self.ctx_in, range(self.ctx_in.degree + 1))
+        else:
+            rows, n_rows = _degree_slices(self.ctx_out, sorted(window))
+            cols, n_cols = _degree_slices(self.ctx_in, sorted(window))
+        full = np.zeros((n_rows, n_cols), dtype=complex)
         for (m, n), B in self.blocks.items():
+            if m not in rows or n not in cols:
+                continue
             if gauge:
                 B = self.ctx_out.metric_sqrt(m) @ B @ self.ctx_in.metric_invsqrt(n)
-            full[off_out[m]:off_out[m + 1], off_in[n]:off_in[n + 1]] = B
+            full[rows[m], cols[n]] = B
         return full
 
     def op_norm(self) -> float:
@@ -408,14 +417,6 @@ def first_quantization(ctx_src: FockContext, ctx_tgt: FockContext, T) -> GradedO
     return GradedOperator(ctx_tgt, ctx_src, blocks)
 
 
-def q_symmetrizer(ctx: FockContext, n: int) -> np.ndarray:
-    return ctx.sym(n).copy()
-
-
-def q_inner(ctx: FockContext, x, y, n: int) -> complex:
-    return ctx.q_inner(x, y, n)
-
-
 def crossing_weighted_partitions(n: int, k: int):
     """All partitions of {1..n} into I1 of size k and its complement, with the
     crossing number sum(i_l - l)."""
@@ -434,14 +435,14 @@ def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
     size = ctx.block_size(total)
     if total == 0:
         return np.eye(1)
-    digits = ctx._digits[total]
-    weights = ctx.dim ** np.arange(total - 1, -1, -1)
-    cols = np.arange(size)
+    # column of each row: the basis tensor whose positions, read in
+    # ``order``, give the row's tensor
+    index = np.arange(size).reshape((ctx.dim,) * total)
+    rows = np.arange(size)
     R = np.zeros((size, size))
     for i1, i2, cross in crossing_weighted_partitions(total, n):
         order = [p - 1 for p in i1] + [p - 1 for p in i2]
-        rows = digits[:, order] @ weights
-        R[rows, cols] += ctx.q ** cross
+        R[rows, index.transpose(order).ravel()] += ctx.q ** cross
     return R
 
 

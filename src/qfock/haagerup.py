@@ -132,12 +132,15 @@ def strong_convergence_sweep(family: ApproximantFamily, ctx: FockContext,
     if not test_vectors:
         raise ValueError("need at least one test vector")
     diag = list(zip(family.ks, family.ts))
+    distances = [[] for _ in test_vectors]
+    for k, t in diag:
+        fq = first_quantization(ctx, ctx, family.damped_matrix(k, t))
+        for dists, vec in zip(distances, test_vectors):
+            dists.append((fq.apply(vec) - vec).norm())
     rows = []
     all_monotone = True
     all_converged = True
-    for i, vec in enumerate(test_vectors):
-        dists = [convergence_distance(ctx, family.damped_matrix(k, t), vec)
-                 for k, t in diag]
+    for i, dists in enumerate(distances):
         monotone = all(b <= a + monotone_slack for a, b in zip(dists, dists[1:]))
         converged = dists[-1] <= final_tol
         all_monotone &= monotone

@@ -102,11 +102,6 @@ class QuantizationChannel:
             emb = GradedOperator.identity(self.comb_ctx)
         return self.conjugate(emb)
 
-    def apply_combination(self, coeffs, words) -> GradedOperator:
-        """Channel applied to ``sum_i c_i W(xi_i)``."""
-        emb = _combination(self.src_ctx, self.comb_ctx, coeffs, words)
-        return self.conjugate(emb)
-
     def image_tensor(self, word: WickWord) -> np.ndarray:
         """Coefficient tensor of the expected image word ``T^{(x)n} xi``."""
         if word.degree == 0:
@@ -175,18 +170,9 @@ def _combination(src_ctx, comb_ctx, coeffs, words) -> GradedOperator:
     return total
 
 
-def _window_min_eig(ctx: FockContext, op: GradedOperator, window) -> float:
-    """Smallest eigenvalue (w.r.t. the q-inner geometry) of the compression of
-    a self-adjoint operator to the given degrees."""
-    degrees = sorted(window)
-    offs = np.cumsum([0] + [ctx.block_size(n) for n in degrees])
-    full = np.zeros((offs[-1], offs[-1]), dtype=complex)
-    for i, m in enumerate(degrees):
-        for j, n in enumerate(degrees):
-            B = ctx.metric_sqrt(m) @ op.block(m, n) @ ctx.metric_invsqrt(n)
-            full[offs[i]:offs[i + 1], offs[j]:offs[j + 1]] = B
-    full = (full + np.conj(full).T) / 2.0
-    return float(np.linalg.eigvalsh(full)[0])
+def _hermitian_min_eig(full: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of a dense matrix."""
+    return float(np.linalg.eigvalsh((full + np.conj(full).T) / 2.0)[0])
 
 
 def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words,
@@ -201,7 +187,7 @@ def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words,
     lhs = channel.conjugate(emb.adjoint() @ emb)
     img = channel.conjugate(emb)
     rhs = img.adjoint() @ img
-    return _window_min_eig(ctx, lhs - rhs, window)
+    return _hermitian_min_eig((lhs - rhs).to_dense(gauge=True, window=window))
 
 
 def two_positivity_margin(channel: QuantizationChannel, samples, window=None) -> float:
@@ -222,20 +208,9 @@ def two_positivity_margin(channel: QuantizationChannel, samples, window=None) ->
                 term = embedded[r][i].adjoint() @ embedded[r][j]
                 y = term if y is None else y + term
             images[(i, j)] = channel.conjugate(y)
-    degrees = sorted(window)
-    offs = np.cumsum([0] + [ctx.block_size(n) for n in degrees])
-    size = offs[-1]
-    full = np.zeros((2 * size, 2 * size), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            op = images[(i, j)]
-            for a, m in enumerate(degrees):
-                for b, n in enumerate(degrees):
-                    B = ctx.metric_sqrt(m) @ op.block(m, n) @ ctx.metric_invsqrt(n)
-                    full[i * size + offs[a]:i * size + offs[a + 1],
-                         j * size + offs[b]:j * size + offs[b + 1]] = B
-    full = (full + np.conj(full).T) / 2.0
-    return float(np.linalg.eigvalsh(full)[0])
+    return _hermitian_min_eig(np.block(
+        [[images[(i, j)].to_dense(gauge=True, window=window) for j in range(2)]
+         for i in range(2)]))
 
 
 def positivity_probe(channel: QuantizationChannel, rng, n_samples: int,

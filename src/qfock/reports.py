@@ -1,30 +1,33 @@
 """Verification orchestration and report records.
 
 ``run_suite`` executes the named check suites over a parameter grid and
-returns structured records.  Runs are deterministic for a fixed seed: every
-check derives its generator from (seed, suite index, grid index), and the
-emitters use stable field ordering with fixed-precision floats.  Wall times
-are recorded in memory but excluded from emitted files by default so that
-identical runs produce byte-identical reports.
+returns structured records.  Each suite is a table of rows; a row names the
+checks it reports, a bound for each, and the residual function that measures
+them at one grid point.  Runs are deterministic for a fixed seed: each grid
+point derives its generator from (seed, suite index, grid index), rows draw
+from it in table order, and the emitters use stable field ordering with
+fixed-precision floats.  Wall times are recorded in memory but excluded from
+emitted files by default so that identical runs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
 from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
-                   c_constant, creation, factorization_residual,
-                   first_quantization, id_embedding_norm, r_star,
-                   rstar_adjoint_residual, rstar_deformed_norm,
-                   rstar_free_norm, s_q)
+                   c_constant, creation, factorization_residual, id_embedding_norm,
+                   r_star, rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm)
 from .spaces import BlockSpectrum, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -74,6 +77,20 @@ def parse_spectrum(text: str) -> BlockSpectrum:
     return BlockSpectrum(blocks, trivial)
 
 
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_field(name: str, value, kind, entry, what: str) -> None:
+    """Reject a config value that is not a ``kind`` whose entries (or dict
+    values) are ``entry``s, naming the field."""
+    entries = []
+    if entry is not None and isinstance(value, kind):
+        entries = value.values() if isinstance(value, dict) else value
+    if not _is_a(value, kind) or not all(_is_a(e, entry) for e in entries):
+        raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
+
+
 @dataclass
 class SweepConfig:
     q_values: tuple = DEFAULT_Q_VALUES
@@ -84,10 +101,20 @@ class SweepConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
+        _check_field("q_values", self.q_values, (list, tuple), numbers.Real, "a list of numbers")
+        _check_field("spectra", self.spectra, (list, tuple), str, "a list of spectrum strings")
+        _check_field("degree", self.degree, numbers.Integral, None, "an integer")
+        _check_field("seed", self.seed, numbers.Integral, None, "an integer")
+        _check_field("samples", self.samples, dict, numbers.Integral, "an object of integers")
+        _check_field("tolerances", self.tolerances, dict, numbers.Real, "an object of numbers")
         self.q_values = tuple(float(q) for q in self.q_values)
         for q in self.q_values:
             if not -1.0 < q < 1.0:
                 raise ValueError(f"q={q} outside the open interval (-1, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if any(count < 1 for count in self.samples.values()):
+            raise ValueError(f"sample counts must be >= 1, got {self.samples!r}")
         self.spectra = tuple(self.spectra)
         for text in self.spectra:
             parse_spectrum(text)  # fail fast on bad grammar
@@ -107,6 +134,8 @@ class SweepConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected a JSON object")
         known = {"q_values", "spectra", "degree", "seed", "samples", "tolerances"}
         unknown = set(raw) - known
         if unknown:
@@ -172,71 +201,88 @@ class _Workspace:
             self._ctxs[key] = FockContext(comb_space, q, n_ch)
         return src, self._ctxs[key]
 
-    def grid(self):
-        for spectrum in self.config.spectra:
-            for q in self.config.q_values:
-                yield spectrum, q
+    def subspace_ctx(self, spectrum: str, q: float) -> FockContext:
+        """Context over the conjugation-invariant subspace picked by
+        ``_subspace_indices``, at the configured degree."""
+        key = f"{spectrum}|sub"
+        if key not in self._spaces:
+            space = self.space(spectrum)
+            self._spaces[key] = toeplitz.subspace(space, _subspace_indices(space))
+        return self.ctx(key, q, self.config.degree)
+
+
+def _subspace_indices(space) -> list:
+    """A proper conjugation-invariant subspace when one exists, else everything."""
+    return sorted({0, int(space.partner[0])})
 
 
 def _rng(config: SweepConfig, suite: str, grid_index: int):
     return np.random.default_rng([config.seed, SUITES.index(suite), grid_index])
 
 
+class _Point:
+    """One grid point of a suite: its generator, and the workspace's spaces
+    and contexts at this (spectrum, q), built on first use."""
+
+    def __init__(self, ws: _Workspace, spectrum: str, q: float, rng):
+        self.ws = ws
+        self.config = ws.config
+        self.spectrum = spectrum
+        self.q = q
+        self.rng = rng
+
+    @property
+    def space(self):
+        return self.ws.space(self.spectrum)
+
+    @property
+    def ctx(self) -> FockContext:
+        return self.ws.ctx(self.spectrum, self.q, self.config.degree)
+
+    @property
+    def channel_ctxs(self):
+        return self.ws.channel_ctxs(self.spectrum, self.q)
+
+    @property
+    def subspace_ctx(self) -> FockContext:
+        return self.ws.subspace_ctx(self.spectrum, self.q)
+
+
+def _gaussian(rng, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _pairs(degree: int):
+    """Degree pairs (n, k) with n + k <= degree."""
+    return [(n, k) for n in range(degree + 1) for k in range(degree + 1 - n)]
+
+
 # ---------------------------------------------------------------------------
-# suite collectors
+# residual functions of the table rows, each returning one value per check
 # ---------------------------------------------------------------------------
 
 
-def _collect_symmetrizer(ws: _Workspace) -> list:
-    cfg = ws.config
-    tol = cfg.tolerances
-    out = []
-    for gi, (spectrum, q) in enumerate(ws.grid()):
-        rng = _rng(cfg, "symmetrizer", gi)
-        ctx = ws.ctx(spectrum, q, cfg.degree)
-        base = {"spectrum": spectrum, "q": q, "degree": cfg.degree}
-        t0 = time.perf_counter()
-        min_eig = min(float(np.linalg.eigvalsh(ctx.sym(n))[0]) for n in range(cfg.degree + 1))
-        out.append(VerificationReport.measure("symmetrizer/positivity", base,
-                                              -min_eig, 0.0, t0))
-        t0 = time.perf_counter()
-        res = max(factorization_residual(ctx, n, k)
-                  for n in range(cfg.degree + 1) for k in range(cfg.degree + 1 - n))
-        out.append(VerificationReport.measure("symmetrizer/factorization", base,
-                                              res, tol["algebraic"], t0))
-        t0 = time.perf_counter()
-        cq = c_constant(q)
-        res = max(rstar_free_norm(ctx, n, k) - cq
-                  for n in range(cfg.degree + 1) for k in range(cfg.degree + 1 - n))
-        out.append(VerificationReport.measure("symmetrizer/rstar_free_norm", base,
-                                              res, tol["norm"], t0))
-        t0 = time.perf_counter()
-        res = max(max(id_embedding_norm(ctx, n, k), rstar_deformed_norm(ctx, n, k))
-                  - np.sqrt(cq)
-                  for n in range(cfg.degree + 1) for k in range(cfg.degree + 1 - n))
-        out.append(VerificationReport.measure("symmetrizer/deformed_norm_bounds", base,
-                                              res, tol["norm"], t0))
-        t0 = time.perf_counter()
-        res = max(rstar_adjoint_residual(ctx, n, k)
-                  for n in range(cfg.degree + 1) for k in range(cfg.degree + 1 - n))
-        out.append(VerificationReport.measure("symmetrizer/adjoint_pairing", base,
-                                              res, tol["algebraic"], t0))
-        t0 = time.perf_counter()
-        out.append(VerificationReport.measure("symmetrizer/q_commutation", base,
-                                              _q_commutation_residual(ctx, rng),
-                                              tol["algebraic"], t0))
-        t0 = time.perf_counter()
-        out.append(VerificationReport.measure("symmetrizer/creation_adjoint", base,
-                                              _creation_adjoint_residual(ctx, rng),
-                                              tol["algebraic"], t0))
-    return out
+def _sym_positivity(pt: _Point) -> float:
+    ctx = pt.ctx
+    return -min(float(np.linalg.eigvalsh(ctx.sym(n))[0]) for n in range(ctx.degree + 1))
 
 
-def _q_commutation_residual(ctx: FockContext, rng, n_samples: int = 3) -> float:
+def _over_pairs(residual):
+    """Row function: the largest ``residual(ctx, n, k)`` over degree pairs."""
+    return lambda pt: max(residual(pt.ctx, n, k) for n, k in _pairs(pt.config.degree))
+
+
+def _deformed_norm_excess(ctx: FockContext, n: int, k: int) -> float:
+    return max(id_embedding_norm(ctx, n, k), rstar_deformed_norm(ctx, n, k)) \
+        - np.sqrt(c_constant(ctx.q))
+
+
+def _q_commutation_residual(pt: _Point) -> float:
+    ctx, rng = pt.ctx, pt.rng
     res = 0.0
-    for _ in range(n_samples):
-        v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
-        w = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    for _ in range(3):
+        v = _gaussian(rng, ctx.dim)
+        w = _gaussian(rng, ctx.dim)
         comm = annihilation(ctx, v) @ creation(ctx, w) - ctx.q * (
             creation(ctx, w) @ annihilation(ctx, v))
         scalar = sp.deformed_inner(ctx.space, v, w)
@@ -246,167 +292,117 @@ def _q_commutation_residual(ctx: FockContext, rng, n_samples: int = 3) -> float:
     return res
 
 
-def _creation_adjoint_residual(ctx: FockContext, rng, n_samples: int = 3) -> float:
+def _creation_adjoint_residual(pt: _Point) -> float:
+    ctx, rng = pt.ctx, pt.rng
     res = 0.0
-    for _ in range(n_samples):
-        v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    for _ in range(3):
+        v = _gaussian(rng, ctx.dim)
         res = max(res, creation(ctx, v).adjoint().max_diff(annihilation(ctx, v)))
     return res
 
 
-def _collect_wick(ws: _Workspace) -> list:
-    cfg = ws.config
-    tol = cfg.tolerances
-    out = []
-    for gi, (spectrum, q) in enumerate(ws.grid()):
-        rng = _rng(cfg, "wick", gi)
-        ctx = ws.ctx(spectrum, q, cfg.degree)
-        base = {"spectrum": spectrum, "q": q, "degree": cfg.degree}
-        deg_max = min(3, cfg.degree)
-        t0 = time.perf_counter()
-        res = 0.0
-        for _ in range(cfg.samples["wick_vacuum"]):
-            n = int(rng.integers(1, deg_max + 1))
-            xi = rng.standard_normal(ctx.block_size(n)) + 1j * rng.standard_normal(ctx.block_size(n))
-            res = max(res, wick.vacuum_residual(ctx, xi, n))
-        out.append(VerificationReport.measure("wick/vacuum", base, res,
-                                              tol["algebraic"], t0))
-        t0 = time.perf_counter()
-        res = 0.0
-        for _ in range(3):
-            n = int(rng.integers(1, deg_max + 1))
-            xi = _real_wick_tensor(ctx, rng, n)
-            res = max(res, wick.self_adjoint_residual(ctx, wick.wick_word(ctx, xi, n)))
-        # the degree-N metric is ill-conditioned near |q| = 1
-        sa_tol = tol["algebraic"] if abs(q) <= 0.5 else tol["norm"]
-        out.append(VerificationReport.measure("wick/self_adjoint", base, res,
-                                              sa_tol, t0))
-        t0 = time.perf_counter()
-        n = min(2, deg_max)
-        xi = rng.standard_normal(ctx.block_size(n)) + 1j * rng.standard_normal(ctx.block_size(n))
-        eta = rng.standard_normal(ctx.block_size(n)) + 1j * rng.standard_normal(ctx.block_size(n))
-        a, b = complex(rng.standard_normal(), rng.standard_normal()), complex(
-            rng.standard_normal(), rng.standard_normal())
-        combined = wick.wick_word(ctx, a * xi + b * eta, n).op
-        split = a * wick.wick_word(ctx, xi, n).op + b * wick.wick_word(ctx, eta, n).op
-        out.append(VerificationReport.measure("wick/linearity", base,
-                                              combined.max_diff(split), tol["exact"], t0))
-    return out
+def _wick_vacuum(pt: _Point) -> float:
+    ctx, rng = pt.ctx, pt.rng
+    deg_max = min(3, ctx.degree)
+    res = 0.0
+    for _ in range(pt.config.samples["wick_vacuum"]):
+        n = int(rng.integers(1, deg_max + 1))
+        res = max(res, wick.vacuum_residual(ctx, _gaussian(rng, ctx.block_size(n)), n))
+    return res
+
+
+def _wick_self_adjoint(pt: _Point) -> float:
+    ctx, rng = pt.ctx, pt.rng
+    deg_max = min(3, ctx.degree)
+    res = 0.0
+    for _ in range(3):
+        n = int(rng.integers(1, deg_max + 1))
+        xi = _real_wick_tensor(ctx, rng, n)
+        res = max(res, wick.self_adjoint_residual(ctx, wick.wick_word(ctx, xi, n)))
+    return res
+
+
+def _wick_linearity(pt: _Point) -> float:
+    ctx, rng = pt.ctx, pt.rng
+    n = min(2, ctx.degree)
+    xi = _gaussian(rng, ctx.block_size(n))
+    eta = _gaussian(rng, ctx.block_size(n))
+    a, b = complex(rng.standard_normal(), rng.standard_normal()), complex(
+        rng.standard_normal(), rng.standard_normal())
+    combined = wick.wick_word(ctx, a * xi + b * eta, n).op
+    split = a * wick.wick_word(ctx, xi, n).op + b * wick.wick_word(ctx, eta, n).op
+    return combined.max_diff(split)
 
 
 def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
     """Degree-n tensor fixed by the Wick adjoint involution, so its Wick word
     is self-adjoint."""
-    xi = rng.standard_normal(ctx.block_size(n)) + 1j * rng.standard_normal(ctx.block_size(n))
+    xi = _gaussian(rng, ctx.block_size(n))
     return (xi + wick.adjoint_tensor(ctx, xi, n)) / 2.0
 
 
-def _collect_quantization(ws: _Workspace) -> list:
-    cfg = ws.config
-    tol = cfg.tolerances
-    out = []
-    for gi, (spectrum, q) in enumerate(ws.grid()):
-        rng = _rng(cfg, "quantization", gi)
-        space = ws.space(spectrum)
-        src_ctx, comb_ctx = ws.channel_ctxs(spectrum, q)
-        base = {"spectrum": spectrum, "q": q, "degree": src_ctx.degree}
-
-        t0 = time.perf_counter()
-        res = 0.0
-        for _ in range(cfg.samples["dilate"]):
-            T = sp.random_contraction(rng, space, space, norm=0.5)
-            res = max(res, _dilation_residual(T))
-        out.append(VerificationReport.measure("quantization/dilation", base, res,
-                                              tol["algebraic"], t0))
-
-        t0 = time.perf_counter()
-        res_cov = res_unital = res_vac = res_gns = 0.0
-        deg_max = max(1, min(2, src_ctx.degree - 1))
-        for _ in range(cfg.samples["covariance"]):
-            T = sp.random_jti_contraction(rng, space, space, norm=0.7)
-            channel = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
-            n = int(rng.integers(1, deg_max + 1))
-            xi = rng.standard_normal(src_ctx.block_size(n)) + 1j * rng.standard_normal(
-                src_ctx.block_size(n))
-            word = wick.wick_word(src_ctx, xi, n)
-            res_cov = max(res_cov, channel.covariance_residual(word))
-            res_unital = max(res_unital, channel.unitality_residual())
-            image = channel.apply_word(word)
-            res_vac = max(res_vac, channel.vacuum_state_residual([word.op], [image]))
-            res_gns = max(res_gns, quantize.gns_residual(channel, word))
-        out.append(VerificationReport.measure("quantization/wick_covariance", base,
-                                              res_cov, tol["norm"], t0))
-        out.append(VerificationReport.measure("quantization/unitality", base,
-                                              res_unital, tol["algebraic"], t0))
-        out.append(VerificationReport.measure("quantization/vacuum_state", base,
-                                              res_vac, tol["algebraic"], t0))
-        out.append(VerificationReport.measure("quantization/gns", base,
-                                              res_gns, tol["norm"], t0))
-
-        t0 = time.perf_counter()
-        res = 0.0
-        for _ in range(cfg.samples["functoriality"]):
-            res = max(res, _functoriality_residual(ws, spectrum, q, rng))
-        out.append(VerificationReport.measure("quantization/functoriality", base,
-                                              res, tol["norm"], t0))
-
-        t0 = time.perf_counter()
-        ks_min, tp_min = _positivity_minima(ws, spectrum, q, rng,
-                                            cfg.samples["kadison_schwarz"])
-        out.append(VerificationReport.measure("quantization/kadison_schwarz", base,
-                                              -ks_min, tol["norm"], t0))
-        out.append(VerificationReport.measure("quantization/two_positivity", base,
-                                              -tp_min, tol["norm"], t0))
-
-        t0 = time.perf_counter()
-        out.append(VerificationReport.measure(
-            "quantization/projection_monomials", base,
-            _projection_monomial_residual(ws, spectrum, q, rng), tol["algebraic"], t0))
-
-        t0 = time.perf_counter()
-        out.append(VerificationReport.measure(
-            "quantization/embedding_multiplicative", base,
-            _embed_multiplicativity_residual(ws, spectrum, q, rng), tol["product"], t0))
-    return out
-
-
-def _dilation_residual(T: sp.DeformedContraction) -> float:
-    src, tgt = T.source, T.target
-    comb = sp.direct_sum(src, tgt)
-    U = sp.dilate(T)
-    Uadj = sp.deformed_adjoint(comb, comb, U)
-    res = np.linalg.norm(Uadj @ U - np.eye(comb.dim), ord=2)
-    res = max(res, np.linalg.norm(U @ Uadj - np.eye(comb.dim), ord=2))
-    corner = sp.projection_matrix(src, tgt) @ U @ sp.inclusion_matrix(src, tgt)
-    return float(max(res, np.linalg.norm(corner - T.matrix, ord=2)))
-
-
-def _functoriality_residual(ws: _Workspace, spectrum: str, q: float, rng) -> float:
-    src_ctx, comb_ctx = ws.channel_ctxs(spectrum, q)
-    space = ws.space(spectrum)
-    S = sp.random_jti_contraction(rng, space, space, norm=0.8)
-    T = sp.random_jti_contraction(rng, space, space, norm=0.8)
-    ST = sp.DeformedContraction(space, space, S.matrix @ T.matrix)
-    ch_s = quantize.QuantizationChannel(S, src_ctx, src_ctx, comb_ctx)
-    ch_t = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
-    ch_st = quantize.QuantizationChannel(ST, src_ctx, src_ctx, comb_ctx)
-    n = max(1, min(2, src_ctx.degree - 1))
-    xi = rng.standard_normal(src_ctx.block_size(n)) + 1j * rng.standard_normal(
-        src_ctx.block_size(n))
-    word = wick.wick_word(src_ctx, xi, n)
-    mid = ch_t.apply_word(word).apply(GradedVector.vacuum(src_ctx)).blocks[n]
-    lhs = ch_s.apply_word(wick.wick_word(src_ctx, mid, n))
-    rhs = ch_st.apply_word(word)
+def _dilation(pt: _Point) -> float:
+    space, rng = pt.space, pt.rng
+    comb = sp.direct_sum(space, space)
     res = 0.0
-    for p in range(src_ctx.degree - n + 1):
-        for m in range(src_ctx.degree + 1):
-            res = max(res, src_ctx.block_norm(lhs.block(m, p) - rhs.block(m, p), m, p))
+    for _ in range(pt.config.samples["dilate"]):
+        T = sp.random_contraction(rng, space, space, norm=0.5)
+        U = sp.dilate(T)
+        Uadj = sp.deformed_adjoint(comb, comb, U)
+        corner = sp.projection_matrix(space, space) @ U @ sp.inclusion_matrix(space, space)
+        res = max(res, np.linalg.norm(Uadj @ U - np.eye(comb.dim), ord=2),
+                  np.linalg.norm(U @ Uadj - np.eye(comb.dim), ord=2),
+                  np.linalg.norm(corner - T.matrix, ord=2))
+    return float(res)
+
+
+def _channel_on_words(pt: _Point):
+    """Wick covariance, unitality, vacuum state and GNS residuals of random
+    channels, each on one random Wick word."""
+    space, rng = pt.space, pt.rng
+    src_ctx, comb_ctx = pt.channel_ctxs
+    res_cov = res_unital = res_vac = res_gns = 0.0
+    deg_max = max(1, min(2, src_ctx.degree - 1))
+    for _ in range(pt.config.samples["covariance"]):
+        T = sp.random_jti_contraction(rng, space, space, norm=0.7)
+        channel = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
+        n = int(rng.integers(1, deg_max + 1))
+        word = wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n)
+        res_cov = max(res_cov, channel.covariance_residual(word))
+        res_unital = max(res_unital, channel.unitality_residual())
+        image = channel.apply_word(word)
+        res_vac = max(res_vac, channel.vacuum_state_residual([word.op], [image]))
+        res_gns = max(res_gns, quantize.gns_residual(channel, word))
+    return res_cov, res_unital, res_vac, res_gns
+
+
+def _functoriality(pt: _Point) -> float:
+    space, rng = pt.space, pt.rng
+    src_ctx, comb_ctx = pt.channel_ctxs
+    n = max(1, min(2, src_ctx.degree - 1))
+    res = 0.0
+    for _ in range(pt.config.samples["functoriality"]):
+        S = sp.random_jti_contraction(rng, space, space, norm=0.8)
+        T = sp.random_jti_contraction(rng, space, space, norm=0.8)
+        ST = sp.DeformedContraction(space, space, S.matrix @ T.matrix)
+        ch_s = quantize.QuantizationChannel(S, src_ctx, src_ctx, comb_ctx)
+        ch_t = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
+        ch_st = quantize.QuantizationChannel(ST, src_ctx, src_ctx, comb_ctx)
+        word = wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n)
+        mid = ch_t.apply_word(word).apply(GradedVector.vacuum(src_ctx)).blocks[n]
+        lhs = ch_s.apply_word(wick.wick_word(src_ctx, mid, n))
+        rhs = ch_st.apply_word(word)
+        for p in range(src_ctx.degree - n + 1):
+            for m in range(src_ctx.degree + 1):
+                res = max(res, src_ctx.block_norm(lhs.block(m, p) - rhs.block(m, p), m, p))
     return res
 
 
-def _positivity_minima(ws: _Workspace, spectrum: str, q: float, rng, n_samples: int):
-    src_ctx, comb_ctx = ws.channel_ctxs(spectrum, q)
-    space = ws.space(spectrum)
+def _positivity(pt: _Point):
+    """Negated Kadison-Schwarz and 2-positivity minima over random channels."""
+    space, rng = pt.space, pt.rng
+    src_ctx, comb_ctx = pt.channel_ctxs
+    n_samples = pt.config.samples["kadison_schwarz"]
     n_channels = max(1, n_samples // 20)
     per_channel = max(1, n_samples // n_channels)
     ks_min, tp_min = np.inf, np.inf
@@ -416,24 +412,22 @@ def _positivity_minima(ws: _Workspace, spectrum: str, q: float, rng, n_samples: 
         probe = quantize.positivity_probe(channel, rng, per_channel, degree_max=1)
         ks_min = min(ks_min, probe["kadison_schwarz_min"])
         tp_min = min(tp_min, probe["two_positivity_min"])
-    return float(ks_min), float(tp_min)
+    return -float(ks_min), -float(tp_min)
 
 
-def _projection_monomial_residual(ws: _Workspace, spectrum: str, q: float, rng) -> float:
+def _projection_monomial_residual(pt: _Point) -> float:
     """The displayed conjugation identity for the orthogonal projection onto
     the second summand, checked on random monomials."""
-    src_ctx, comb_ctx = ws.channel_ctxs(spectrum, q)
-    space = ws.space(spectrum)
-    P = sp.projection_matrix(space, space)
+    rng = pt.rng
+    src_ctx, comb_ctx = pt.channel_ctxs
+    P = sp.projection_matrix(pt.space, pt.space)
     channel = quantize.conjugation_channel(comb_ctx, src_ctx, P)
     res = 0.0
     for _ in range(3):
         k = int(rng.integers(0, 2))
         m = int(rng.integers(0 if k else 1, 2))
-        vs = [rng.standard_normal(comb_ctx.dim) + 1j * rng.standard_normal(comb_ctx.dim)
-              for _ in range(k)]
-        wsv = [rng.standard_normal(comb_ctx.dim) + 1j * rng.standard_normal(comb_ctx.dim)
-               for _ in range(m)]
+        vs = [_gaussian(rng, comb_ctx.dim) for _ in range(k)]
+        wsv = [_gaussian(rng, comb_ctx.dim) for _ in range(m)]
         lhs = channel(toeplitz.monomial(comb_ctx, vs, wsv).op)
         rhs = toeplitz.monomial(src_ctx, [P @ v for v in vs], [P @ w for w in wsv]).op
         for p in range(src_ctx.degree - k + 1):
@@ -442,15 +436,18 @@ def _projection_monomial_residual(ws: _Workspace, spectrum: str, q: float, rng) 
     return res
 
 
-def _embed_multiplicativity_residual(ws: _Workspace, spectrum: str, q: float, rng) -> float:
-    src_ctx, comb_ctx = ws.channel_ctxs(spectrum, q)
+def _embed_multiplicativity_residual(pt: _Point) -> float:
+    rng = pt.rng
+    src_ctx, comb_ctx = pt.channel_ctxs
     deg = 1 if src_ctx.degree < 4 else 2
+    # combined-space index of each source basis tensor, per degree
+    index = {n: np.flatnonzero(quantize.embed_tensor(
+        src_ctx, comb_ctx, np.ones(src_ctx.block_size(n)), n))
+        for n in range(comb_ctx.degree + 1)}
     res = 0.0
     for _ in range(2):
-        xi = rng.standard_normal(src_ctx.block_size(deg)) + 1j * rng.standard_normal(
-            src_ctx.block_size(deg))
-        eta = rng.standard_normal(src_ctx.block_size(deg)) + 1j * rng.standard_normal(
-            src_ctx.block_size(deg))
+        xi = _gaussian(rng, src_ctx.block_size(deg))
+        eta = _gaussian(rng, src_ctx.block_size(deg))
         wx = wick.wick_word(src_ctx, xi, deg)
         wy = wick.wick_word(src_ctx, eta, deg)
         ex = quantize.embed_wick(src_ctx, comb_ctx, wx).op
@@ -461,101 +458,14 @@ def _embed_multiplicativity_residual(ws: _Workspace, spectrum: str, q: float, rn
         # embedded product must restrict to the source product there
         for p in range(comb_ctx.degree - 2 * deg + 1):
             for m in range(comb_ctx.degree + 1):
-                rows = _embed_indices(src_ctx, comb_ctx, m)
-                cols = _embed_indices(src_ctx, comb_ctx, p)
-                restricted = prod_emb.block(m, p)[np.ix_(rows, cols)]
+                restricted = prod_emb.block(m, p)[np.ix_(index[m], index[p])]
                 res = max(res, src_ctx.block_norm(restricted - prod_src.block(m, p), m, p))
     return res
 
 
-def _embed_indices(src_ctx: FockContext, comb_ctx: FockContext, n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros(1, dtype=int)
-    digits = src_ctx._digits[n]
-    weights = comb_ctx.dim ** np.arange(n - 1, -1, -1)
-    return digits @ weights
-
-
-def _collect_toeplitz(ws: _Workspace) -> list:
-    cfg = ws.config
-    tol = cfg.tolerances
-    out = []
-    for gi, (spectrum, q) in enumerate(ws.grid()):
-        rng = _rng(cfg, "toeplitz", gi)
-        ctx = ws.ctx(spectrum, q, cfg.degree)
-        base = {"spectrum": spectrum, "q": q, "degree": cfg.degree}
-
-        t0 = time.perf_counter()
-        out.append(VerificationReport.measure("toeplitz/degree_expectation", base,
-                                              _expectation_residual(ctx, rng),
-                                              tol["algebraic"], t0))
-
-        t0 = time.perf_counter()
-        res_corner = res_identity = 0.0
-        margin_min = np.inf
-        for _ in range(cfg.samples["balanced"]):
-            n = int(rng.integers(1, max(2, cfg.degree // 2) + 1))
-            elem = toeplitz.random_balanced(ctx, rng, n)
-            res_corner = max(res_corner, toeplitz.low_degree_residual(ctx, elem))
-            for k in range(cfg.degree - 2 * n + 1):
-                res_identity = max(res_identity,
-                                   toeplitz.compression_identity_residual(ctx, elem, k))
-            margin_min = min(margin_min, toeplitz.norm_bound_margin(ctx, elem))
-        out.append(VerificationReport.measure("toeplitz/length_corners", base,
-                                              res_corner, tol["exact"], t0))
-        out.append(VerificationReport.measure("toeplitz/compression_identity", base,
-                                              res_identity, tol["algebraic"], t0))
-        out.append(VerificationReport.measure("toeplitz/norm_bound", base,
-                                              -float(margin_min), tol["norm"], t0))
-
-        t0 = time.perf_counter()
-        res = 0.0
-        for _ in range(3):
-            n = min(2, cfg.degree)
-            v = rng.standard_normal(ctx.block_size(n)) + 1j * rng.standard_normal(ctx.block_size(n))
-            w = rng.standard_normal(ctx.block_size(n)) + 1j * rng.standard_normal(ctx.block_size(n))
-            e = rng.standard_normal(ctx.block_size(n)) + 1j * rng.standard_normal(ctx.block_size(n))
-            res = max(res, toeplitz.flip_pairing_residual(ctx, v, w, e, n))
-        out.append(VerificationReport.measure("toeplitz/flip_pairing", base, res,
-                                              tol["algebraic"], t0))
-
-        t0 = time.perf_counter()
-        res = _compression_residual(ws, spectrum, q, rng)
-        out.append(VerificationReport.measure("toeplitz/compression_multiplicative",
-                                              base, res, tol["product"], t0))
-
-        t0 = time.perf_counter()
-        rank = toeplitz.finkernel_rank(ctx, _subspace_indices(ctx.space),
-                                       max_length=min(2, cfg.degree // 2))
-        res = 0.0 if rank["full_rank"] else 1.0
-        out.append(VerificationReport.measure("toeplitz/finkernel_rank", base, res,
-                                              0.0, t0))
-
-        t0 = time.perf_counter()
-        margin = np.inf
-        for n in range(cfg.degree + 1):
-            for k in range(cfg.degree + 1 - n):
-                check = toeplitz.majorisation_check(
-                    ctx.sym(n + k), np.kron(ctx.sym(n), ctx.sym(k)), r_star(ctx, n, k))
-                if not check["consistent"]:
-                    margin = -np.inf
-                margin = min(margin, check["margin"])
-        out.append(VerificationReport.measure("toeplitz/majorisation", base,
-                                              -float(margin), tol["algebraic"], t0))
-    return out
-
-
-def _subspace_indices(space) -> list:
-    """A proper conjugation-invariant subspace when one exists, else everything."""
-    if space.dim == 1:
-        return [0]
-    first = 0
-    indices = {first, int(space.partner[first])}
-    return sorted(indices)
-
-
-def _expectation_residual(ctx: FockContext, rng) -> float:
-    op = _random_graded(ctx, rng)
+def _expectation_residual(pt: _Point) -> float:
+    ctx = pt.ctx
+    op = _random_graded(ctx, pt.rng)
     ex = toeplitz.degree_expectation(op)
     res = toeplitz.degree_expectation(ex).max_diff(ex)  # idempotent
     ident = GradedOperator.identity(ctx)
@@ -563,8 +473,10 @@ def _expectation_residual(ctx: FockContext, rng) -> float:
     psd = op.adjoint() @ op
     ex_psd = toeplitz.degree_expectation(psd)
     scale = max(ex_psd.op_norm(), 1.0)
-    min_eig = min(float(np.linalg.eigvalsh(_hermitize(ctx, ex_psd.block(n, n), n))[0])
-                  for n in range(ctx.degree + 1))
+    min_eig = np.inf
+    for n in range(ctx.degree + 1):
+        gauged = ex_psd.to_dense(gauge=True, window=[n])
+        min_eig = min(min_eig, float(np.linalg.eigvalsh((gauged + np.conj(gauged).T) / 2.0)[0]))
     res = max(res, max(-min_eig, 0.0) / scale)  # positive, relative scale
     vac = GradedVector.vacuum(ctx)
     lhs = ctx.q_inner(vac.blocks[0], ex.apply(vac).blocks[0], 0)
@@ -572,29 +484,48 @@ def _expectation_residual(ctx: FockContext, rng) -> float:
     return max(res, abs(lhs - rhs))  # vacuum-state compatible
 
 
-def _hermitize(ctx: FockContext, B, n: int) -> np.ndarray:
-    gauged = ctx.metric_sqrt(n) @ B @ ctx.metric_invsqrt(n)
-    return (gauged + np.conj(gauged).T) / 2.0
-
-
 def _random_graded(ctx: FockContext, rng) -> GradedOperator:
     blocks = {}
     for _ in range(4):
         m = int(rng.integers(0, ctx.degree + 1))
         n = int(rng.integers(0, ctx.degree + 1))
-        blocks[(m, n)] = rng.standard_normal((ctx.block_size(m), ctx.block_size(n))) \
-            + 1j * rng.standard_normal((ctx.block_size(m), ctx.block_size(n)))
+        blocks[(m, n)] = _gaussian(rng, (ctx.block_size(m), ctx.block_size(n)))
     return GradedOperator(ctx, ctx, blocks)
 
 
-def _compression_residual(ws: _Workspace, spectrum: str, q: float, rng) -> float:
-    cfg = ws.config
-    ctx = ws.ctx(spectrum, q, cfg.degree)
+def _balanced_corners(pt: _Point):
+    """Lowest-corner, compression-identity and negated norm-bound margin of
+    random balanced elements."""
+    ctx, rng = pt.ctx, pt.rng
+    res_corner = res_identity = 0.0
+    margin_min = np.inf
+    for _ in range(pt.config.samples["balanced"]):
+        n = int(rng.integers(1, ctx.degree // 2 + 1))  # both legs fit: 2n <= N
+        elem = toeplitz.random_balanced(ctx, rng, n)
+        res_corner = max(res_corner, toeplitz.low_degree_residual(ctx, elem))
+        for k in range(ctx.degree - 2 * n + 1):
+            res_identity = max(res_identity,
+                               toeplitz.compression_identity_residual(ctx, elem, k))
+        margin_min = min(margin_min, toeplitz.norm_bound_margin(ctx, elem))
+    return res_corner, res_identity, -float(margin_min)
+
+
+def _flip_pairing(pt: _Point) -> float:
+    ctx, rng = pt.ctx, pt.rng
+    n = min(2, ctx.degree // 2)  # the realized element has length 2n
+    res = 0.0
+    for _ in range(3):
+        v = _gaussian(rng, ctx.block_size(n))
+        w = _gaussian(rng, ctx.block_size(n))
+        e = _gaussian(rng, ctx.block_size(n))
+        res = max(res, toeplitz.flip_pairing_residual(ctx, v, w, e, n))
+    return res
+
+
+def _compression_residual(pt: _Point) -> float:
+    ctx, rng = pt.ctx, pt.rng
+    ctx_small = pt.subspace_ctx
     indices = _subspace_indices(ctx.space)
-    sub_key = f"{spectrum}|sub"
-    if sub_key not in ws._spaces:
-        ws._spaces[sub_key] = toeplitz.subspace(ctx.space, indices)
-    ctx_small = ws.ctx(sub_key, q, cfg.degree)
     res = 0.0
     for _ in range(2):
         vs = [_embedded_vector(ctx, indices, rng) for _ in range(2)]
@@ -603,8 +534,8 @@ def _compression_residual(ws: _Workspace, spectrum: str, q: float, rng) -> float
         lhs = toeplitz.compression(ctx, ctx_small, indices, x @ y)
         rhs = toeplitz.compression(ctx, ctx_small, indices, x) @ \
             toeplitz.compression(ctx, ctx_small, indices, y)
-        for p in range(cfg.degree - 1):
-            for m in range(cfg.degree + 1):
+        for p in range(ctx.degree - 1):
+            for m in range(ctx.degree + 1):
                 res = max(res, ctx_small.block_norm(lhs.block(m, p) - rhs.block(m, p), m, p))
     return res
 
@@ -616,97 +547,181 @@ def _embedded_vector(ctx: FockContext, indices, rng) -> np.ndarray:
     return v
 
 
-def _collect_haagerup(ws: _Workspace) -> list:
-    cfg = ws.config
-    tol = cfg.tolerances
-    out = []
-    for gi, (spectrum, q) in enumerate(ws.grid()):
-        rng = _rng(cfg, "haagerup", gi)
-        space = ws.space(spectrum)
-        ctx = ws.ctx(spectrum, q, cfg.degree)
-        base = {"spectrum": spectrum, "q": q, "degree": cfg.degree}
-        family = haagerup.ApproximantFamily.default(space)
-
-        t0 = time.perf_counter()
-        res = max(max(haagerup.admissible_residuals(space, k).values())
-                  for k in family.ks)
-        out.append(VerificationReport.measure("haagerup/admissible", base, res,
-                                              tol["exact"], t0))
-
-        t0 = time.perf_counter()
-        margin = -np.inf
-        crosscheck = 0.0
-        for k in family.ks:
-            T = family.base_map(k).matrix
-            per_degree = haagerup.degree_norms(ctx, T)
-            for t in family.ts:
-                for n in range(cfg.degree):
-                    tail = haagerup.tail_norm(ctx, T, t, n, per_degree=per_degree)
-                    margin = max(margin, tail - float(np.exp(-t * (n + 1))))
-            crosscheck = max(crosscheck,
-                             haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1))
-        out.append(VerificationReport.measure("haagerup/tail_bound", base,
-                                              float(margin), tol["algebraic"], t0))
-        cross_tol = tol["norm"] if abs(q) <= 0.5 else 1e-6
-        out.append(VerificationReport.measure("haagerup/free_reduction", base,
-                                              crosscheck, cross_tol, t0))
-
-        t0 = time.perf_counter()
-        vectors = [GradedVector.vacuum(ctx)] + \
-            [GradedVector.random(ctx, rng) for _ in range(3)]
-        sweep = haagerup.strong_convergence_sweep(family, ctx, vectors,
-                                                  final_tol=tol["strong"])
-        res = 0.0 if (sweep["all_monotone"] and sweep["all_converged"]) else 1.0
-        out.append(VerificationReport.measure("haagerup/strong_convergence", base,
-                                              res, 0.0, t0))
-
-        t0 = time.perf_counter()
-        profile = haagerup.compactness_profile(ctx, family.base_map(4).matrix, 0.5,
-                                               cfg.degree - 1)
-        res = 0.0 if profile["all_within_bound"] else 1.0
-        out.append(VerificationReport.measure("haagerup/compactness_profile", base,
-                                              res, 0.0, t0))
-
-        t0 = time.perf_counter()
-        out.append(VerificationReport.measure(
-            "haagerup/state_preservation", base,
-            _approximant_state_residual(ws, spectrum, q, rng,
-                                        cfg.samples["state_preservation"]),
-            tol["algebraic"], t0))
-    return out
+def _finkernel_rank(pt: _Point) -> float:
+    ctx = pt.ctx
+    rank = toeplitz.finkernel_rank(ctx, _subspace_indices(ctx.space),
+                                   max_length=min(2, ctx.degree // 2))
+    return 0.0 if rank["full_rank"] else 1.0
 
 
-def _approximant_state_residual(ws: _Workspace, spectrum: str, q: float, rng,
-                                n_words: int) -> float:
-    src_ctx, comb_ctx = ws.channel_ctxs(spectrum, q)
-    space = ws.space(spectrum)
+def _majorisation(pt: _Point) -> float:
+    ctx = pt.ctx
+    margin = np.inf
+    for n, k in _pairs(ctx.degree):
+        check = toeplitz.majorisation_check(
+            ctx.sym(n + k), np.kron(ctx.sym(n), ctx.sym(k)), r_star(ctx, n, k))
+        if not check["consistent"]:
+            margin = -np.inf
+        margin = min(margin, check["margin"])
+    return -float(margin)
+
+
+def _admissible(pt: _Point) -> float:
+    family = haagerup.ApproximantFamily.default(pt.space)
+    return max(max(haagerup.admissible_residuals(pt.space, k).values()) for k in family.ks)
+
+
+def _tail(pt: _Point):
+    """Worst excess of the tail norms over their geometric bound, and the
+    q-to-free reduction gap."""
+    ctx = pt.ctx
+    family = haagerup.ApproximantFamily.default(pt.space)
+    margin = -np.inf
+    crosscheck = 0.0
+    for k in family.ks:
+        T = family.base_map(k).matrix
+        per_degree = haagerup.degree_norms(ctx, T)
+        for t in family.ts:
+            for n in range(ctx.degree):
+                tail = haagerup.tail_norm(ctx, T, t, n, per_degree=per_degree)
+                margin = max(margin, tail - float(np.exp(-t * (n + 1))))
+        crosscheck = max(crosscheck, haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1))
+    return float(margin), crosscheck
+
+
+def _strong_convergence(pt: _Point) -> float:
+    ctx = pt.ctx
+    vectors = [GradedVector.vacuum(ctx)] + \
+        [GradedVector.random(ctx, pt.rng) for _ in range(3)]
+    sweep = haagerup.strong_convergence_sweep(
+        haagerup.ApproximantFamily.default(pt.space), ctx, vectors,
+        final_tol=pt.config.tolerances["strong"])
+    return 0.0 if (sweep["all_monotone"] and sweep["all_converged"]) else 1.0
+
+
+def _compactness_profile(pt: _Point) -> float:
+    ctx = pt.ctx
+    profile = haagerup.compactness_profile(
+        ctx, haagerup.ApproximantFamily.default(pt.space).base_map(4).matrix, 0.5,
+        ctx.degree - 1)
+    return 0.0 if profile["all_within_bound"] else 1.0
+
+
+def _approximant_state_residual(pt: _Point) -> float:
+    space, rng = pt.space, pt.rng
+    src_ctx, comb_ctx = pt.channel_ctxs
     damped = sp.DeformedContraction(
         space, space, np.exp(-0.5) * haagerup.generate_admissible(space, 4).matrix)
     channel = quantize.QuantizationChannel(damped, src_ctx, src_ctx, comb_ctx)
     words = []
     deg_max = max(1, min(2, src_ctx.degree - 1))
-    for _ in range(n_words):
+    for _ in range(pt.config.samples["state_preservation"]):
         n = int(rng.integers(0, deg_max + 1))
-        xi = rng.standard_normal(src_ctx.block_size(n)) + 1j * rng.standard_normal(
-            src_ctx.block_size(n))
-        words.append(wick.wick_word(src_ctx, xi, n))
+        words.append(wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n))
     return haagerup.state_preservation_residual(channel, words)
 
 
-_COLLECTORS = {
-    "symmetrizer": _collect_symmetrizer,
-    "wick": _collect_wick,
-    "quantization": _collect_quantization,
-    "toeplitz": _collect_toeplitz,
-    "haagerup": _collect_haagerup,
+# ---------------------------------------------------------------------------
+# check tables and the runner
+# ---------------------------------------------------------------------------
+
+
+def _self_adjoint_bound(tol: dict, q: float) -> float:
+    # the degree-N metric is ill-conditioned near |q| = 1
+    return tol["algebraic"] if abs(q) <= 0.5 else tol["norm"]
+
+
+def _free_reduction_bound(tol: dict, q: float) -> float:
+    return tol["norm"] if abs(q) <= 0.5 else 1e-6
+
+
+# Each row is (residual function, (check, bound), ...); the function returns
+# one residual per check.  A bound is a tolerance key, a literal, or a rule
+# of (tolerances, q).  Rows run in order and draw from the point's generator
+# in that order, so reordering rows changes the report.
+_TABLES = {
+    "symmetrizer": (
+        (_sym_positivity, ("symmetrizer/positivity", 0.0)),
+        (_over_pairs(factorization_residual), ("symmetrizer/factorization", "algebraic")),
+        (_over_pairs(lambda ctx, n, k: rstar_free_norm(ctx, n, k) - c_constant(ctx.q)),
+         ("symmetrizer/rstar_free_norm", "norm")),
+        (_over_pairs(_deformed_norm_excess), ("symmetrizer/deformed_norm_bounds", "norm")),
+        (_over_pairs(rstar_adjoint_residual), ("symmetrizer/adjoint_pairing", "algebraic")),
+        (_q_commutation_residual, ("symmetrizer/q_commutation", "algebraic")),
+        (_creation_adjoint_residual, ("symmetrizer/creation_adjoint", "algebraic")),
+    ),
+    "wick": (
+        (_wick_vacuum, ("wick/vacuum", "algebraic")),
+        (_wick_self_adjoint, ("wick/self_adjoint", _self_adjoint_bound)),
+        (_wick_linearity, ("wick/linearity", "exact")),
+    ),
+    "quantization": (
+        (_dilation, ("quantization/dilation", "algebraic")),
+        (_channel_on_words, ("quantization/wick_covariance", "norm"),
+         ("quantization/unitality", "algebraic"),
+         ("quantization/vacuum_state", "algebraic"),
+         ("quantization/gns", "norm")),
+        (_functoriality, ("quantization/functoriality", "norm")),
+        (_positivity, ("quantization/kadison_schwarz", "norm"),
+         ("quantization/two_positivity", "norm")),
+        (_projection_monomial_residual, ("quantization/projection_monomials", "algebraic")),
+        (_embed_multiplicativity_residual,
+         ("quantization/embedding_multiplicative", "product")),
+    ),
+    "toeplitz": (
+        (_expectation_residual, ("toeplitz/degree_expectation", "algebraic")),
+        (_balanced_corners, ("toeplitz/length_corners", "exact"),
+         ("toeplitz/compression_identity", "algebraic"),
+         ("toeplitz/norm_bound", "norm")),
+        (_flip_pairing, ("toeplitz/flip_pairing", "algebraic")),
+        (_compression_residual, ("toeplitz/compression_multiplicative", "product")),
+        (_finkernel_rank, ("toeplitz/finkernel_rank", 0.0)),
+        (_majorisation, ("toeplitz/majorisation", "algebraic")),
+    ),
+    "haagerup": (
+        (_admissible, ("haagerup/admissible", "exact")),
+        (_tail, ("haagerup/tail_bound", "algebraic"),
+         ("haagerup/free_reduction", _free_reduction_bound)),
+        (_strong_convergence, ("haagerup/strong_convergence", 0.0)),
+        (_compactness_profile, ("haagerup/compactness_profile", 0.0)),
+        (_approximant_state_residual, ("haagerup/state_preservation", "algebraic")),
+    ),
 }
+
+
+def _bound(rule, tol: dict, q: float) -> float:
+    if callable(rule):
+        return rule(tol, q)
+    return tol[rule] if isinstance(rule, str) else rule
+
+
+def _run_table(ws: _Workspace, suite: str) -> list:
+    """Run one suite's table over the grid.  A row that reports several
+    checks gives each of them the row's wall time."""
+    cfg = ws.config
+    out = []
+    for gi, (spectrum, q) in enumerate(itertools.product(cfg.spectra, cfg.q_values)):
+        pt = _Point(ws, spectrum, q, _rng(cfg, suite, gi))
+        # the quantization suite reports the channel truncation degree
+        degree = channel_degree(2 * pt.space.dim, cfg.degree) \
+            if suite == "quantization" else cfg.degree
+        params = {"spectrum": spectrum, "q": q, "degree": degree}
+        for residual, *checks in _TABLES[suite]:
+            t0 = time.perf_counter()
+            values = residual(pt)
+            if len(checks) == 1:
+                values = (values,)
+            for (check, rule), value in zip(checks, values):
+                out.append(VerificationReport.measure(
+                    check, params, value, _bound(rule, cfg.tolerances, q), t0))
+    return out
 
 
 def run_suite(config: SweepConfig, suite: str = "all") -> list:
     """Execute the selected suites over the configured grid."""
     if suite == "all":
         names = list(SUITES)
-    elif suite in _COLLECTORS:
+    elif suite in SUITES:
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of "
@@ -714,7 +729,7 @@ def run_suite(config: SweepConfig, suite: str = "all") -> list:
     ws = _Workspace(config)
     reports = []
     for name in names:
-        reports.extend(_COLLECTORS[name](ws))
+        reports.extend(_run_table(ws, name))
     return reports
 
 

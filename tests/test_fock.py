@@ -224,3 +224,32 @@ def test_graded_operator_adjoint_pairing(ctx_half, rng):
     rhs = sum(ctx.q_inner(op.adjoint().apply(x).blocks[n], y.blocks[n], n)
               for n in range(ctx.degree + 1))
     assert abs(lhs - rhs) < 1e-9
+
+
+def test_gauged_dense_window_matches_block_norms(ctx_half):
+    """The gauged dense matrix of a block-diagonal operator has the largest
+    q-norm of its blocks as spectral norm, over all degrees and over a degree
+    window; blocks outside the window are ignored."""
+    ctx = ctx_half
+    rng = np.random.default_rng(31)
+    blocks = {}
+    for n in (0, 1, 2, 4):
+        size = ctx.block_size(n)
+        blocks[(n, n)] = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    blocks[(2, 2)] *= 100.0  # the largest block; left out of the window below
+    op = fock.GradedOperator(ctx, ctx, blocks)
+    norms = {n: ctx.block_norm(B, n, n) for (n, _), B in blocks.items()}
+    full = op.to_dense(gauge=True)
+    top = max(norms.values())
+    assert top == norms[2]
+    assert abs(np.linalg.norm(full, ord=2) - top) <= 1e-10 * top
+    assert abs(op.op_norm() - top) <= 1e-10 * top
+    window = [4, 0, 3, 1]  # unordered, and degree 3 has no block
+    sizes = [ctx.block_size(n) for n in sorted(window)]
+    win = op.to_dense(gauge=True, window=window)
+    assert win.shape == (sum(sizes), sum(sizes))
+    expect = max(norms[n] for n in (0, 1, 4))
+    assert abs(np.linalg.norm(win, ord=2) - expect) <= 1e-10 * expect
+    # degrees sit in increasing order: degree 0 first, degree 4 last
+    assert np.array_equal(win[:1, :1], full[:1, :1])
+    assert np.array_equal(win[-81:, -81:], full[-81:, -81:])

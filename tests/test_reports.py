@@ -45,12 +45,24 @@ def test_config_validation(tmp_path):
     unknown.write_text('{"qq": 1}')
     with pytest.raises(ValueError):
         SweepConfig.from_file(str(unknown))
+    for field, value in (("degree", "x"), ("degree", True), ("spectra", "b2"),
+                         ("q_values", ["a"]), ("seed", 1.5),
+                         ("samples", {"dilate": "x"}), ("tolerances", [1e-9])):
+        with pytest.raises(ValueError, match=repr(field)):
+            SweepConfig(**{field: value})
+    with pytest.raises(ValueError, match="sample counts"):
+        SweepConfig(samples={"covariance": 0})  # would pass its checks vacuously
+    not_object = tmp_path / "list.json"
+    not_object.write_text('[1, 2]')
+    with pytest.raises(ValueError, match="JSON object"):
+        SweepConfig.from_file(str(not_object))
 
 
-def test_run_suite_deterministic():
+@pytest.mark.parametrize("suite", reports.SUITES)
+def test_run_suite_deterministic(suite):
     cfg = small_config()
-    a = run_suite(cfg, "wick")
-    b = run_suite(cfg, "wick")
+    a = run_suite(cfg, suite)
+    b = run_suite(cfg, suite)
     assert [(r.check, r.residual, r.passed) for r in a] \
         == [(r.check, r.residual, r.passed) for r in b]
 
@@ -115,6 +127,19 @@ def test_cli_exit_codes(tmp_path):
     assert red.returncode == 1
     bad = run_cli(["--q", "2.0", "--out", str(tmp_path / "x.json")])
     assert bad.returncode == 2
+    # config and IO errors exit 2 with one line on stderr, before any check runs
+    for name, config in (("degree", {"degree": "x"}), ("spectra", {"spectra": "b2"})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        bad = run_cli(["--config", str(path), "--out", str(tmp_path / "x.json")])
+        assert bad.returncode == 2
+        assert bad.stderr.count("\n") == 1 and repr(name) in bad.stderr
+    missing = tmp_path / "missing" / "x.json"
+    bad = run_cli(["--suite", "symmetrizer", "--q", "0.3", "--dim-spec", "t1",
+                   "--degree", "3", "--out", str(missing)])
+    assert bad.returncode == 2
+    assert bad.stderr.count("\n") == 1 and "does not exist" in bad.stderr
+    assert bad.stdout == "" and not missing.parent.exists()
 
 
 def test_cli_env_out_dir(tmp_path):
@@ -124,6 +149,11 @@ def test_cli_env_out_dir(tmp_path):
                    "--degree", "3", "--quiet"], env=env)
     assert res.returncode == 0
     assert (tmp_path / "reports.json").exists()
+    env = dict(os.environ, QFOCK_OUT_DIR=str(tmp_path / "missing"))
+    res = run_cli(["--suite", "symmetrizer", "--q", "0.3", "--dim-spec", "t1",
+                   "--degree", "3", "--quiet"], env=env)
+    assert res.returncode == 2 and "does not exist" in res.stderr
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_summary_lines(tmp_path):
