@@ -91,9 +91,11 @@ def free_degree_norms(ctx: FockContext, T) -> np.ndarray:
     return np.array(norms)
 
 
-def free_reduction_crosscheck(ctx: FockContext, T, t: float, n: int) -> float:
-    """Gap between the tail norm in the q-metric and in the free metric."""
-    q_tail = tail_norm(ctx, T, t, n)
+def free_reduction_crosscheck(ctx: FockContext, T, t: float, n: int,
+                              per_degree: np.ndarray | None = None) -> float:
+    """Gap between the tail norm in the q-metric and in the free metric;
+    ``per_degree`` is passed on to ``tail_norm``."""
+    q_tail = tail_norm(ctx, T, t, n, per_degree=per_degree)
     free_per_degree = free_degree_norms(ctx, T)
     damp = np.exp(-t * np.arange(ctx.degree + 1))
     free_tail = float(np.max(free_per_degree[n + 1:] * damp[n + 1:]))

@@ -44,12 +44,14 @@ def embed_tensor(src_ctx: FockContext, comb_ctx: FockContext, xi, degree: int) -
     return out.ravel()
 
 
-def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord) -> WickWord:
-    """Wick word over the combined space with the included coefficient tensor."""
+def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord,
+               inputs=None) -> WickWord:
+    """Wick word over the combined space with the included coefficient tensor,
+    built on the input degrees ``inputs`` only when they are given."""
     if word.degree > comb_ctx.degree:
         raise ValueError("degree overflow in embedding")
     return wick_word(comb_ctx, embed_tensor(src_ctx, comb_ctx, word.tensor, word.degree),
-                     word.degree)
+                     word.degree, inputs=inputs)
 
 
 class QuantizationChannel:
@@ -88,8 +90,20 @@ class QuantizationChannel:
         """The channel's conjugation step on an operator over the combined space."""
         return self._front @ x @ self._front_adj
 
+    def _safe_window(self, degree: int) -> range:
+        """Input degrees ``0..N-degree`` on which a degree-n image is exact."""
+        return range(self.tgt_ctx.degree - degree + 1)
+
     def apply_word(self, word: WickWord) -> GradedOperator:
-        return self.conjugate(embed_wick(self.src_ctx, self.comb_ctx, word).op)
+        """Channel image of a source Wick word on its safe window only.
+
+        The image holds the blocks of input degree ``0..N-degree``; blocks on
+        higher input degrees feel the truncation and are not computed, so
+        ``block`` reads them as zero.  A caller that needs them must build
+        the full image itself.
+        """
+        return self.conjugate(embed_wick(self.src_ctx, self.comb_ctx, word,
+                                         inputs=self._safe_window(word.degree)).op)
 
     def apply_product(self, words) -> GradedOperator:
         """Channel applied to a product of source Wick words; trustworthy on
@@ -111,12 +125,13 @@ class QuantizationChannel:
             power = np.kron(self.matrix, power)
         return power @ word.tensor
 
-    def covariance_residual(self, word: WickWord) -> float:
-        """Deformed-norm gap between the channel image of a Wick word and the
-        Wick word of the image tensor, on the safe window."""
-        image = self.apply_word(word)
-        expected = wick_word(self.tgt_ctx, self.image_tensor(word), word.degree).op
-        window = range(self.tgt_ctx.degree - word.degree + 1)
+    def covariance_residual(self, word: WickWord, image: GradedOperator) -> float:
+        """Deformed-norm gap between ``image``, the channel image of a Wick
+        word from ``apply_word``, and the Wick word of the image tensor, on
+        the safe window."""
+        window = self._safe_window(word.degree)
+        expected = wick_word(self.tgt_ctx, self.image_tensor(word), word.degree,
+                             inputs=window).op
         res = 0.0
         for p in window:
             for m in range(self.tgt_ctx.degree + 1):
@@ -151,19 +166,22 @@ def second_quantization(contraction: DeformedContraction,
     return QuantizationChannel(contraction, src_ctx, tgt_ctx, comb_ctx, tol=tol)
 
 
-def gns_residual(channel: QuantizationChannel, word: WickWord) -> float:
-    """Gap between the channel's GNS action on the vacuum image and the first
-    quantisation of the contraction."""
-    image = channel.apply_word(word).apply(GradedVector.vacuum(channel.tgt_ctx))
+def gns_residual(channel: QuantizationChannel, word: WickWord,
+                 image: GradedOperator) -> float:
+    """Gap between the GNS action of ``image``, the channel image of ``word``
+    from ``apply_word``, on the vacuum and the first quantisation of the
+    contraction."""
+    vector = image.apply(GradedVector.vacuum(channel.tgt_ctx))
     expected = GradedVector.from_degree(channel.tgt_ctx, word.degree,
                                         channel.image_tensor(word))
-    return (image - expected).norm()
+    return (vector - expected).norm()
 
 
-def _combination(src_ctx, comb_ctx, coeffs, words) -> GradedOperator:
+def _combination(src_ctx, comb_ctx, coeffs, words, window) -> GradedOperator:
+    """Embedded ``sum_i c_i W(xi_i)`` on the input degrees of ``window``."""
     total = None
     for c, w in zip(coeffs, words):
-        term = c * embed_wick(src_ctx, comb_ctx, w).op
+        term = c * embed_wick(src_ctx, comb_ctx, w, inputs=window).op
         total = term if total is None else total + term
     if total is None:
         raise ValueError("empty combination")
@@ -183,7 +201,9 @@ def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words,
     if window is None:
         dmax = max(w.degree for w in words)
         window = range(max(ctx.degree - 2 * dmax, 0) + 1)
-    emb = _combination(channel.src_ctx, channel.comb_ctx, coeffs, words)
+    # every block the window reads has input and output degree in it, so the
+    # embedded word is needed on those input degrees only
+    emb = _combination(channel.src_ctx, channel.comb_ctx, coeffs, words, window)
     lhs = channel.conjugate(emb.adjoint() @ emb)
     img = channel.conjugate(emb)
     rhs = img.adjoint() @ img
@@ -197,15 +217,16 @@ def two_positivity_margin(channel: QuantizationChannel, samples, window=None) ->
     dmax = max(w.degree for row in samples for (_, w) in row)
     if window is None:
         window = range(max(ctx.degree - 2 * dmax, 0) + 1)
-    embedded = [[_combination(channel.src_ctx, channel.comb_ctx, [c], [w])
+    embedded = [[_combination(channel.src_ctx, channel.comb_ctx, [c], [w], window)
                  for (c, w) in row] for row in samples]
+    adjoints = [[x.adjoint() for x in row] for row in embedded]
     # Y = X# X as a 2x2 operator matrix over the combined space
     images = {}
     for i in range(2):
         for j in range(2):
             y = None
             for r in range(2):
-                term = embedded[r][i].adjoint() @ embedded[r][j]
+                term = adjoints[r][i] @ embedded[r][j]
                 y = term if y is None else y + term
             images[(i, j)] = channel.conjugate(y)
     return _hermitian_min_eig(np.block(

@@ -107,6 +107,11 @@ class SweepConfig:
         _check_field("seed", self.seed, numbers.Integral, None, "an integer")
         _check_field("samples", self.samples, dict, numbers.Integral, "an object of integers")
         _check_field("tolerances", self.tolerances, dict, numbers.Real, "an object of numbers")
+        for name, given, known in (("samples", self.samples, DEFAULT_SAMPLES),
+                                   ("tolerances", self.tolerances, DEFAULT_TOLERANCES)):
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ValueError(f"config field {name!r} has unknown keys {unknown}")
         self.q_values = tuple(float(q) for q in self.q_values)
         for q in self.q_values:
             if not -1.0 < q < 1.0:
@@ -368,11 +373,11 @@ def _channel_on_words(pt: _Point):
         channel = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
         n = int(rng.integers(1, deg_max + 1))
         word = wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n)
-        res_cov = max(res_cov, channel.covariance_residual(word))
-        res_unital = max(res_unital, channel.unitality_residual())
         image = channel.apply_word(word)
+        res_cov = max(res_cov, channel.covariance_residual(word, image))
+        res_unital = max(res_unital, channel.unitality_residual())
         res_vac = max(res_vac, channel.vacuum_state_residual([word.op], [image]))
-        res_gns = max(res_gns, quantize.gns_residual(channel, word))
+        res_gns = max(res_gns, quantize.gns_residual(channel, word, image))
     return res_cov, res_unital, res_vac, res_gns
 
 
@@ -585,7 +590,8 @@ def _tail(pt: _Point):
             for n in range(ctx.degree):
                 tail = haagerup.tail_norm(ctx, T, t, n, per_degree=per_degree)
                 margin = max(margin, tail - float(np.exp(-t * (n + 1))))
-        crosscheck = max(crosscheck, haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1))
+        crosscheck = max(crosscheck, haagerup.free_reduction_crosscheck(
+            ctx, T, 1.0, 1, per_degree=per_degree))
     return float(margin), crosscheck
 
 

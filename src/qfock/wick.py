@@ -38,13 +38,18 @@ class WickWord:
     op: GradedOperator = field(repr=False)
 
 
-def wick_word(ctx: FockContext, xi, degree: int | None = None) -> WickWord:
+def wick_word(ctx: FockContext, xi, degree: int | None = None,
+              inputs=None) -> WickWord:
     """Realize a coefficient tensor of the given degree as a Wick word.
 
     The operator is assembled partition by partition: the coefficient tensor
     is reordered so that creation indices come first, the annihilation indices
     are pushed through the conjugation's basis permutation, and the resulting
     mixed words are accumulated with weight ``q**crossings``.
+
+    ``inputs``, when given, is the set of input degrees to build: blocks on
+    any other input degree are left out, and every kept block equals, bit for
+    bit, the same block of the full word.
     """
     xi = np.asarray(xi, dtype=complex).ravel()
     if degree is None:
@@ -55,8 +60,10 @@ def wick_word(ctx: FockContext, xi, degree: int | None = None) -> WickWord:
         raise ValueError("coefficient block has wrong length")
     n = degree
     dim = ctx.dim
+    degrees = range(ctx.degree + 1) if inputs is None else set(inputs)
     if n == 0:
-        op = xi[0] * GradedOperator.identity(ctx)
+        op = GradedOperator(ctx, ctx, {(p, p): xi[0] * np.eye(ctx.block_size(p), dtype=complex)
+                                       for p in range(ctx.degree + 1) if p in degrees})
         return WickWord(ctx, 0, xi.copy(), op)
 
     xi_nd = xi.reshape((dim,) * n)
@@ -72,7 +79,7 @@ def wick_word(ctx: FockContext, xi, degree: int | None = None) -> WickWord:
             weight = ctx.q ** cross
             for p in range(m, ctx.degree + 1):
                 out = p - m + k
-                if out > ctx.degree:
+                if out > ctx.degree or p not in degrees:
                     continue
                 B = weight * ctx.mixed_word_block(Z, k, m, p)
                 key = (out, p)

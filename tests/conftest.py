@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
+import qfock
 from qfock import FockContext, build_space
 from qfock.reports import parse_spectrum
+
+# The CLI tests run ``python -m qfock.cli`` in a subprocess: let it import the
+# package these tests import, also when only pytest's ``pythonpath`` found it.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (os.path.dirname(os.path.dirname(qfock.__file__)),
+                  os.environ.get("PYTHONPATH"))))
 
 Q_GRID = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 SPECTRA = ("t1", "t2", "b2", "b2+t1")

@@ -80,6 +80,15 @@ def test_free_reduction_crosscheck_large_q_loose():
     assert haagerup.free_reduction_crosscheck(ctx, T, 0.5, 1) < 1e-6
 
 
+def test_free_reduction_crosscheck_reuses_degree_norms():
+    for spectrum, q in (("t2", 0.5), ("b2+t1", -0.9)):
+        ctx = make_ctx(spectrum, q, 4)
+        T = haagerup.generate_admissible(ctx.space, 8).matrix
+        per_degree = haagerup.degree_norms(ctx, T)
+        assert haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1, per_degree=per_degree) \
+            == haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1)
+
+
 def test_compactness_profile_structure():
     ctx = make_ctx("t1", 0.0, 4)
     profile = haagerup.compactness_profile(ctx, np.eye(1), 1.0, 3)

@@ -58,7 +58,7 @@ def test_covariance_on_wick_words(rng):
                 size = ctx.block_size(n)
                 xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
                 word = wick.wick_word(ctx, xi, n)
-                assert channel.covariance_residual(word) < 1e-8
+                assert channel.covariance_residual(word, channel.apply_word(word)) < 1e-8
 
 
 def test_gns_identity(rng):
@@ -67,7 +67,7 @@ def test_gns_identity(rng):
         size = ctx.block_size(n)
         xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         word = wick.wick_word(ctx, xi, n)
-        assert quantize.gns_residual(channel, word) < 1e-8
+        assert quantize.gns_residual(channel, word, channel.apply_word(word)) < 1e-8
 
 
 def test_unitality_and_vacuum_state(rng):
@@ -115,6 +115,88 @@ def test_kadison_schwarz_on_squared_field(rng):
     word = wick.wick_word(ctx, h, 1)
     margin = quantize.kadison_schwarz_margin(channel, [1.0], [word])
     assert margin >= -1e-10
+
+
+def _gaussian_word(ctx, rng, n):
+    size = ctx.block_size(n)
+    return wick.wick_word(ctx, rng.standard_normal(size) + 1j * rng.standard_normal(size), n)
+
+
+def test_wick_word_on_input_window_keeps_exact_blocks():
+    rng = np.random.default_rng(51)
+    ctx = make_ctx("b2+t1", 0.5, 4)
+    for n in (0, 1, 2):
+        word = _gaussian_word(ctx, rng, n)
+        full = word.op.blocks
+        for window in (range(ctx.degree - n + 1), {0, 2}):
+            part = wick.wick_word(ctx, word.tensor, n, inputs=window).op.blocks
+            assert set(part) == {key for key in full if key[1] in window}
+            assert all(np.array_equal(part[key], full[key]) for key in part)
+
+
+def test_apply_word_is_the_full_image_on_its_safe_window():
+    rng = np.random.default_rng(52)
+    channel, ctx = build_channel("t2", -0.9, 3, rng)
+    for n in (0, 1, 2):
+        word = _gaussian_word(ctx, rng, n)
+        image = channel.apply_word(word).blocks
+        full = channel.conjugate(quantize.embed_wick(ctx, channel.comb_ctx, word).op).blocks
+        assert set(image) == {key for key in full if key[1] <= ctx.degree - n}
+        assert all(np.array_equal(image[key], full[key]) for key in image)
+
+
+def _hermitian_min_eig(dense):
+    return float(np.linalg.eigvalsh((dense + np.conj(dense).T) / 2.0)[0])
+
+
+def _full_embedding(channel, coeffs, words):
+    total = None
+    for c, w in zip(coeffs, words):
+        term = c * quantize.embed_wick(channel.src_ctx, channel.comb_ctx, w).op
+        total = term if total is None else total + term
+    return total
+
+
+def _full_route_ks(channel, coeffs, words, window):
+    emb = _full_embedding(channel, coeffs, words)
+    lhs = channel.conjugate(emb.adjoint() @ emb)
+    img = channel.conjugate(emb)
+    rhs = img.adjoint() @ img
+    return _hermitian_min_eig((lhs - rhs).to_dense(gauge=True, window=window))
+
+
+def _full_route_two_positivity(channel, rows, window):
+    embedded = [[_full_embedding(channel, [c], [w]) for (c, w) in row] for row in rows]
+    images = {}
+    for i in range(2):
+        for j in range(2):
+            y = None
+            for r in range(2):
+                term = embedded[r][i].adjoint() @ embedded[r][j]
+                y = term if y is None else y + term
+            images[(i, j)] = channel.conjugate(y)
+    return _hermitian_min_eig(np.block(
+        [[images[(i, j)].to_dense(gauge=True, window=window) for j in range(2)]
+         for i in range(2)]))
+
+
+def test_positivity_margins_equal_the_full_route():
+    # the margins build only the window's input degrees; the full route
+    # builds every block and drops the rest in to_dense
+    rng = np.random.default_rng(53)
+    for spectrum in ("t2", "b2+t1"):
+        for q in (0.5, -0.9):
+            channel, ctx = build_channel(spectrum, q, 3, rng)
+            for degrees in ((1, 0), (0, 0), (1, 1)):
+                words = [_gaussian_word(ctx, rng, n) for n in degrees]
+                coeffs = [complex(rng.standard_normal(), rng.standard_normal())
+                          for _ in words]
+                window = range(max(ctx.degree - 2 * max(degrees), 0) + 1)
+                assert quantize.kadison_schwarz_margin(channel, coeffs, words) \
+                    == _full_route_ks(channel, coeffs, words, window)
+                rows = [list(zip(coeffs, words)), list(zip(coeffs[::-1], words))]
+                assert quantize.two_positivity_margin(channel, rows) \
+                    == _full_route_two_positivity(channel, rows, window)
 
 
 def test_conjugation_channel_projection_monomials(rng):

@@ -47,9 +47,12 @@ def test_config_validation(tmp_path):
         SweepConfig.from_file(str(unknown))
     for field, value in (("degree", "x"), ("degree", True), ("spectra", "b2"),
                          ("q_values", ["a"]), ("seed", 1.5),
-                         ("samples", {"dilate": "x"}), ("tolerances", [1e-9])):
+                         ("samples", {"dilate": "x"}), ("tolerances", [1e-9]),
+                         ("samples", {"kadison_shwarz": 5}), ("tolerances", {"strnog": 1e-6})):
         with pytest.raises(ValueError, match=repr(field)):
             SweepConfig(**{field: value})
+    with pytest.raises(ValueError, match="kadison_shwarz"):  # a typo used to run the default
+        SweepConfig(samples={"kadison_shwarz": 5})
     with pytest.raises(ValueError, match="sample counts"):
         SweepConfig(samples={"covariance": 0})  # would pass its checks vacuously
     not_object = tmp_path / "list.json"
@@ -128,7 +131,8 @@ def test_cli_exit_codes(tmp_path):
     bad = run_cli(["--q", "2.0", "--out", str(tmp_path / "x.json")])
     assert bad.returncode == 2
     # config and IO errors exit 2 with one line on stderr, before any check runs
-    for name, config in (("degree", {"degree": "x"}), ("spectra", {"spectra": "b2"})):
+    for name, config in (("degree", {"degree": "x"}), ("spectra", {"spectra": "b2"}),
+                         ("samples", {"samples": {"kadison_shwarz": 5}})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         bad = run_cli(["--config", str(path), "--out", str(tmp_path / "x.json")])
