@@ -1,10 +1,14 @@
 """Truncated q-deformed Fock space over a deformed base space.
 
 Degree-n tensors are stored as dense coordinate blocks of length ``dim**n``
-with the first tensor factor most significant (np.kron ordering).  The
-q-symmetrizer is the permutation sum ``sum_sigma q^inv(sigma) sigma`` and the
-degree-n inner product is the quadratic form of ``G^{(x)n} P_q^(n)``; both
-matrices commute because the base metric is diagonal in the chosen basis.
+with the first tensor factor most significant (np.kron ordering).  Every
+object of the layer comes from the crossing-weighted coproduct ``R*_{n,k}``:
+the q-symmetrizer ``P_q^(n) = sum_sigma q^inv(sigma) sigma`` by the
+Bozejko-Speicher recursion ``P_n = (1 (x) P_{n-1}) R*_{1,n-1}``, the m-fold
+annihilation words by ``P_p = (P_m (x) P_{p-m}) R*_{m,p-m}``, and the Wick
+words of ``wick`` by ``R*`` applied to their coefficient tensor.  The degree-n
+inner product is the quadratic form of ``G^{(x)n} P_q^(n)``; both matrices
+commute because the base metric is diagonal in the chosen basis.
 """
 
 from __future__ import annotations
@@ -38,29 +42,15 @@ def c_constant(q: float, increment: float = 1e-14) -> float:
         k += 1
 
 
-def _digit_table(dim: int, n: int) -> np.ndarray:
-    """Array of shape (dim**n, n) listing base-``dim`` digits of each index."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=int)
-    idx = np.arange(dim ** n)
-    digits = np.empty((dim ** n, n), dtype=int)
-    for pos in range(n - 1, -1, -1):
-        digits[:, pos] = idx % dim
-        idx //= dim
-    return digits
-
-
-def _inversions(sigma) -> int:
-    return sum(1 for i in range(len(sigma)) for j in range(i + 1, len(sigma))
-               if sigma[i] > sigma[j])
-
-
 class FockContext:
     """Truncated q-Fock space: cached symmetrizers and degree metrics.
 
-    Immutable after construction; heavier caches (inverses, metric square
-    roots, annihilation-word tensors) are filled lazily but never mutated
-    once computed, so contexts stay safe to share across parameter sweeps.
+    Every degree is built from the crossing-weighted coproduct ``R*`` alone:
+    the symmetrizer by the recursion ``P_n = (1 (x) P_{n-1}) R*_{1,n-1}`` and
+    the annihilation words by ``R*_{m,p-m}``, so no matrix is ever inverted.
+    Immutable after construction; the lazy caches (metric eigen-pairs and
+    annihilation-word tensors) are never mutated once filled, so contexts
+    stay safe to share across parameter sweeps.
     """
 
     def __init__(self, space: DeformedSpace, q: float, degree: int):
@@ -72,33 +62,18 @@ class FockContext:
         self.q = float(q)
         self.degree = int(degree)
         self.dim = space.dim
-        self._digits = {n: _digit_table(self.dim, n) for n in range(degree + 1)}
-        self._gt = {n: self._metric_diagonal(n) for n in range(degree + 1)}
-        self._sym = {n: self._build_symmetrizer(n) for n in range(degree + 1)}
+        self._gt = {0: np.ones(1)}
+        self._sym = {0: np.eye(1)}
+        for n in range(1, degree + 1):
+            self._gt[n] = np.kron(self._gt[n - 1], space.g)
+            # (1 (x) P_{n-1}) R*_{1,n-1}: P_{n-1} acts on all but the first factor
+            size = self.dim ** n
+            rstar = _apply_r_star(self.q, self.dim, 1, n - 1, np.eye(size))
+            self._sym[n] = (self._sym[n - 1]
+                            @ rstar.reshape(self.dim, size // self.dim, size)).reshape(size, size)
         self._metric = {n: self._gt[n][:, None] * self._sym[n] for n in range(degree + 1)}
-        self._sym_inv = {}
         self._metric_eig = {}
         self._ann = {}
-
-    # -- construction helpers -------------------------------------------------
-
-    def _metric_diagonal(self, n: int) -> np.ndarray:
-        if n == 0:
-            return np.ones(1)
-        return np.prod(self.space.g[self._digits[n]], axis=1)
-
-    def _build_symmetrizer(self, n: int) -> np.ndarray:
-        size = self.dim ** n
-        if n <= 1:
-            return np.eye(size)
-        weights = self.dim ** np.arange(n - 1, -1, -1)
-        digits = self._digits[n]
-        cols = np.arange(size)
-        P = np.zeros((size, size))
-        for sigma in itertools.permutations(range(n)):
-            rows = digits[:, sigma] @ weights
-            P[rows, cols] += self.q ** _inversions(sigma)
-        return P
 
     # -- cached accessors ------------------------------------------------------
 
@@ -110,11 +85,6 @@ class FockContext:
         if not 0 <= n <= self.degree:
             raise ValueError("degree out of range")
         return self._sym[n]
-
-    def sym_inv(self, n: int) -> np.ndarray:
-        if n not in self._sym_inv:
-            self._sym_inv[n] = np.linalg.inv(self._sym[n])
-        return self._sym_inv[n]
 
     def metric(self, n: int) -> np.ndarray:
         """Positive matrix of the degree-n q-inner product."""
@@ -169,39 +139,29 @@ class FockContext:
         """Tensor of shape (dim**m, dim**(p-m), dim**p).
 
         Entry ``[t]`` is the matrix of the m-fold annihilation word
-        ``a_q(e_{t_1}) ... a_q(e_{t_m})`` restricted to degree-p input,
-        obtained from the free word conjugated by symmetrizers.
+        ``a_q(e_{t_1}) ... a_q(e_{t_m})`` restricted to degree-p input:
+        ``(e_{t_m..t_1}^* M_m (x) 1) R*_{m,p-m}`` with ``M_m`` the degree-m
+        metric, by the factorization ``P_p = (P_m (x) P_{p-m}) R*_{m,p-m}``.
         """
         if m > p or p > self.degree:
             raise ValueError("degree out of range")
         key = (m, p)
-        if key in self._ann:
-            return self._ann[key]
-        dim = self.dim
-        if m == 0:
-            arr = np.eye(dim ** p)[None, :, :]
-        else:
-            # the free word for args (e_{t_1}..e_{t_m}) selects the rows of
-            # P_q^(p) whose leading m digits are the reversed arg digits,
-            # scaled by the product of base-metric weights
-            resh = self._sym[p].reshape(dim ** m, dim ** (p - m), dim ** p)
-            revmap = self._reverse_map(m)
-            gt_m = self._gt[m]
-            picked = resh[revmap] * gt_m[:, None, None]
-            arr = np.einsum("ir,trj->tij", self.sym_inv(p - m), picked)
-        self._ann[key] = arr
-        return arr
+        if key not in self._ann:
+            size = self.dim ** p
+            rstar = _apply_r_star(self.q, self.dim, m, p - m, np.eye(size))
+            picked = self._metric[m][self._reverse_map(m)]
+            self._ann[key] = (picked @ rstar.reshape(self.dim ** m, -1)).reshape(
+                self.dim ** m, self.dim ** (p - m), size)
+        return self._ann[key]
 
     def _reverse_map(self, m: int) -> np.ndarray:
-        digits = self._digits[m]
-        weights = self.dim ** np.arange(m - 1, -1, -1)
-        return digits[:, ::-1] @ weights
+        """Flat index map reversing the order of the m tensor factors."""
+        return np.arange(self.dim ** m).reshape((self.dim,) * m).transpose().ravel()
 
     def partner_map(self, m: int) -> np.ndarray:
         """Flat index map of the conjugation's basis permutation on degree m."""
-        digits = self._digits[m]
-        weights = self.dim ** np.arange(m - 1, -1, -1)
-        return self.space.partner[digits] @ weights if m > 0 else np.zeros(1, dtype=int)
+        index = np.arange(self.dim ** m).reshape((self.dim,) * m)
+        return index[np.ix_(*[self.space.partner] * m)].ravel()
 
     def mixed_word_block(self, Z, k: int, m: int, p: int) -> np.ndarray:
         """Block (degree p -> degree p-m+k) of ``sum_{s,t} Z[s,t] a*_q(e_s) a_q(e_t)``
@@ -426,24 +386,26 @@ def crossing_weighted_partitions(n: int, k: int):
         yield i1, i2, cross
 
 
+def _apply_r_star(q: float, dim: int, n: int, k: int, x) -> np.ndarray:
+    """``R*_{n,k}`` applied to ``x`` of shape (dim**(n+k), ...): the sum over
+    the partitions (I1, I2) of q**crossings times ``x`` with the tensor
+    factors at the positions I1 moved in front of those at I2."""
+    total = n + k
+    x_nd = np.asarray(x).reshape((dim,) * total + np.shape(x)[1:])
+    rest = tuple(range(total, x_nd.ndim))
+    out = np.zeros(x_nd.shape, dtype=np.result_type(x_nd, q))
+    for i1, i2, cross in crossing_weighted_partitions(total, n):
+        order = tuple(p - 1 for p in i1) + tuple(p - 1 for p in i2) + rest
+        out += q ** cross * x_nd.transpose(order)
+    return out.reshape(np.shape(x))
+
+
 def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
     """Crossing-weighted coproduct from degree n+k to degree-n (x) degree-k
     coordinates, acting on simple tensors by partition reordering."""
     if n < 0 or k < 0 or n + k > ctx.degree:
         raise ValueError("degree overflow")
-    total = n + k
-    size = ctx.block_size(total)
-    if total == 0:
-        return np.eye(1)
-    # column of each row: the basis tensor whose positions, read in
-    # ``order``, give the row's tensor
-    index = np.arange(size).reshape((ctx.dim,) * total)
-    rows = np.arange(size)
-    R = np.zeros((size, size))
-    for i1, i2, cross in crossing_weighted_partitions(total, n):
-        order = [p - 1 for p in i1] + [p - 1 for p in i2]
-        R[rows, index.transpose(order).ravel()] += ctx.q ** cross
-    return R
+    return _apply_r_star(ctx.q, ctx.dim, n, k, np.eye(ctx.block_size(n + k)))
 
 
 def factorization_residual(ctx: FockContext, n: int, k: int) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
-from .fock import FockContext, GradedVector, first_quantization
+from .fock import FockContext, first_quantization
 from .spaces import DeformedContraction, DeformedSpace
 
 
@@ -119,12 +119,6 @@ def compactness_profile(ctx: FockContext, T, t: float, n_max: int,
         "all_within_bound": all(r["within_bound"] for r in rows),
         "decay_ratios": ratios.tolist(),
     }
-
-
-def convergence_distance(ctx: FockContext, M, vec: GradedVector) -> float:
-    """q-norm of ``F_q(M) xi - xi``."""
-    fq = first_quantization(ctx, ctx, M)
-    return (fq.apply(vec) - vec).norm()
 
 
 def strong_convergence_sweep(family: ApproximantFamily, ctx: FockContext,

@@ -57,8 +57,8 @@ def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord,
 class QuantizationChannel:
     """Second quantisation of a contraction with ``J T I = T``.
 
-    Acts on the span of source Wick words (and on products of them inside
-    the safe window) by embedding and conjugating with ``F_q(P U_T)``.
+    Acts on source Wick words by embedding them in the combined space and
+    conjugating with ``F_q(P U_T)``; ``conjugate`` is that last step alone.
     """
 
     def __init__(self, contraction: DeformedContraction,
@@ -104,17 +104,6 @@ class QuantizationChannel:
         """
         return self.conjugate(embed_wick(self.src_ctx, self.comb_ctx, word,
                                          inputs=self._safe_window(word.degree)).op)
-
-    def apply_product(self, words) -> GradedOperator:
-        """Channel applied to a product of source Wick words; trustworthy on
-        input degrees within the safe window for the total degree."""
-        emb = None
-        for w in words:
-            e = embed_wick(self.src_ctx, self.comb_ctx, w).op
-            emb = e if emb is None else emb @ e
-        if emb is None:
-            emb = GradedOperator.identity(self.comb_ctx)
-        return self.conjugate(emb)
 
     def image_tensor(self, word: WickWord) -> np.ndarray:
         """Coefficient tensor of the expected image word ``T^{(x)n} xi``."""

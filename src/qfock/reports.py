@@ -122,7 +122,10 @@ class SweepConfig:
             raise ValueError(f"sample counts must be >= 1, got {self.samples!r}")
         self.spectra = tuple(self.spectra)
         for text in self.spectra:
-            parse_spectrum(text)  # fail fast on bad grammar
+            try:  # fail fast on bad grammar and on values no space realizes
+                build_space(parse_spectrum(text))
+            except ValueError as exc:
+                raise ValueError(f"config field 'spectra': {text!r}: {exc}") from exc
         if not 2 <= self.degree <= 6:
             raise ValueError("truncation degree must be in 2..6")
         samples = dict(DEFAULT_SAMPLES)

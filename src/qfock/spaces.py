@@ -79,14 +79,6 @@ class DeformedSpace:
         self.dim = int(a.size)
 
     @property
-    def A(self) -> np.ndarray:
-        return np.diag(self.a)
-
-    @property
-    def G(self) -> np.ndarray:
-        return np.diag(self.g)
-
-    @property
     def conj_permutation(self) -> np.ndarray:
         """Matrix ``S`` with ``I x = S conj(x)``."""
         S = np.zeros((self.dim, self.dim))

@@ -104,9 +104,8 @@ def flip(ctx: FockContext, n: int) -> np.ndarray:
     if n > ctx.degree:
         raise ValueError("degree out of range")
     size = ctx.block_size(n)
-    rows = ctx._reverse_map(n) if n > 0 else np.zeros(1, dtype=int)
     F = np.zeros((size, size))
-    F[rows, np.arange(size)] = 1.0
+    F[ctx._reverse_map(n), np.arange(size)] = 1.0
     return F
 
 

@@ -4,6 +4,8 @@
 is that tensor: a sum over ordered partitions of the index set into a
 creation part and an annihilation part, each partition weighted by
 ``q**crossings``, with the conjugation applied to annihilation arguments.
+For a fixed split that partition sum is the coproduct ``R*`` of ``fock``
+applied to the tensor.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (FockContext, GradedOperator, GradedVector,
-                   crossing_weighted_partitions)
+from .fock import FockContext, GradedOperator, GradedVector, _apply_r_star
 
 
 def crossing_number(i1, i2) -> int:
@@ -42,10 +43,11 @@ def wick_word(ctx: FockContext, xi, degree: int | None = None,
               inputs=None) -> WickWord:
     """Realize a coefficient tensor of the given degree as a Wick word.
 
-    The operator is assembled partition by partition: the coefficient tensor
-    is reordered so that creation indices come first, the annihilation indices
-    are pushed through the conjugation's basis permutation, and the resulting
-    mixed words are accumulated with weight ``q**crossings``.
+    For each split into k creation and m = n - k annihilation indices, the
+    crossing-weighted sum over partitions is the coproduct ``R*_{k,m}``
+    applied to the coefficient tensor; its annihilation indices are pushed
+    through the conjugation's basis permutation, and one mixed word is built
+    per input degree.
 
     ``inputs``, when given, is the set of input degrees to build: blocks on
     any other input degree are left out, and every kept block equals, bit for
@@ -61,31 +63,21 @@ def wick_word(ctx: FockContext, xi, degree: int | None = None,
     n = degree
     dim = ctx.dim
     degrees = range(ctx.degree + 1) if inputs is None else set(inputs)
-    if n == 0:
+    if n == 0:  # a scalar: no annihilation-word tensors to build and cache
         op = GradedOperator(ctx, ctx, {(p, p): xi[0] * np.eye(ctx.block_size(p), dtype=complex)
                                        for p in range(ctx.degree + 1) if p in degrees})
         return WickWord(ctx, 0, xi.copy(), op)
-
-    xi_nd = xi.reshape((dim,) * n)
     blocks = {}
     for k in range(n + 1):
         m = n - k
-        for i1, i2, cross in crossing_weighted_partitions(n, k):
-            axes = tuple(p - 1 for p in i1) + tuple(p - 1 for p in i2)
-            Z = xi_nd.transpose(axes).reshape(dim ** k, dim ** m)
-            if m > 0:
-                # annihilation arguments are conjugated basis vectors
-                Z = Z[:, ctx.partner_map(m)]
-            weight = ctx.q ** cross
-            for p in range(m, ctx.degree + 1):
-                out = p - m + k
-                if out > ctx.degree or p not in degrees:
-                    continue
-                B = weight * ctx.mixed_word_block(Z, k, m, p)
-                key = (out, p)
-                blocks[key] = blocks[key] + B if key in blocks else B
-    op = GradedOperator(ctx, ctx, blocks)
-    return WickWord(ctx, n, xi.copy(), op)
+        # the crossing-weighted sum over partitions is R*_{k,m} xi; the
+        # annihilation arguments are conjugated basis vectors
+        Z = _apply_r_star(ctx.q, dim, k, m, xi).reshape(dim ** k, dim ** m)[:, ctx.partner_map(m)]
+        for p in range(m, ctx.degree + 1):
+            out = p - m + k
+            if out <= ctx.degree and p in degrees:
+                blocks[(out, p)] = ctx.mixed_word_block(Z, k, m, p)
+    return WickWord(ctx, n, xi.copy(), GradedOperator(ctx, ctx, blocks))
 
 
 def _infer_degree(ctx: FockContext, size: int) -> int:
@@ -99,8 +91,6 @@ def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:
     """Coefficient tensor of ``W(xi)*``: factor order reversed and the
     conjugation applied entrywise."""
     xi = np.asarray(xi, dtype=complex).ravel()
-    if degree == 0:
-        return np.conj(xi)
     return np.conj(xi)[ctx.partner_map(degree)][ctx._reverse_map(degree)]
 
 

@@ -1,14 +1,16 @@
 import itertools
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock import fock
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedVector, annihilation, c_constant, creation, s_q
 from conftest import Q_GRID, SPECTRA, make_ctx
-
-mpmath = pytest.importorskip("mpmath")
 
 
 def brute_symmetrizer(dim, q, n):
@@ -36,6 +38,53 @@ def test_symmetrizer_matches_bruteforce(ctx_half):
     for n in range(4):
         oracle = brute_symmetrizer(ctx_half.dim, ctx_half.q, n)
         assert np.allclose(ctx_half.sym(n), oracle, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spectrum=st.sampled_from(SPECTRA), q=st.floats(min_value=-0.95, max_value=0.95),
+       degree=st.integers(min_value=0, max_value=4))
+def test_symmetrizer_matches_bruteforce_property(spectrum, q, degree):
+    ctx = make_ctx(spectrum, q, degree)
+    for n in range(degree + 1):
+        oracle = brute_symmetrizer(ctx.dim, q, n)
+        assert np.max(np.abs(ctx.sym(n) - oracle)) <= 1e-12
+
+
+def q_factorial(q, n):
+    """``[n]_q! = prod_{k=1}^n (1 + q + ... + q^{k-1})``."""
+    return math.prod(sum(q ** j for j in range(k)) for k in range(1, n + 1))
+
+
+def test_dim1_metric_is_q_factorial():
+    # on a one-dimensional space g = 1 and <e^{(x)n}, e^{(x)n}>_q = g^n [n]_q!
+    for q in Q_GRID:
+        ctx = make_ctx("t1", q, 6)
+        g = ctx.space.g[0]
+        for n in range(7):
+            assert abs(ctx.metric(n)[0, 0] - g ** n * q_factorial(q, n)) <= 1e-12
+
+
+def test_dim1_metric_is_q_factorial_at_degree_8():
+    for q in Q_GRID + (0.97,):
+        ctx = make_ctx("t1", q, 8)
+        expect = ctx.space.g[0] ** 8 * q_factorial(q, 8)
+        assert abs(ctx.metric(8)[0, 0] - expect) <= 1e-14 * abs(expect)
+
+
+def test_zagier_determinant():
+    # on tensors whose n digits are all distinct, P_q^(n) is the regular
+    # representation of sum_sigma q^inv(sigma) sigma, whose determinant is
+    # prod_{k=1}^{n-1} (1 - q^{k^2+k})^{(n-k) n! / (k^2+k)} (Zagier 1992)
+    for q in (0.5, -0.7, 0.9):
+        for n in range(2, 6):
+            ctx = make_ctx(f"t{n}", q, n)
+            distinct = [int("".join(map(str, sigma)), n)
+                        for sigma in itertools.permutations(range(n))]
+            sign, logdet = np.linalg.slogdet(ctx.sym(n)[np.ix_(distinct, distinct)])
+            expect = sum((n - k) * math.factorial(n) // (k * k + k) * math.log1p(-q ** (k * k + k))
+                         for k in range(1, n))
+            assert sign == 1.0
+            assert abs(logdet - expect) <= 1e-10 * abs(expect)
 
 
 def test_degree2_symmetrizer_eigenvalues():
@@ -142,6 +191,7 @@ def test_field_operator_warns_off_real_subspace(ctx_half):
 
 
 def test_c_constant_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     for q in (0.3, 0.5, 0.9, -0.5):
         oracle = float(1 / mpmath.qp(abs(q), abs(q)))
@@ -253,3 +303,19 @@ def test_gauged_dense_window_matches_block_norms(ctx_half):
     # degrees sit in increasing order: degree 0 first, degree 4 last
     assert np.array_equal(win[:1, :1], full[:1, :1])
     assert np.array_equal(win[-81:, -81:], full[-81:, -81:])
+
+
+def test_ann_words_are_products_of_single_annihilations():
+    # a_q(e_{t_1}) ... a_q(e_{t_m}) on degree p, one factor at a time
+    for q in (0.9, 0.97):
+        ctx = make_ctx("t2", q, 6)
+        for m in (2, 3):
+            for p in range(m, 7):
+                words = ctx.ann_words(m, p)
+                for t in range(ctx.block_size(m)):
+                    digits = np.unravel_index(t, (ctx.dim,) * m)
+                    prod = np.eye(ctx.block_size(p))
+                    for j, digit in enumerate(digits[::-1]):
+                        prod = ctx.ann_words(1, p - j)[digit] @ prod
+                    gap = np.linalg.norm(words[t] - prod)
+                    assert gap <= 1e-13 * np.linalg.norm(prod)

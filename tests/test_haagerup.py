@@ -3,7 +3,7 @@ import pytest
 
 from qfock import haagerup, quantize, wick
 from qfock import spaces as sp
-from qfock.fock import FockContext, GradedVector
+from qfock.fock import FockContext, GradedVector, first_quantization
 from conftest import Q_GRID, make_ctx
 
 
@@ -110,7 +110,8 @@ def test_strong_convergence_vacuum_and_closed_form(rng):
     vec = GradedVector.from_degree(ctx, 1, e)
     scale = ctx.q_norm(e, 1)
     for k, t in zip(family.ks, family.ts):
-        dist = haagerup.convergence_distance(ctx, family.damped_matrix(k, t), vec)
+        fq = first_quantization(ctx, ctx, family.damped_matrix(k, t))
+        dist = (fq.apply(vec) - vec).norm()
         expected = abs(np.exp(-t) * haagerup.admissible_profile(2.0, k) - 1.0) * scale
         assert abs(dist - expected) < 1e-12
 
@@ -154,7 +155,8 @@ def test_state_preservation_on_squared_field(rng):
     h = space.random_real_vector(rng)
     word = wick.wick_word(ctx, h, 1)
     sq = word.op @ word.op
-    image = channel.apply_product([word, word])
+    emb = quantize.embed_wick(ctx, comb_ctx, word).op
+    image = channel.conjugate(emb @ emb)
     assert channel.vacuum_state_residual([sq], [image]) < 1e-10
 
 

@@ -53,6 +53,9 @@ def test_config_validation(tmp_path):
             SweepConfig(**{field: value})
     with pytest.raises(ValueError, match="kadison_shwarz"):  # a typo used to run the default
         SweepConfig(samples={"kadison_shwarz": 5})
+    for spectrum in ("t0", "b1e400"):  # parse, but realize no space
+        with pytest.raises(ValueError, match=repr(spectrum)):
+            SweepConfig(spectra=(spectrum,))
     with pytest.raises(ValueError, match="sample counts"):
         SweepConfig(samples={"covariance": 0})  # would pass its checks vacuously
     not_object = tmp_path / "list.json"
@@ -138,6 +141,10 @@ def test_cli_exit_codes(tmp_path):
         bad = run_cli(["--config", str(path), "--out", str(tmp_path / "x.json")])
         assert bad.returncode == 2
         assert bad.stderr.count("\n") == 1 and repr(name) in bad.stderr
+    for spectrum in ("t0", "b1e400"):
+        bad = run_cli(["--dim-spec", spectrum, "--out", str(tmp_path / "x.json")])
+        assert bad.returncode == 2
+        assert bad.stderr.count("\n") == 1 and repr(spectrum) in bad.stderr
     missing = tmp_path / "missing" / "x.json"
     bad = run_cli(["--suite", "symmetrizer", "--q", "0.3", "--dim-spec", "t1",
                    "--degree", "3", "--out", str(missing)])

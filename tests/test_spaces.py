@@ -36,7 +36,8 @@ def test_conjugation_inverts_generator(space_b2t1):
     # I A I = A^{-1} in matrix form: S conj(A) S = A^{-1} with A real diagonal
     space = space_b2t1
     S = space.conj_permutation
-    assert np.allclose(S @ space.A @ S, np.linalg.inv(space.A))
+    A = np.diag(space.a)
+    assert np.allclose(S @ A @ S, np.linalg.inv(A))
 
 
 def test_real_fixed_basis_is_fixed_and_spans(space_b2t1):
@@ -51,7 +52,7 @@ def test_deformed_inner_against_matrix_form(space_b2t1, rng):
     space = space_b2t1
     x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     y = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    expected = np.conj(x) @ space.G @ y
+    expected = np.conj(x) @ np.diag(space.g) @ y
     assert abs(sp.deformed_inner(space, x, y) - expected) < 1e-12
 
 

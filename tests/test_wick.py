@@ -113,3 +113,58 @@ def test_degree_zero_word_is_scalar(ctx_half):
 def test_degree_overflow_rejected(ctx_half):
     with pytest.raises(ValueError):
         wick.wick_word(ctx_half, np.zeros(3 ** 5), 5)
+
+
+def _annihilate(ctx, v, x, p):
+    """a_q(v) on a degree-p tensor, from its action on simple tensors:
+    ``sum_k q^k <v, w_{k+1}>_U w_1 .. (w_{k+1} left out) .. w_p``."""
+    x_nd = np.asarray(x).reshape((ctx.dim,) * p)
+    dual = np.conj(v) * ctx.space.g
+    return sum(ctx.q ** k * np.tensordot(dual, x_nd, axes=([0], [k])) for k in range(p)).ravel()
+
+
+def _wick_apply(ctx, xi_nd, x, p):
+    """``W(xi) x`` for a degree-p vector ``x``, as {degree: block}, by the
+    Wick product recursion ``W(e (x) eta) = a*(e) W(eta) + a(Ie) W(eta)
+    - W(a(Ie) eta)`` down to ``W(c) = c`` on degree 0."""
+    if xi_nd.ndim == 0:
+        return {p: xi_nd * x}
+    out = {}
+
+    def add(deg, y):
+        out[deg] = out[deg] + y if deg in out else y
+
+    for i in range(ctx.dim):
+        e = np.zeros(ctx.dim)
+        e[i] = 1.0
+        conj_e = ctx.space.conjugate(e)
+        eta = xi_nd[i]
+        for deg, y in _wick_apply(ctx, eta, x, p).items():
+            add(deg + 1, np.kron(e, y))
+            if deg > 0:
+                add(deg - 1, _annihilate(ctx, conj_e, y, deg))
+        if eta.ndim > 0:
+            reduced = _annihilate(ctx, conj_e, eta, eta.ndim).reshape((ctx.dim,) * (eta.ndim - 1))
+            for deg, y in _wick_apply(ctx, reduced, x, p).items():
+                add(deg, -y)
+    return out
+
+
+def test_wick_product_recursion():
+    gen = np.random.default_rng(2003)
+    for spectrum in ("t2", "b2", "b2+t1"):
+        for q in (0.5, -0.9, 0.0):
+            ctx = make_ctx(spectrum, q, 5)
+            for n in (2, 3, 4):
+                size = ctx.block_size(n)
+                xi = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+                op = wick.wick_word(ctx, xi, n).op
+                for p in range(ctx.degree - n + 1):
+                    size = ctx.block_size(p)
+                    x = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+                    expect = _wick_apply(ctx, xi.reshape((ctx.dim,) * n), x, p)
+                    assert set(expect) == {m for m in range(p - n, p + n + 1, 2) if m >= 0}
+                    gap = np.hypot.reduce([ctx.q_norm(op.block(m, p) @ x - y, m)
+                                           for m, y in expect.items()])
+                    scale = np.hypot.reduce([ctx.q_norm(y, m) for m, y in expect.items()])
+                    assert gap <= 1e-12 * scale
