@@ -21,11 +21,11 @@ import numpy as np
 from .spaces import DeformedSpace
 
 
-def c_constant(q: float, increment: float = 1e-14) -> float:
+def c_constant(q: float) -> float:
     """The norm-equivalence constant ``prod_k (1-|q|^k)^{-1}``.
 
     Partial products are accumulated until the multiplicative increment
-    falls below ``increment``.
+    falls below 1e-14.
     """
     if not -1.0 < q < 1.0:
         raise ValueError("|q| must be < 1")
@@ -37,7 +37,7 @@ def c_constant(q: float, increment: float = 1e-14) -> float:
     while True:
         factor = 1.0 / (1.0 - aq ** k)
         prod *= factor
-        if factor - 1.0 < increment:
+        if factor - 1.0 < 1e-14:
             return prod
         k += 1
 
@@ -204,11 +204,10 @@ class GradedVector:
         return vec
 
     @classmethod
-    def random(cls, ctx: FockContext, rng, degrees=None) -> "GradedVector":
-        degrees = range(ctx.degree + 1) if degrees is None else degrees
+    def random(cls, ctx: FockContext, rng) -> "GradedVector":
         vec = cls.vacuum(ctx)
         vec.blocks[0][0] = 0.0
-        for n in degrees:
+        for n in range(ctx.degree + 1):
             size = ctx.block_size(n)
             vec.blocks[n] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         return vec
@@ -334,6 +333,16 @@ class GradedOperator:
         return (self - other).op_norm()
 
 
+def blockwise_gap(ctx: FockContext, A: GradedOperator, B: GradedOperator, inputs) -> float:
+    """Largest q-norm of the block gaps ``A_{m,p} - B_{m,p}`` over the input
+    degrees ``inputs`` and every output degree of ``ctx``."""
+    res = 0.0
+    for p in inputs:
+        for m in range(ctx.degree + 1):
+            res = max(res, ctx.block_norm(A.block(m, p) - B.block(m, p), m, p))
+    return res
+
+
 # -- canonical operators -------------------------------------------------------
 
 
@@ -353,10 +362,10 @@ def annihilation(ctx: FockContext, v) -> GradedOperator:
     return ctx.mixed_word_operator(np.conj(v)[None, :], 0, 1)
 
 
-def s_q(ctx: FockContext, h, tol: float = 1e-10) -> GradedOperator:
+def s_q(ctx: FockContext, h) -> GradedOperator:
     """Field operator ``a*_q(h) + a_q(h)`` for ``h`` in the I-fixed real subspace."""
     h = np.asarray(h, dtype=complex).reshape(ctx.dim)
-    if np.linalg.norm(ctx.space.conjugate(h) - h) > tol:
+    if np.linalg.norm(ctx.space.conjugate(h) - h) > 1e-10:
         warnings.warn("argument is not fixed by the conjugation; s_q will not be self-adjoint",
                       stacklevel=2)
     return creation(ctx, h) + annihilation(ctx, h)

@@ -102,16 +102,16 @@ def free_reduction_crosscheck(ctx: FockContext, T, t: float, n: int,
     return abs(q_tail - free_tail)
 
 
-def compactness_profile(ctx: FockContext, T, t: float, n_max: int,
-                        slack: float = 1e-10) -> dict:
-    """Tail norms against the geometric bound ``exp(-t (n+1))`` for n <= n_max."""
+def compactness_profile(ctx: FockContext, T, t: float, n_max: int) -> dict:
+    """Tail norms against the geometric bound ``exp(-t (n+1))`` for n <= n_max,
+    up to a slack of 1e-10."""
     per_degree = degree_norms(ctx, T)
     rows = []
     for n in range(min(n_max, ctx.degree - 1) + 1):
         tail = tail_norm(ctx, T, t, n, per_degree=per_degree)
         bound = float(np.exp(-t * (n + 1)))
         rows.append({"n": n, "tail": tail, "bound": bound,
-                     "within_bound": tail <= bound + slack})
+                     "within_bound": tail <= bound + 1e-10})
     tails = np.array([r["tail"] for r in rows])
     ratios = tails[1:] / np.where(tails[:-1] > 0, tails[:-1], np.inf)
     return {
@@ -122,9 +122,9 @@ def compactness_profile(ctx: FockContext, T, t: float, n_max: int,
 
 
 def strong_convergence_sweep(family: ApproximantFamily, ctx: FockContext,
-                             test_vectors, final_tol: float = 1e-6,
-                             monotone_slack: float = 1e-12) -> dict:
-    """Distances to the identity along the diagonal (k up, t down) grid."""
+                             test_vectors, final_tol: float = 1e-6) -> dict:
+    """Distances to the identity along the diagonal (k up, t down) grid;
+    monotone means no step grows by more than 1e-12."""
     if not test_vectors:
         raise ValueError("need at least one test vector")
     diag = list(zip(family.ks, family.ts))
@@ -137,7 +137,7 @@ def strong_convergence_sweep(family: ApproximantFamily, ctx: FockContext,
     all_monotone = True
     all_converged = True
     for i, dists in enumerate(distances):
-        monotone = all(b <= a + monotone_slack for a, b in zip(dists, dists[1:]))
+        monotone = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         converged = dists[-1] <= final_tol
         all_monotone &= monotone
         all_converged &= converged

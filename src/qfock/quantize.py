@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import spaces
-from .fock import FockContext, GradedOperator, GradedVector, first_quantization
+from .fock import (FockContext, GradedOperator, GradedVector, blockwise_gap,
+                   first_quantization)
 from .spaces import DeformedContraction
 from .wick import WickWord, wick_word
 
@@ -63,8 +64,8 @@ class QuantizationChannel:
 
     def __init__(self, contraction: DeformedContraction,
                  src_ctx: FockContext, tgt_ctx: FockContext,
-                 comb_ctx: FockContext, tol: float = ITI_TOL):
-        if contraction.iti_residual() > tol:
+                 comb_ctx: FockContext):
+        if contraction.iti_residual() > ITI_TOL:
             raise ValueError("contraction does not satisfy J T I = T; "
                              "second quantisation is undefined")
         if src_ctx.space is not contraction.source or tgt_ctx.space is not contraction.target:
@@ -121,12 +122,7 @@ class QuantizationChannel:
         window = self._safe_window(word.degree)
         expected = wick_word(self.tgt_ctx, self.image_tensor(word), word.degree,
                              inputs=window).op
-        res = 0.0
-        for p in window:
-            for m in range(self.tgt_ctx.degree + 1):
-                diff = image.block(m, p) - expected.block(m, p)
-                res = max(res, self.tgt_ctx.block_norm(diff, m, p))
-        return res
+        return blockwise_gap(self.tgt_ctx, image, expected, window)
 
     def unitality_residual(self) -> float:
         image = self.conjugate(GradedOperator.identity(self.comb_ctx))
@@ -146,13 +142,11 @@ class QuantizationChannel:
 
 
 def second_quantization(contraction: DeformedContraction,
-                        src_ctx: FockContext, tgt_ctx: FockContext,
-                        comb_ctx: FockContext | None = None,
-                        tol: float = ITI_TOL) -> QuantizationChannel:
-    if comb_ctx is None:
-        comb_space = spaces.direct_sum(contraction.source, contraction.target)
-        comb_ctx = FockContext(comb_space, tgt_ctx.q, tgt_ctx.degree)
-    return QuantizationChannel(contraction, src_ctx, tgt_ctx, comb_ctx, tol=tol)
+                        src_ctx: FockContext, tgt_ctx: FockContext) -> QuantizationChannel:
+    """The channel of ``contraction`` with a combined context built for it."""
+    comb_space = spaces.direct_sum(contraction.source, contraction.target)
+    comb_ctx = FockContext(comb_space, tgt_ctx.q, tgt_ctx.degree)
+    return QuantizationChannel(contraction, src_ctx, tgt_ctx, comb_ctx)
 
 
 def gns_residual(channel: QuantizationChannel, word: WickWord,
@@ -182,14 +176,17 @@ def _hermitian_min_eig(full: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((full + np.conj(full).T) / 2.0)[0])
 
 
-def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words,
-                           window=None) -> float:
+def _positivity_window(ctx: FockContext, words) -> range:
+    """Degrees ``0..N-2 dmax`` on which ``x# x`` is exact for words of degree
+    at most ``dmax``."""
+    dmax = max(w.degree for w in words)
+    return range(max(ctx.degree - 2 * dmax, 0) + 1)
+
+
+def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words) -> float:
     """Smallest eigenvalue of ``Phi(x# x) - Phi(x)# Phi(x)`` compressed to the
     safe window, for ``x = sum_i c_i W(xi_i)``; nonnegative up to numerics."""
-    ctx = channel.tgt_ctx
-    if window is None:
-        dmax = max(w.degree for w in words)
-        window = range(max(ctx.degree - 2 * dmax, 0) + 1)
+    window = _positivity_window(channel.tgt_ctx, words)
     # every block the window reads has input and output degree in it, so the
     # embedded word is needed on those input degrees only
     emb = _combination(channel.src_ctx, channel.comb_ctx, coeffs, words, window)
@@ -199,13 +196,10 @@ def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words,
     return _hermitian_min_eig((lhs - rhs).to_dense(gauge=True, window=window))
 
 
-def two_positivity_margin(channel: QuantizationChannel, samples, window=None) -> float:
+def two_positivity_margin(channel: QuantizationChannel, samples) -> float:
     """Min eigenvalue of the entrywise channel image of a PSD 2x2 operator
     matrix ``X# X`` with Wick-word entries, compressed to the safe window."""
-    ctx = channel.tgt_ctx
-    dmax = max(w.degree for row in samples for (_, w) in row)
-    if window is None:
-        window = range(max(ctx.degree - 2 * dmax, 0) + 1)
+    window = _positivity_window(channel.tgt_ctx, [w for row in samples for (_, w) in row])
     embedded = [[_combination(channel.src_ctx, channel.comb_ctx, [c], [w], window)
                  for (c, w) in row] for row in samples]
     adjoints = [[x.adjoint() for x in row] for row in embedded]
@@ -223,20 +217,20 @@ def two_positivity_margin(channel: QuantizationChannel, samples, window=None) ->
          for i in range(2)]))
 
 
-def positivity_probe(channel: QuantizationChannel, rng, n_samples: int,
-                     degree_max: int = 1, terms: int = 2) -> dict:
-    """Random sweep of Kadison-Schwarz and 2-positivity margins."""
+def positivity_probe(channel: QuantizationChannel, rng, n_samples: int) -> dict:
+    """Random sweep of Kadison-Schwarz and 2-positivity margins on
+    combinations of two Wick words of degree at most 1."""
     if n_samples < 1:
         raise ValueError("sample budget must be >= 1")
     src = channel.src_ctx
     ks_margins, two_pos_margins = [], []
     for s in range(n_samples):
-        coeffs, words = _random_words(src, rng, terms, degree_max)
+        coeffs, words = _random_words(src, rng)
         ks_margins.append(kadison_schwarz_margin(channel, coeffs, words))
         if s % 4 == 0:
             rows = []
             for _ in range(2):
-                cs, ws = _random_words(src, rng, 2, degree_max)
+                cs, ws = _random_words(src, rng)
                 rows.append(list(zip(cs, ws)))
             two_pos_margins.append(two_positivity_margin(channel, rows))
     return {
@@ -246,10 +240,11 @@ def positivity_probe(channel: QuantizationChannel, rng, n_samples: int,
     }
 
 
-def _random_words(ctx: FockContext, rng, terms: int, degree_max: int):
+def _random_words(ctx: FockContext, rng):
+    """Two random Wick words of degree 0 or 1 and their coefficients."""
     coeffs, words = [], []
-    for _ in range(terms):
-        deg = int(rng.integers(0, degree_max + 1))
+    for _ in range(2):
+        deg = int(rng.integers(0, 2))
         size = ctx.block_size(deg)
         xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         coeffs.append(complex(rng.standard_normal() + 1j * rng.standard_normal()))

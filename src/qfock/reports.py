@@ -20,12 +20,13 @@ import json
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
+from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
                    c_constant, creation, factorization_residual, id_embedding_norm,
                    r_star, rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm)
 from .spaces import BlockSpectrum, build_space
@@ -178,47 +179,6 @@ def channel_degree(combined_dim: int, requested: int) -> int:
     return min(requested, 3)
 
 
-class _Workspace:
-    """Shared per-run caches: spaces and Fock contexts keyed by parameters."""
-
-    def __init__(self, config: SweepConfig):
-        self.config = config
-        self._spaces = {}
-        self._ctxs = {}
-
-    def space(self, spectrum: str):
-        if spectrum not in self._spaces:
-            self._spaces[spectrum] = build_space(parse_spectrum(spectrum))
-        return self._spaces[spectrum]
-
-    def ctx(self, spectrum: str, q: float, degree: int) -> FockContext:
-        key = (spectrum, q, degree)
-        if key not in self._ctxs:
-            self._ctxs[key] = FockContext(self.space(spectrum), q, degree)
-        return self._ctxs[key]
-
-    def channel_ctxs(self, spectrum: str, q: float):
-        """(src_ctx, comb_ctx) pair at the channel truncation degree; source
-        and target coincide for same-space channels."""
-        space = self.space(spectrum)
-        n_ch = channel_degree(2 * space.dim, self.config.degree)
-        src = self.ctx(spectrum, q, n_ch)
-        key = (spectrum + "(+)self", q, n_ch)
-        if key not in self._ctxs:
-            comb_space = sp.direct_sum(space, space)
-            self._ctxs[key] = FockContext(comb_space, q, n_ch)
-        return src, self._ctxs[key]
-
-    def subspace_ctx(self, spectrum: str, q: float) -> FockContext:
-        """Context over the conjugation-invariant subspace picked by
-        ``_subspace_indices``, at the configured degree."""
-        key = f"{spectrum}|sub"
-        if key not in self._spaces:
-            space = self.space(spectrum)
-            self._spaces[key] = toeplitz.subspace(space, _subspace_indices(space))
-        return self.ctx(key, q, self.config.degree)
-
-
 def _subspace_indices(space) -> list:
     """A proper conjugation-invariant subspace when one exists, else everything."""
     return sorted({0, int(space.partner[0])})
@@ -229,31 +189,42 @@ def _rng(config: SweepConfig, suite: str, grid_index: int):
 
 
 class _Point:
-    """One grid point of a suite: its generator, and the workspace's spaces
-    and contexts at this (spectrum, q), built on first use."""
+    """One (spectrum, q) grid point: the owner of its space and Fock
+    contexts, each built on first use and dropped with the point.  ``rng`` is
+    the generator of the suite running at the point."""
 
-    def __init__(self, ws: _Workspace, spectrum: str, q: float, rng):
-        self.ws = ws
-        self.config = ws.config
+    def __init__(self, config: SweepConfig, spectrum: str, q: float):
+        self.config = config
         self.spectrum = spectrum
         self.q = q
-        self.rng = rng
+        self.rng = None
 
-    @property
+    @cached_property
     def space(self):
-        return self.ws.space(self.spectrum)
+        return build_space(parse_spectrum(self.spectrum))
 
-    @property
+    @cached_property
     def ctx(self) -> FockContext:
-        return self.ws.ctx(self.spectrum, self.q, self.config.degree)
+        return FockContext(self.space, self.q, self.config.degree)
 
     @property
+    def channel_degree(self) -> int:
+        return channel_degree(2 * self.space.dim, self.config.degree)
+
+    @cached_property
     def channel_ctxs(self):
-        return self.ws.channel_ctxs(self.spectrum, self.q)
+        """(src_ctx, comb_ctx) pair at the channel truncation degree; the
+        source is the main context when the degrees agree."""
+        n_ch = self.channel_degree
+        src = self.ctx if n_ch == self.config.degree else FockContext(self.space, self.q, n_ch)
+        return src, FockContext(sp.direct_sum(self.space, self.space), self.q, n_ch)
 
-    @property
+    @cached_property
     def subspace_ctx(self) -> FockContext:
-        return self.ws.subspace_ctx(self.spectrum, self.q)
+        """Context over the conjugation-invariant subspace picked by
+        ``_subspace_indices``, at the configured degree."""
+        sub = toeplitz.subspace(self.space, _subspace_indices(self.space))
+        return FockContext(sub, self.q, self.config.degree)
 
 
 def _gaussian(rng, shape) -> np.ndarray:
@@ -400,9 +371,7 @@ def _functoriality(pt: _Point) -> float:
         mid = ch_t.apply_word(word).apply(GradedVector.vacuum(src_ctx)).blocks[n]
         lhs = ch_s.apply_word(wick.wick_word(src_ctx, mid, n))
         rhs = ch_st.apply_word(word)
-        for p in range(src_ctx.degree - n + 1):
-            for m in range(src_ctx.degree + 1):
-                res = max(res, src_ctx.block_norm(lhs.block(m, p) - rhs.block(m, p), m, p))
+        res = max(res, blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - n + 1)))
     return res
 
 
@@ -417,7 +386,7 @@ def _positivity(pt: _Point):
     for _ in range(n_channels):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
         channel = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
-        probe = quantize.positivity_probe(channel, rng, per_channel, degree_max=1)
+        probe = quantize.positivity_probe(channel, rng, per_channel)
         ks_min = min(ks_min, probe["kadison_schwarz_min"])
         tp_min = min(tp_min, probe["two_positivity_min"])
     return -float(ks_min), -float(tp_min)
@@ -438,9 +407,7 @@ def _projection_monomial_residual(pt: _Point) -> float:
         wsv = [_gaussian(rng, comb_ctx.dim) for _ in range(m)]
         lhs = channel(toeplitz.monomial(comb_ctx, vs, wsv).op)
         rhs = toeplitz.monomial(src_ctx, [P @ v for v in vs], [P @ w for w in wsv]).op
-        for p in range(src_ctx.degree - k + 1):
-            for mm in range(src_ctx.degree + 1):
-                res = max(res, src_ctx.block_norm(lhs.block(mm, p) - rhs.block(mm, p), mm, p))
+        res = max(res, blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - k + 1)))
     return res
 
 
@@ -542,9 +509,7 @@ def _compression_residual(pt: _Point) -> float:
         lhs = toeplitz.compression(ctx, ctx_small, indices, x @ y)
         rhs = toeplitz.compression(ctx, ctx_small, indices, x) @ \
             toeplitz.compression(ctx, ctx_small, indices, y)
-        for p in range(ctx.degree - 1):
-            for m in range(ctx.degree + 1):
-                res = max(res, ctx_small.block_norm(lhs.block(m, p) - rhs.block(m, p), m, p))
+        res = max(res, blockwise_gap(ctx_small, lhs, rhs, range(ctx.degree - 1)))
     return res
 
 
@@ -704,30 +669,14 @@ def _bound(rule, tol: dict, q: float) -> float:
     return tol[rule] if isinstance(rule, str) else rule
 
 
-def _run_table(ws: _Workspace, suite: str) -> list:
-    """Run one suite's table over the grid.  A row that reports several
-    checks gives each of them the row's wall time."""
-    cfg = ws.config
-    out = []
-    for gi, (spectrum, q) in enumerate(itertools.product(cfg.spectra, cfg.q_values)):
-        pt = _Point(ws, spectrum, q, _rng(cfg, suite, gi))
-        # the quantization suite reports the channel truncation degree
-        degree = channel_degree(2 * pt.space.dim, cfg.degree) \
-            if suite == "quantization" else cfg.degree
-        params = {"spectrum": spectrum, "q": q, "degree": degree}
-        for residual, *checks in _TABLES[suite]:
-            t0 = time.perf_counter()
-            values = residual(pt)
-            if len(checks) == 1:
-                values = (values,)
-            for (check, rule), value in zip(checks, values):
-                out.append(VerificationReport.measure(
-                    check, params, value, _bound(rule, cfg.tolerances, q), t0))
-    return out
-
-
 def run_suite(config: SweepConfig, suite: str = "all") -> list:
-    """Execute the selected suites over the configured grid."""
+    """Execute the selected suites over the configured grid.
+
+    The grid is walked once, point by point; every selected suite runs its
+    table at the point with its own generator, so the point's contexts are
+    shared by the suites and freed when the point is done.  Records are
+    returned suite by suite, each suite in grid order.  A row that reports
+    several checks gives each of them the row's wall time."""
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
@@ -735,11 +684,23 @@ def run_suite(config: SweepConfig, suite: str = "all") -> list:
     else:
         raise ValueError(f"unknown suite {suite!r}; expected one of "
                          f"{', '.join(SUITES)} or 'all'")
-    ws = _Workspace(config)
-    reports = []
-    for name in names:
-        reports.extend(_run_table(ws, name))
-    return reports
+    out = {name: [] for name in names}
+    for gi, (spectrum, q) in enumerate(itertools.product(config.spectra, config.q_values)):
+        pt = _Point(config, spectrum, q)
+        for name in names:
+            pt.rng = _rng(config, name, gi)
+            # the quantization suite reports the channel truncation degree
+            degree = pt.channel_degree if name == "quantization" else config.degree
+            params = {"spectrum": spectrum, "q": q, "degree": degree}
+            for residual, *checks in _TABLES[name]:
+                t0 = time.perf_counter()
+                values = residual(pt)
+                if len(checks) == 1:
+                    values = (values,)
+                for (check, rule), value in zip(checks, values):
+                    out[name].append(VerificationReport.measure(
+                        check, params, value, _bound(rule, config.tolerances, q), t0))
+    return [report for name in names for report in out[name]]
 
 
 # ---------------------------------------------------------------------------

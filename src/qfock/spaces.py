@@ -196,13 +196,12 @@ def iti_residual(src: DeformedSpace, tgt: DeformedSpace, M) -> float:
     return deformed_op_norm(src, tgt, jti_map(src, tgt, M) - M)
 
 
-def intertwiner_residual(M, src: DeformedSpace, tgt: DeformedSpace,
-                         t_samples=(0.5, 1.0, 2.0)) -> float:
+def intertwiner_residual(M, src: DeformedSpace, tgt: DeformedSpace) -> float:
     """Residual of the group-intertwining condition, on the generator and at
-    sampled group times."""
+    the group times 0.5, 1 and 2."""
     M = np.asarray(M)
     res = np.linalg.norm(M * src.a[None, :] - tgt.a[:, None] * M, ord=2)
-    for t in t_samples:
+    for t in (0.5, 1.0, 2.0):
         ut_src = src.a ** (1j * t)
         ut_tgt = tgt.a ** (1j * t)
         res = max(res, np.linalg.norm(M * ut_src[None, :] - ut_tgt[:, None] * M, ord=2))

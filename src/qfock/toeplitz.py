@@ -159,10 +159,10 @@ def compression(ctx_big: FockContext, ctx_small: FockContext, indices,
     return fproj @ op @ finc
 
 
-def finkernel_rank(ctx: FockContext, indices, max_length: int,
-                   threshold: float = 1e-8) -> dict:
-    """Numerical column rank of the realization map on the truncated monomial
-    basis over a subspace; full rank certifies injectivity at this scale."""
+def finkernel_rank(ctx: FockContext, indices, max_length: int) -> dict:
+    """Numerical column rank, relative threshold 1e-8, of the realization map
+    on the truncated monomial basis over a subspace; full rank certifies
+    injectivity at this scale."""
     if max_length > ctx.degree // 2:
         raise ValueError("max_length must be at most N/2")
     indices = sorted(set(int(i) for i in indices))
@@ -183,7 +183,7 @@ def finkernel_rank(ctx: FockContext, indices, max_length: int,
                     columns.append(dense.ravel())
     matrix = np.stack(columns, axis=1)
     svals = np.linalg.svd(matrix, compute_uv=False)
-    rank = int(np.sum(svals > threshold * svals[0]))
+    rank = int(np.sum(svals > 1e-8 * svals[0]))
     return {
         "n_columns": matrix.shape[1],
         "rank": rank,
@@ -228,8 +228,9 @@ def low_degree_residual(ctx: FockContext, elem: LengthElement) -> float:
     return res
 
 
-def majorisation_check(A, B, T, consistency_tol: float = 1e-12) -> dict:
-    """Check ``A = B T`` with A, B PSD implies ``A <= ||T|| B``."""
+def majorisation_check(A, B, T) -> dict:
+    """Check ``A = B T`` (to 1e-12 relative) with A, B PSD implies
+    ``A <= ||T|| B``."""
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     T = np.asarray(T, dtype=complex)
@@ -241,7 +242,7 @@ def majorisation_check(A, B, T, consistency_tol: float = 1e-12) -> dict:
     gap = t_norm * B - A
     margin = float(np.linalg.eigvalsh((gap + np.conj(gap).T) / 2.0)[0])
     return {
-        "consistent": consistency <= consistency_tol * scale,
+        "consistent": consistency <= 1e-12 * scale,
         "consistency_residual": consistency,
         "min_eig_A": psd_a,
         "min_eig_B": psd_b,

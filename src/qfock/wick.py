@@ -39,8 +39,7 @@ class WickWord:
     op: GradedOperator = field(repr=False)
 
 
-def wick_word(ctx: FockContext, xi, degree: int | None = None,
-              inputs=None) -> WickWord:
+def wick_word(ctx: FockContext, xi, degree: int, inputs=None) -> WickWord:
     """Realize a coefficient tensor of the given degree as a Wick word.
 
     For each split into k creation and m = n - k annihilation indices, the
@@ -54,8 +53,6 @@ def wick_word(ctx: FockContext, xi, degree: int | None = None,
     bit, the same block of the full word.
     """
     xi = np.asarray(xi, dtype=complex).ravel()
-    if degree is None:
-        degree = _infer_degree(ctx, xi.size)
     if degree > ctx.degree:
         raise ValueError("degree overflow")
     if xi.size != ctx.block_size(degree):
@@ -80,13 +77,6 @@ def wick_word(ctx: FockContext, xi, degree: int | None = None,
     return WickWord(ctx, n, xi.copy(), GradedOperator(ctx, ctx, blocks))
 
 
-def _infer_degree(ctx: FockContext, size: int) -> int:
-    for n in range(ctx.degree + 1):
-        if ctx.block_size(n) == size:
-            return n
-    raise ValueError("block length matches no degree <= N")
-
-
 def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:
     """Coefficient tensor of ``W(xi)*``: factor order reversed and the
     conjugation applied entrywise."""
@@ -94,7 +84,7 @@ def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:
     return np.conj(xi)[ctx.partner_map(degree)][ctx._reverse_map(degree)]
 
 
-def vacuum_residual(ctx: FockContext, xi, degree: int | None = None) -> float:
+def vacuum_residual(ctx: FockContext, xi, degree: int) -> float:
     """q-norm of ``W(xi) Omega - xi``."""
     word = wick_word(ctx, xi, degree)
     image = word.op.apply(GradedVector.vacuum(ctx))

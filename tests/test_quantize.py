@@ -103,7 +103,7 @@ def test_functoriality(rng):
 def test_kadison_schwarz_margin_nonnegative(rng):
     for q in (-0.5, 0.3):
         channel, ctx = build_channel("t2", q, 4, rng)
-        probe = quantize.positivity_probe(channel, rng, 20, degree_max=1)
+        probe = quantize.positivity_probe(channel, rng, 20)
         assert probe["kadison_schwarz_min"] >= -1e-8
         assert probe["two_positivity_min"] >= -1e-8
 

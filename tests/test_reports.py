@@ -1,10 +1,13 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from qfock import reports
+from qfock.fock import FockContext
 from qfock.reports import SweepConfig, parse_spectrum, run_suite
 
 
@@ -71,6 +74,39 @@ def test_run_suite_deterministic(suite):
     b = run_suite(cfg, suite)
     assert [(r.check, r.residual, r.passed) for r in a] \
         == [(r.check, r.residual, r.passed) for r in b]
+
+
+@pytest.mark.parametrize("suite", ["quantization", "all"])
+def test_contexts_die_with_their_grid_point(monkeypatch, suite):
+    # one spectrum and distinct q values, so a context's q names its grid point
+    built = []  # (q, weak reference) of every context the run builds
+    stale = []  # q values of earlier points' contexts alive at a new build
+    peak = 0
+
+    class Recorded(FockContext):
+        def __init__(self, space, q, degree):
+            nonlocal peak
+            gc.collect()
+            live = [q_built for q_built, ref in built if ref() is not None]
+            stale.extend(q_built for q_built in live if q_built != q)
+            peak = max(peak, len(live) + 1)
+            super().__init__(space, q, degree)
+            built.append((self.q, weakref.ref(self)))
+
+    monkeypatch.setattr(reports, "FockContext", Recorded)
+    run_suite(small_config(q_values=(0.5, -0.5, 0.3)), suite)
+    assert len(built) >= 6 and not stale
+    assert peak <= 3  # one point's set: main, combined and subspace contexts
+
+
+def test_all_suites_equal_single_suite_runs():
+    cfg = small_config(q_values=(0.5, -0.5))
+
+    def records(reps):
+        return [(r.check, r.params, r.residual, r.bound, r.passed) for r in reps]
+
+    concatenated = [rec for suite in reports.SUITES for rec in records(run_suite(cfg, suite))]
+    assert records(run_suite(cfg, "all")) == concatenated
 
 
 def test_unknown_suite_rejected():
