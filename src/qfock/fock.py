@@ -9,10 +9,18 @@ annihilation words by ``P_p = (P_m (x) P_{p-m}) R*_{m,p-m}``, and the Wick
 words of ``wick`` by ``R*`` applied to their coefficient tensor.  The degree-n
 inner product is the quadratic form of ``G^{(x)n} P_q^(n)``; both matrices
 commute because the base metric is diagonal in the chosen basis.
+
+Every one of these matrices commutes with the permutations of tensor
+positions, so it keeps the multiset of digits of a basis index, its *type*,
+and is block-diagonal over the types.  Their dense linear algebra (eigen-pairs,
+spectral norms, solves) runs on stacks of type blocks, gathered by
+``FockContext.type_stacks``; a degree-6 block 729 wide on a 3-dimensional
+base space splits into 28 type blocks, the widest 90 wide.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 
@@ -42,15 +50,45 @@ def c_constant(q: float) -> float:
         k += 1
 
 
+@functools.lru_cache(maxsize=64)
+def _type_index(dim: int, n: int):
+    """Type partition of the degree-n indices over a dim-dimensional base,
+    grouped by block size b: the (count, b) shape of each group, and the flat
+    positions in a degree-n matrix of its type blocks, group after group,
+    each block row-major over the increasing indices of its type.
+
+    It depends on (dim, n) alone, so contexts over spaces of one dimension
+    share it; the position array is read-only."""
+    size = dim ** n
+    # the digit counts of an index, read in base n + 1, name its type
+    digit_keys = (n + 1) ** np.arange(dim, dtype=np.int64)
+    key = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        key = (key[:, None] + digit_keys).ravel()
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    first = np.ones(size, dtype=bool)
+    first[1:] = sorted_key[1:] != sorted_key[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.empty_like(starts)
+    sizes[:-1] = starts[1:] - starts[:-1]
+    sizes[-1] = size - starts[-1]
+    groups = [order[starts[sizes == b][:, None] + np.arange(b)] for b in np.unique(sizes)]
+    flat = np.concatenate([(idx[:, :, None] * size + idx[:, None, :]).ravel() for idx in groups])
+    flat.flags.writeable = False
+    return tuple(idx.shape for idx in groups), flat
+
+
 class FockContext:
     """Truncated q-Fock space: cached symmetrizers and degree metrics.
 
     Every degree is built from the crossing-weighted coproduct ``R*`` alone:
     the symmetrizer by the recursion ``P_n = (1 (x) P_{n-1}) R*_{1,n-1}`` and
     the annihilation words by ``R*_{m,p-m}``, so no matrix is ever inverted.
-    Immutable after construction; the lazy caches (metric eigen-pairs and
-    annihilation-word tensors) are never mutated once filled, so contexts
-    stay safe to share across parameter sweeps.
+    Immutable after construction; the lazy caches (metric eigen-pairs,
+    metric functions, ``R*`` type stacks and annihilation-word tensors) are
+    never mutated once filled, and every array they return is read-only, so
+    contexts stay safe to share across parameter sweeps.
     """
 
     def __init__(self, space: DeformedSpace, q: float, degree: int):
@@ -72,7 +110,12 @@ class FockContext:
             self._sym[n] = (self._sym[n - 1]
                             @ rstar.reshape(self.dim, size // self.dim, size)).reshape(size, size)
         self._metric = {n: self._gt[n][:, None] * self._sym[n] for n in range(degree + 1)}
+        for cache in (self._gt, self._sym, self._metric):
+            for arr in cache.values():
+                arr.flags.writeable = False
         self._metric_eig = {}
+        self._metric_fn = {}
+        self._rstar = {}
         self._ann = {}
 
     # -- cached accessors ------------------------------------------------------
@@ -96,26 +139,82 @@ class FockContext:
         """Diagonal of the free (q = 0) degree-n metric."""
         return self._gt[n]
 
-    def _eig(self, n: int):
+    # -- digit types ------------------------------------------------------------
+
+    def type_stacks(self, n: int, M) -> list:
+        """The type blocks of a degree-n matrix that keeps digit types, as one
+        (count, b, b) stack per block size b.
+
+        Raises ``ValueError`` if ``M`` has a non-zero entry between two
+        different types: such a matrix has no type blocks, and nothing here
+        falls back to the dense route."""
+        M = np.asarray(M)
+        size = self.block_size(n)
+        if M.shape != (size, size):
+            raise ValueError(f"expected a degree-{n} matrix of shape {(size, size)}, "
+                             f"got {M.shape}")
+        shapes, flat = _type_index(self.dim, n)
+        inside = M.take(flat)
+        if np.count_nonzero(M) != np.count_nonzero(inside):
+            raise ValueError(f"degree-{n} matrix has non-zero entries between different "
+                             "digit types")
+        stacks, start = [], 0
+        for count, b in shapes:
+            stacks.append(inside[start:start + count * b * b].reshape(count, b, b))
+            start += count * b * b
+        return stacks
+
+    def type_norm(self, n: int, M) -> float:
+        """Spectral norm of a degree-n matrix that keeps digit types."""
+        return _stack_norm(self.type_stacks(n, M))
+
+    def rstar_stacks(self, n: int, k: int) -> list:
+        """Type stacks of ``R*_{n,k}`` (see ``r_star``), read-only and cached per
+        (n, k): the norm and residual checks of every pair read them."""
+        key = (n, k)
+        if key not in self._rstar:
+            stacks = self.type_stacks(n + k, r_star(self, n, k))
+            for S in stacks:
+                S.flags.writeable = False
+            self._rstar[key] = stacks
+        return self._rstar[key]
+
+    # -- metric functions -------------------------------------------------------
+
+    def _eig(self, n: int) -> list:
+        """Eigen-pairs (w, v) of the degree-n metric, one per type stack."""
         if n not in self._metric_eig:
-            M = self._metric[n]
-            w, v = np.linalg.eigh((M + M.T) / 2.0)
-            if w.min() <= 0:
-                raise ValueError(f"degree-{n} metric is not positive definite")
-            self._metric_eig[n] = (w, v)
+            pairs = []
+            for S in self.type_stacks(n, self._metric[n]):
+                w, v = np.linalg.eigh((S + S.swapaxes(1, 2)) / 2.0)
+                if w.min() <= 0:
+                    raise ValueError(f"degree-{n} metric is not positive definite")
+                pairs.append((w, v))
+            self._metric_eig[n] = pairs
         return self._metric_eig[n]
 
+    def _metric_function(self, n: int, name: str, scale) -> np.ndarray:
+        """``v diag(scale(w)) v^T`` over the type blocks, scattered once into a
+        dense read-only degree-n matrix."""
+        key = (name, n)
+        if key not in self._metric_fn:
+            size = self.block_size(n)
+            out = np.zeros(size * size)
+            out[_type_index(self.dim, n)[1]] = np.concatenate(
+                [((v * scale(w)[:, None, :]) @ v.swapaxes(1, 2)).ravel() for w, v in self._eig(n)])
+            out = out.reshape(size, size)
+            out.flags.writeable = False
+            self._metric_fn[key] = out
+        return self._metric_fn[key]
+
     def metric_sqrt(self, n: int) -> np.ndarray:
-        w, v = self._eig(n)
-        return (v * np.sqrt(w)) @ v.T
+        return self._metric_function(n, "sqrt", np.sqrt)
 
     def metric_invsqrt(self, n: int) -> np.ndarray:
-        w, v = self._eig(n)
-        return (v / np.sqrt(w)) @ v.T
+        return self._metric_function(n, "invsqrt", lambda w: 1.0 / np.sqrt(w))
 
     def metric_inv(self, n: int) -> np.ndarray:
-        w, v = self._eig(n)
-        return (v / w) @ v.T
+        return self._metric_function(n, "inv", lambda w: 1.0 / w)
 
     # -- inner products and norms ----------------------------------------------
 
@@ -150,8 +249,10 @@ class FockContext:
             size = self.dim ** p
             rstar = _apply_r_star(self.q, self.dim, m, p - m, np.eye(size))
             picked = self._metric[m][self._reverse_map(m)]
-            self._ann[key] = (picked @ rstar.reshape(self.dim ** m, -1)).reshape(
+            words = (picked @ rstar.reshape(self.dim ** m, -1)).reshape(
                 self.dim ** m, self.dim ** (p - m), size)
+            words.flags.writeable = False
+            self._ann[key] = words
         return self._ann[key]
 
     def _reverse_map(self, m: int) -> np.ndarray:
@@ -417,35 +518,54 @@ def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
     return _apply_r_star(ctx.q, ctx.dim, n, k, np.eye(ctx.block_size(n + k)))
 
 
+def _stack_norm(stacks) -> float:
+    """Largest spectral norm over a list of (count, b, b) stacks.  A 1 x 1
+    block is its own singular value up to sign, so it needs no LAPACK call:
+    every degree has such blocks, and small contexts have many of them."""
+    return max(float(np.abs(S).max()) if S.shape[1] == 1
+               else float(np.linalg.svd(S, compute_uv=False)[:, 0].max()) for S in stacks)
+
+
+def _stack_min_eig(stacks) -> float:
+    """Smallest eigenvalue over a list of (count, b, b) Hermitian stacks,
+    without a LAPACK call for 1 x 1 blocks (see ``_stack_norm``)."""
+    return min(float(S.real.min()) if S.shape[1] == 1
+               else float(np.linalg.eigvalsh(S)[:, 0].min()) for S in stacks)
+
+
 def factorization_residual(ctx: FockContext, n: int, k: int) -> float:
     """Spectral-norm residual of ``P_q^(n+k) = (P_q^(n) (x) P_q^(k)) R*``."""
-    lhs = ctx.sym(n + k)
-    rhs = np.kron(ctx.sym(n), ctx.sym(k)) @ r_star(ctx, n, k)
-    return float(np.linalg.norm(lhs - rhs, ord=2))
+    total = n + k
+    groups = zip(ctx.type_stacks(total, ctx.sym(total)),
+                 ctx.type_stacks(total, np.kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
+    return _stack_norm([lhs - pair @ rstar for lhs, pair, rstar in groups])
 
 
 def rstar_free_norm(ctx: FockContext, n: int, k: int) -> float:
     """Norm of R* between undeformed tensor powers (plain spectral norm; the
     base metric commutes with position permutations)."""
-    return float(np.linalg.norm(r_star(ctx, n, k), ord=2))
+    return _stack_norm(ctx.rstar_stacks(n, k))
 
 
 def id_embedding_norm(ctx: FockContext, n: int, k: int) -> float:
     """Deformed norm of the coordinate identity from degree-n (x) degree-k to
     degree n+k."""
     total = n + k
-    pair_metric_invsqrt = np.kron(ctx.metric_invsqrt(n), ctx.metric_invsqrt(k))
-    return float(np.linalg.norm(ctx.metric_sqrt(total) @ pair_metric_invsqrt, ord=2))
+    groups = zip(ctx.type_stacks(total, ctx.metric_sqrt(total)),
+                 ctx.type_stacks(total, np.kron(ctx.metric_invsqrt(n), ctx.metric_invsqrt(k))))
+    return _stack_norm([sqrt @ pair_invsqrt for sqrt, pair_invsqrt in groups])
 
 
 def rstar_deformed_norm(ctx: FockContext, n: int, k: int) -> float:
-    pair_metric_sqrt = np.kron(ctx.metric_sqrt(n), ctx.metric_sqrt(k))
-    return float(np.linalg.norm(pair_metric_sqrt @ r_star(ctx, n, k)
-                                @ ctx.metric_invsqrt(n + k), ord=2))
+    total = n + k
+    groups = zip(ctx.type_stacks(total, np.kron(ctx.metric_sqrt(n), ctx.metric_sqrt(k))),
+                 ctx.rstar_stacks(n, k), ctx.type_stacks(total, ctx.metric_invsqrt(total)))
+    return _stack_norm([pair_sqrt @ rstar @ invsqrt for pair_sqrt, rstar, invsqrt in groups])
 
 
 def rstar_adjoint_residual(ctx: FockContext, n: int, k: int) -> float:
     """Residual of ``(Id_{n,k})* = R*`` w.r.t. the deformed q-inner products."""
-    pair_metric = np.kron(ctx.metric(n), ctx.metric(k))
-    adj = np.linalg.solve(pair_metric, ctx.metric(n + k))
-    return float(np.linalg.norm(adj - r_star(ctx, n, k), ord=2))
+    total = n + k
+    groups = zip(ctx.type_stacks(total, np.kron(ctx.metric(n), ctx.metric(k))),
+                 ctx.type_stacks(total, ctx.metric(total)), ctx.rstar_stacks(n, k))
+    return _stack_norm([np.linalg.solve(pair, metric) - rstar for pair, metric, rstar in groups])

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
-                   c_constant, creation, factorization_residual, id_embedding_norm,
-                   r_star, rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm)
+from .fock import (FockContext, GradedOperator, GradedVector, _stack_min_eig, annihilation,
+                   blockwise_gap, c_constant, creation, factorization_residual, id_embedding_norm,
+                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm)
 from .spaces import BlockSpectrum, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -243,7 +243,7 @@ def _pairs(degree: int):
 
 def _sym_positivity(pt: _Point) -> float:
     ctx = pt.ctx
-    return -min(float(np.linalg.eigvalsh(ctx.sym(n))[0]) for n in range(ctx.degree + 1))
+    return -min(_stack_min_eig(ctx.type_stacks(n, ctx.sym(n))) for n in range(ctx.degree + 1))
 
 
 def _over_pairs(residual):
@@ -532,7 +532,8 @@ def _majorisation(pt: _Point) -> float:
     margin = np.inf
     for n, k in _pairs(ctx.degree):
         check = toeplitz.majorisation_check(
-            ctx.sym(n + k), np.kron(ctx.sym(n), ctx.sym(k)), r_star(ctx, n, k))
+            ctx.type_stacks(n + k, ctx.sym(n + k)),
+            ctx.type_stacks(n + k, np.kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
         if not check["consistent"]:
             margin = -np.inf
         margin = min(margin, check["margin"])

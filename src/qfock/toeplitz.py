@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockContext, GradedOperator, c_constant, first_quantization, r_star
+from .fock import (FockContext, GradedOperator, _stack_min_eig, _stack_norm, c_constant,
+                   first_quantization, r_star)
 from .spaces import DeformedSpace
 
 
@@ -230,22 +231,32 @@ def low_degree_residual(ctx: FockContext, elem: LengthElement) -> float:
 
 def majorisation_check(A, B, T) -> dict:
     """Check ``A = B T`` (to 1e-12 relative) with A, B PSD implies
-    ``A <= ||T|| B``."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    scale = max(np.linalg.norm(A, ord=2), 1.0)
-    consistency = float(np.linalg.norm(A - B @ T, ord=2))
-    psd_a = float(np.linalg.eigvalsh((A + np.conj(A).T) / 2.0)[0])
-    psd_b = float(np.linalg.eigvalsh((B + np.conj(B).T) / 2.0)[0])
-    t_norm = float(np.linalg.norm(T, ord=2))
-    gap = t_norm * B - A
-    margin = float(np.linalg.eigvalsh((gap + np.conj(gap).T) / 2.0)[0])
+    ``A <= ||T|| B``.
+
+    A, B and T are dense matrices, or matching lists of (count, b, b) stacks
+    of their type blocks (``FockContext.type_stacks``).  For stacks every norm
+    is the largest over the blocks and every eigenvalue the smallest, so
+    ``||T||`` is the global norm and the margin is the dense one; a dense
+    matrix is the one-block case."""
+    A, B, T = (_as_stacks(X) for X in (A, B, T))
+    scale = max(_stack_norm(A), 1.0)
+    consistency = _stack_norm([a - b @ t for a, b, t in zip(A, B, T)])
+    t_norm = _stack_norm(T)
     return {
         "consistent": consistency <= 1e-12 * scale,
         "consistency_residual": consistency,
-        "min_eig_A": psd_a,
-        "min_eig_B": psd_b,
+        "min_eig_A": _hermitian_min_eig(A),
+        "min_eig_B": _hermitian_min_eig(B),
         "t_norm": t_norm,
-        "margin": margin,
+        "margin": _hermitian_min_eig([t_norm * b - a for a, b in zip(A, B)]),
     }
+
+
+def _as_stacks(X) -> list:
+    if isinstance(X, np.ndarray) and X.ndim == 2:
+        return [X[None]]
+    return [np.asarray(S) for S in X]
+
+
+def _hermitian_min_eig(stacks) -> float:
+    return _stack_min_eig([(S + np.conj(S).swapaxes(1, 2)) / 2.0 for S in stacks])

@@ -49,8 +49,9 @@ def wick_word(ctx: FockContext, xi, degree: int, inputs=None) -> WickWord:
     per input degree.
 
     ``inputs``, when given, is the set of input degrees to build: blocks on
-    any other input degree are left out, and every kept block equals, bit for
-    bit, the same block of the full word.
+    any other input degree are left out, a split with no kept block is
+    skipped, and every kept block equals, bit for bit, the same block of the
+    full word.
     """
     xi = np.asarray(xi, dtype=complex).ravel()
     if degree > ctx.degree:
@@ -67,13 +68,15 @@ def wick_word(ctx: FockContext, xi, degree: int, inputs=None) -> WickWord:
     blocks = {}
     for k in range(n + 1):
         m = n - k
+        inputs_kept = [p for p in range(m, ctx.degree + 1)
+                       if p - m + k <= ctx.degree and p in degrees]
+        if not inputs_kept:
+            continue
         # the crossing-weighted sum over partitions is R*_{k,m} xi; the
         # annihilation arguments are conjugated basis vectors
         Z = _apply_r_star(ctx.q, dim, k, m, xi).reshape(dim ** k, dim ** m)[:, ctx.partner_map(m)]
-        for p in range(m, ctx.degree + 1):
-            out = p - m + k
-            if out <= ctx.degree and p in degrees:
-                blocks[(out, p)] = ctx.mixed_word_block(Z, k, m, p)
+        for p in inputs_kept:
+            blocks[(p - m + k, p)] = ctx.mixed_word_block(Z, k, m, p)
     return WickWord(ctx, n, xi.copy(), GradedOperator(ctx, ctx, blocks))
 
 
@@ -85,8 +88,9 @@ def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:
 
 
 def vacuum_residual(ctx: FockContext, xi, degree: int) -> float:
-    """q-norm of ``W(xi) Omega - xi``."""
-    word = wick_word(ctx, xi, degree)
+    """q-norm of ``W(xi) Omega - xi``; only the word's blocks on the vacuum
+    degree are built."""
+    word = wick_word(ctx, xi, degree, inputs=(0,))
     image = word.op.apply(GradedVector.vacuum(ctx))
     target = GradedVector.from_degree(ctx, word.degree, word.tensor)
     return (image - target).norm()

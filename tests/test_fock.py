@@ -319,3 +319,104 @@ def test_ann_words_are_products_of_single_annihilations():
                         prod = ctx.ann_words(1, p - j)[digit] @ prod
                     gap = np.linalg.norm(words[t] - prod)
                     assert gap <= 1e-13 * np.linalg.norm(prod)
+
+
+# -- digit-type blocks ----------------------------------------------------------
+
+
+def digit_types(dim, n):
+    """Oracle: the sorted digit tuple of every degree-n basis index."""
+    return [tuple(sorted(np.unravel_index(i, (dim,) * n))) if n else ()
+            for i in range(dim ** n)]
+
+
+def same_type_mask(dim, n):
+    types = digit_types(dim, n)
+    return np.array([[a == b for b in types] for a in types])
+
+
+def test_type_blocks_are_multinomial():
+    for spectrum in SPECTRA:
+        ctx = make_ctx(spectrum, 0.3, 5)
+        for n in range(6):
+            stacks = ctx.type_stacks(n, np.eye(ctx.block_size(n)))
+            sizes = sorted(S.shape[1] for S in stacks for _ in range(S.shape[0]))
+            expect = sorted(math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+                            for counts in itertools.product(range(n + 1), repeat=ctx.dim)
+                            if sum(counts) == n)
+            assert sizes == expect
+            assert sum(sizes) == ctx.dim ** n
+            for S in stacks:  # the identity gathers into identity blocks
+                assert np.array_equal(S, np.broadcast_to(np.eye(S.shape[1]), S.shape))
+
+
+def test_symmetrizer_metric_and_r_star_vanish_off_type():
+    for spectrum in ("t2", "b2", "b2+t1"):
+        for q in (-0.9, 0.5, 0.9):
+            ctx = make_ctx(spectrum, q, 5)
+            for total in range(6):
+                off = ~same_type_mask(ctx.dim, total)
+                mats = [ctx.sym(total), ctx.metric(total)]
+                mats += [fock.r_star(ctx, n, total - n) for n in range(total + 1)]
+                for M in mats:
+                    assert not np.any(M[off])
+
+
+def dense_metric_functions(ctx, n):
+    """Reference route: one dense eigendecomposition of the whole metric."""
+    M = ctx.metric(n)
+    w, v = np.linalg.eigh((M + M.T) / 2.0)
+    return {"sqrt": (v * np.sqrt(w)) @ v.T, "invsqrt": (v / np.sqrt(w)) @ v.T,
+            "inv": (v / w) @ v.T}
+
+
+def test_typed_metric_functions_match_dense_route():
+    for q in (0.3, -0.5):
+        ctx = make_ctx("b2+t1", q, 4)
+        for n in range(5):
+            dense = dense_metric_functions(ctx, n)
+            typed = {"sqrt": ctx.metric_sqrt(n), "invsqrt": ctx.metric_invsqrt(n),
+                     "inv": ctx.metric_inv(n)}
+            for name, ref in dense.items():
+                gap = np.linalg.norm(typed[name] - ref)
+                assert gap <= 1e-12 * np.linalg.norm(ref), (q, n, name)
+
+
+def test_type_norm_and_min_eig_match_dense_route():
+    gen = np.random.default_rng(61)
+    ctx = make_ctx("b2+t1", 0.5, 4)
+    for n in range(5):  # degrees 0 and 1 have 1 x 1 type blocks only
+        mask = same_type_mask(ctx.dim, n)
+        size = ctx.block_size(n)
+        M = np.where(mask, gen.standard_normal((size, size)) + 1j * gen.standard_normal((size, size)),
+                     0.0)
+        dense = np.linalg.norm(M, ord=2)
+        assert abs(ctx.type_norm(n, M) - dense) <= 1e-12 * dense
+        H = M + np.conj(M).T
+        low = np.linalg.eigvalsh(H)[0]
+        assert abs(fock._stack_min_eig(ctx.type_stacks(n, H)) - low) <= 1e-12 * dense
+
+
+def test_type_stacks_reject_off_type_entries():
+    gen = np.random.default_rng(62)
+    ctx = make_ctx("b2", 0.5, 3)
+    off = np.argwhere(~same_type_mask(ctx.dim, 3))
+    i, j = off[gen.integers(len(off))]
+    M = np.array(ctx.sym(3))
+    M[i, j] = 1e-300
+    with pytest.raises(ValueError, match="different digit types"):
+        ctx.type_stacks(3, M)
+    with pytest.raises(ValueError, match="shape"):
+        ctx.type_stacks(2, M)
+
+
+def test_cached_arrays_are_read_only():
+    ctx = make_ctx("b2+t1", 0.5, 3)
+    arrays = [ctx.sym(2), ctx.metric(2), ctx.metric_sqrt(2), ctx.metric_invsqrt(2),
+              ctx.metric_inv(2), ctx.metric_diag_free(2), ctx.ann_words(1, 2),
+              *ctx.rstar_stacks(1, 1)]
+    before = [np.array(arr) for arr in arrays]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1.0
+    assert all(np.array_equal(arr, copy) for arr, copy in zip(arrays, before))

@@ -128,10 +128,14 @@ def test_wick_word_on_input_window_keeps_exact_blocks():
     for n in (0, 1, 2):
         word = _gaussian_word(ctx, rng, n)
         full = word.op.blocks
-        for window in (range(ctx.degree - n + 1), {0, 2}):
+        for window in (range(ctx.degree - n + 1), {0, 2}, (0,)):
             part = wick.wick_word(ctx, word.tensor, n, inputs=window).op.blocks
             assert set(part) == {key for key in full if key[1] in window}
             assert all(np.array_equal(part[key], full[key]) for key in part)
+        # the vacuum residual builds only the vacuum-degree blocks
+        image = word.op.apply(GradedVector.vacuum(ctx))
+        full_route = (image - GradedVector.from_degree(ctx, n, word.tensor)).norm()
+        assert wick.vacuum_residual(ctx, word.tensor, n) == full_route
 
 
 def test_apply_word_is_the_full_image_on_its_safe_window():
