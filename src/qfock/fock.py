@@ -20,7 +20,6 @@ base space splits into 28 type blocks, the widest 90 wide.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 
@@ -48,35 +47,6 @@ def c_constant(q: float) -> float:
         if factor - 1.0 < 1e-14:
             return prod
         k += 1
-
-
-@functools.lru_cache(maxsize=64)
-def _type_index(dim: int, n: int):
-    """Type partition of the degree-n indices over a dim-dimensional base,
-    grouped by block size b: the (count, b) shape of each group, and the flat
-    positions in a degree-n matrix of its type blocks, group after group,
-    each block row-major over the increasing indices of its type.
-
-    It depends on (dim, n) alone, so contexts over spaces of one dimension
-    share it; the position array is read-only."""
-    size = dim ** n
-    # the digit counts of an index, read in base n + 1, name its type
-    digit_keys = (n + 1) ** np.arange(dim, dtype=np.int64)
-    key = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        key = (key[:, None] + digit_keys).ravel()
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    first = np.ones(size, dtype=bool)
-    first[1:] = sorted_key[1:] != sorted_key[:-1]
-    starts = np.flatnonzero(first)
-    sizes = np.empty_like(starts)
-    sizes[:-1] = starts[1:] - starts[:-1]
-    sizes[-1] = size - starts[-1]
-    groups = [order[starts[sizes == b][:, None] + np.arange(b)] for b in np.unique(sizes)]
-    flat = np.concatenate([(idx[:, :, None] * size + idx[:, None, :]).ravel() for idx in groups])
-    flat.flags.writeable = False
-    return tuple(idx.shape for idx in groups), flat
 
 
 class FockContext:
@@ -115,6 +85,7 @@ class FockContext:
                 arr.flags.writeable = False
         self._metric_eig = {}
         self._metric_fn = {}
+        self._type_index = {}
         self._rstar = {}
         self._ann = {}
 
@@ -141,6 +112,29 @@ class FockContext:
 
     # -- digit types ------------------------------------------------------------
 
+    def _types(self, n: int) -> list:
+        """The degree-n indices grouped by type, and the types by their size b:
+        one (count, b) array per size, each row the increasing indices of one
+        type.  Built on first use."""
+        if n not in self._type_index:
+            size = self.block_size(n)
+            # the digit counts of an index, read in base n + 1, name its type
+            digit_keys = (n + 1) ** np.arange(self.dim, dtype=np.int64)
+            key = np.zeros(1, dtype=np.int64)
+            for _ in range(n):
+                key = (key[:, None] + digit_keys).ravel()
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            first = np.ones(size, dtype=bool)
+            first[1:] = sorted_key[1:] != sorted_key[:-1]
+            starts = np.flatnonzero(first)
+            sizes = np.empty_like(starts)
+            sizes[:-1] = starts[1:] - starts[:-1]
+            sizes[-1] = size - starts[-1]
+            self._type_index[n] = [order[starts[sizes == b][:, None] + np.arange(b)]
+                                   for b in np.unique(sizes)]
+        return self._type_index[n]
+
     def type_stacks(self, n: int, M) -> list:
         """The type blocks of a degree-n matrix that keeps digit types, as one
         (count, b, b) stack per block size b.
@@ -153,20 +147,11 @@ class FockContext:
         if M.shape != (size, size):
             raise ValueError(f"expected a degree-{n} matrix of shape {(size, size)}, "
                              f"got {M.shape}")
-        shapes, flat = _type_index(self.dim, n)
-        inside = M.take(flat)
-        if np.count_nonzero(M) != np.count_nonzero(inside):
+        stacks = [M[idx[:, :, None], idx[:, None, :]] for idx in self._types(n)]
+        if np.count_nonzero(M) != sum(np.count_nonzero(S) for S in stacks):
             raise ValueError(f"degree-{n} matrix has non-zero entries between different "
                              "digit types")
-        stacks, start = [], 0
-        for count, b in shapes:
-            stacks.append(inside[start:start + count * b * b].reshape(count, b, b))
-            start += count * b * b
         return stacks
-
-    def type_norm(self, n: int, M) -> float:
-        """Spectral norm of a degree-n matrix that keeps digit types."""
-        return _stack_norm(self.type_stacks(n, M))
 
     def rstar_stacks(self, n: int, k: int) -> list:
         """Type stacks of ``R*_{n,k}`` (see ``r_star``), read-only and cached per
@@ -199,10 +184,10 @@ class FockContext:
         key = (name, n)
         if key not in self._metric_fn:
             size = self.block_size(n)
-            out = np.zeros(size * size)
-            out[_type_index(self.dim, n)[1]] = np.concatenate(
-                [((v * scale(w)[:, None, :]) @ v.swapaxes(1, 2)).ravel() for w, v in self._eig(n)])
-            out = out.reshape(size, size)
+            out = np.zeros((size, size))
+            for idx, (w, v) in zip(self._types(n), self._eig(n)):
+                block = (v * scale(w)[:, None, :]) @ v.swapaxes(1, 2)
+                out[idx[:, :, None], idx[:, None, :]] = block
             out.flags.writeable = False
             self._metric_fn[key] = out
         return self._metric_fn[key]
@@ -518,19 +503,17 @@ def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
     return _apply_r_star(ctx.q, ctx.dim, n, k, np.eye(ctx.block_size(n + k)))
 
 
-def _stack_norm(stacks) -> float:
-    """Largest spectral norm over a list of (count, b, b) stacks.  A 1 x 1
-    block is its own singular value up to sign, so it needs no LAPACK call:
-    every degree has such blocks, and small contexts have many of them."""
-    return max(float(np.abs(S).max()) if S.shape[1] == 1
-               else float(np.linalg.svd(S, compute_uv=False)[:, 0].max()) for S in stacks)
+def stack_norm(stacks) -> float:
+    """Spectral norm of a block-diagonal matrix given as a list of (count, b, b)
+    stacks of its blocks (``FockContext.type_stacks``): the largest block norm."""
+    return max(float(np.linalg.svd(S, compute_uv=False)[:, 0].max()) for S in stacks)
 
 
-def _stack_min_eig(stacks) -> float:
-    """Smallest eigenvalue over a list of (count, b, b) Hermitian stacks,
-    without a LAPACK call for 1 x 1 blocks (see ``_stack_norm``)."""
-    return min(float(S.real.min()) if S.shape[1] == 1
-               else float(np.linalg.eigvalsh(S)[:, 0].min()) for S in stacks)
+def hermitian_min_eig(stacks) -> float:
+    """Smallest eigenvalue of the Hermitian part of a block-diagonal matrix
+    given as a list of (count, b, b) stacks; ``[M[None]]`` is a dense ``M``."""
+    return min(float(np.linalg.eigvalsh((S + np.conj(S).swapaxes(1, 2)) / 2.0)[:, 0].min())
+               for S in stacks)
 
 
 def factorization_residual(ctx: FockContext, n: int, k: int) -> float:
@@ -538,13 +521,13 @@ def factorization_residual(ctx: FockContext, n: int, k: int) -> float:
     total = n + k
     groups = zip(ctx.type_stacks(total, ctx.sym(total)),
                  ctx.type_stacks(total, np.kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
-    return _stack_norm([lhs - pair @ rstar for lhs, pair, rstar in groups])
+    return stack_norm([lhs - pair @ rstar for lhs, pair, rstar in groups])
 
 
 def rstar_free_norm(ctx: FockContext, n: int, k: int) -> float:
     """Norm of R* between undeformed tensor powers (plain spectral norm; the
     base metric commutes with position permutations)."""
-    return _stack_norm(ctx.rstar_stacks(n, k))
+    return stack_norm(ctx.rstar_stacks(n, k))
 
 
 def id_embedding_norm(ctx: FockContext, n: int, k: int) -> float:
@@ -553,14 +536,14 @@ def id_embedding_norm(ctx: FockContext, n: int, k: int) -> float:
     total = n + k
     groups = zip(ctx.type_stacks(total, ctx.metric_sqrt(total)),
                  ctx.type_stacks(total, np.kron(ctx.metric_invsqrt(n), ctx.metric_invsqrt(k))))
-    return _stack_norm([sqrt @ pair_invsqrt for sqrt, pair_invsqrt in groups])
+    return stack_norm([sqrt @ pair_invsqrt for sqrt, pair_invsqrt in groups])
 
 
 def rstar_deformed_norm(ctx: FockContext, n: int, k: int) -> float:
     total = n + k
     groups = zip(ctx.type_stacks(total, np.kron(ctx.metric_sqrt(n), ctx.metric_sqrt(k))),
                  ctx.rstar_stacks(n, k), ctx.type_stacks(total, ctx.metric_invsqrt(total)))
-    return _stack_norm([pair_sqrt @ rstar @ invsqrt for pair_sqrt, rstar, invsqrt in groups])
+    return stack_norm([pair_sqrt @ rstar @ invsqrt for pair_sqrt, rstar, invsqrt in groups])
 
 
 def rstar_adjoint_residual(ctx: FockContext, n: int, k: int) -> float:
@@ -568,4 +551,4 @@ def rstar_adjoint_residual(ctx: FockContext, n: int, k: int) -> float:
     total = n + k
     groups = zip(ctx.type_stacks(total, np.kron(ctx.metric(n), ctx.metric(k))),
                  ctx.type_stacks(total, ctx.metric(total)), ctx.rstar_stacks(n, k))
-    return _stack_norm([np.linalg.solve(pair, metric) - rstar for pair, metric, rstar in groups])
+    return stack_norm([np.linalg.solve(pair, metric) - rstar for pair, metric, rstar in groups])

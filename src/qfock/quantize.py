@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spaces
 from .fock import (FockContext, GradedOperator, GradedVector, blockwise_gap,
-                   first_quantization)
+                   first_quantization, hermitian_min_eig)
 from .spaces import DeformedContraction
 from .wick import WickWord, wick_word
 
@@ -171,11 +171,6 @@ def _combination(src_ctx, comb_ctx, coeffs, words, window) -> GradedOperator:
     return total
 
 
-def _hermitian_min_eig(full: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of a dense matrix."""
-    return float(np.linalg.eigvalsh((full + np.conj(full).T) / 2.0)[0])
-
-
 def _positivity_window(ctx: FockContext, words) -> range:
     """Degrees ``0..N-2 dmax`` on which ``x# x`` is exact for words of degree
     at most ``dmax``."""
@@ -193,7 +188,7 @@ def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words) -> float
     lhs = channel.conjugate(emb.adjoint() @ emb)
     img = channel.conjugate(emb)
     rhs = img.adjoint() @ img
-    return _hermitian_min_eig((lhs - rhs).to_dense(gauge=True, window=window))
+    return hermitian_min_eig([(lhs - rhs).to_dense(gauge=True, window=window)[None]])
 
 
 def two_positivity_margin(channel: QuantizationChannel, samples) -> float:
@@ -212,9 +207,9 @@ def two_positivity_margin(channel: QuantizationChannel, samples) -> float:
                 term = adjoints[r][i] @ embedded[r][j]
                 y = term if y is None else y + term
             images[(i, j)] = channel.conjugate(y)
-    return _hermitian_min_eig(np.block(
+    return hermitian_min_eig([np.block(
         [[images[(i, j)].to_dense(gauge=True, window=window) for j in range(2)]
-         for i in range(2)]))
+         for i in range(2)])[None]])
 
 
 def positivity_probe(channel: QuantizationChannel, rng, n_samples: int) -> dict:

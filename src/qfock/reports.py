@@ -26,9 +26,10 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, _stack_min_eig, annihilation,
-                   blockwise_gap, c_constant, creation, factorization_residual, id_embedding_norm,
-                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm)
+from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
+                   c_constant, creation, factorization_residual, hermitian_min_eig,
+                   id_embedding_norm, rstar_adjoint_residual, rstar_deformed_norm,
+                   rstar_free_norm)
 from .spaces import BlockSpectrum, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -243,7 +244,7 @@ def _pairs(degree: int):
 
 def _sym_positivity(pt: _Point) -> float:
     ctx = pt.ctx
-    return -min(_stack_min_eig(ctx.type_stacks(n, ctx.sym(n))) for n in range(ctx.degree + 1))
+    return -min(hermitian_min_eig(ctx.type_stacks(n, ctx.sym(n))) for n in range(ctx.degree + 1))
 
 
 def _over_pairs(residual):

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (FockContext, GradedOperator, _stack_min_eig, _stack_norm, c_constant,
-                   first_quantization, r_star)
+from .fock import FockContext, GradedOperator, c_constant, first_quantization, r_star
 from .spaces import DeformedSpace
 
 
@@ -233,30 +232,39 @@ def majorisation_check(A, B, T) -> dict:
     """Check ``A = B T`` (to 1e-12 relative) with A, B PSD implies
     ``A <= ||T|| B``.
 
-    A, B and T are dense matrices, or matching lists of (count, b, b) stacks
-    of their type blocks (``FockContext.type_stacks``).  For stacks every norm
-    is the largest over the blocks and every eigenvalue the smallest, so
-    ``||T||`` is the global norm and the margin is the dense one; a dense
-    matrix is the one-block case."""
+    A, B and T are dense matrices, or lists of (count, b, b) stacks of their
+    type blocks (``FockContext.type_stacks``) with matching shapes.  For
+    stacks every norm is the largest over the blocks and every eigenvalue the
+    smallest, so ``||T||`` is the global norm and the margin is the dense one;
+    a dense matrix is the one-block case."""
     A, B, T = (_as_stacks(X) for X in (A, B, T))
-    scale = max(_stack_norm(A), 1.0)
-    consistency = _stack_norm([a - b @ t for a, b, t in zip(A, B, T)])
-    t_norm = _stack_norm(T)
+    if not [S.shape for S in A] == [S.shape for S in B] == [S.shape for S in T]:
+        raise ValueError("A, B and T must have stacks of matching shapes")
+    # one svd call per block size for A, A - B T and T together, then one
+    # eigvalsh call for the Hermitian parts of A, B and ||T|| B - A
+    norm_a, consistency, t_norm = np.max(
+        [np.linalg.svd(np.concatenate([a, a - b @ t, t]), compute_uv=False)[:, 0]
+         .reshape(3, -1).max(axis=1) for a, b, t in zip(A, B, T)], axis=0)
+    min_a, min_b, margin = np.min(
+        [np.linalg.eigvalsh((S + np.conj(S).swapaxes(1, 2)) / 2.0)[:, 0].reshape(3, -1).min(axis=1)
+         for S in (np.concatenate([a, b, t_norm * b - a]) for a, b in zip(A, B))], axis=0)
     return {
-        "consistent": consistency <= 1e-12 * scale,
-        "consistency_residual": consistency,
-        "min_eig_A": _hermitian_min_eig(A),
-        "min_eig_B": _hermitian_min_eig(B),
-        "t_norm": t_norm,
-        "margin": _hermitian_min_eig([t_norm * b - a for a, b in zip(A, B)]),
+        "consistent": bool(consistency <= 1e-12 * max(norm_a, 1.0)),
+        "consistency_residual": float(consistency),
+        "min_eig_A": float(min_a),
+        "min_eig_B": float(min_b),
+        "t_norm": float(t_norm),
+        "margin": float(margin),
     }
 
 
 def _as_stacks(X) -> list:
-    if isinstance(X, np.ndarray) and X.ndim == 2:
-        return [X[None]]
-    return [np.asarray(S) for S in X]
-
-
-def _hermitian_min_eig(stacks) -> float:
-    return _stack_min_eig([(S + np.conj(S).swapaxes(1, 2)) / 2.0 for S in stacks])
+    """A list of 3-D stacks as it is; any other array-like as a square matrix,
+    the one-block case."""
+    if isinstance(X, list) and X and all(np.ndim(S) == 3 for S in X):
+        return [np.asarray(S) for S in X]
+    M = np.asarray(X)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix or a list of (count, b, b) stacks, "
+                         f"got shape {M.shape}")
+    return [M[None]]

@@ -382,19 +382,18 @@ def test_typed_metric_functions_match_dense_route():
                 assert gap <= 1e-12 * np.linalg.norm(ref), (q, n, name)
 
 
-def test_type_norm_and_min_eig_match_dense_route():
+def test_stack_norm_and_min_eig_match_dense_route():
     gen = np.random.default_rng(61)
     ctx = make_ctx("b2+t1", 0.5, 4)
     for n in range(5):  # degrees 0 and 1 have 1 x 1 type blocks only
         mask = same_type_mask(ctx.dim, n)
         size = ctx.block_size(n)
-        M = np.where(mask, gen.standard_normal((size, size)) + 1j * gen.standard_normal((size, size)),
-                     0.0)
+        entries = gen.standard_normal((size, size)) + 1j * gen.standard_normal((size, size))
+        M = np.where(mask, entries, 0.0)
         dense = np.linalg.norm(M, ord=2)
-        assert abs(ctx.type_norm(n, M) - dense) <= 1e-12 * dense
-        H = M + np.conj(M).T
-        low = np.linalg.eigvalsh(H)[0]
-        assert abs(fock._stack_min_eig(ctx.type_stacks(n, H)) - low) <= 1e-12 * dense
+        assert abs(fock.stack_norm(ctx.type_stacks(n, M)) - dense) <= 1e-12 * dense
+        low = np.linalg.eigvalsh((M + np.conj(M).T) / 2.0)[0]
+        assert abs(fock.hermitian_min_eig(ctx.type_stacks(n, M)) - low) <= 1e-12 * dense
 
 
 def test_type_stacks_reject_off_type_entries():

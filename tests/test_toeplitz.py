@@ -192,3 +192,20 @@ def test_majorisation_check_stacked_matches_dense():
         block = int(gen.integers(len(stacks[2])))
         stacks[2][block] = stacks[2][block] * 0.5
         assert not toeplitz.majorisation_check(*stacks)["consistent"]
+
+
+def test_majorisation_check_input_forms():
+    gen = np.random.default_rng(64)
+    X = gen.standard_normal((4, 4))
+    A, B = X @ X.T, np.eye(4)
+    # a nested-list matrix is the dense one-block case
+    assert toeplitz.majorisation_check(A.tolist(), B.tolist(), A.tolist()) == \
+        toeplitz.majorisation_check(A, B, A)
+    # stack lists must agree in count and shape: none is cut short
+    stacks = [gen.standard_normal((2, 3, 3)), gen.standard_normal((1, 1, 1))]
+    with pytest.raises(ValueError, match="matching shapes"):
+        toeplitz.majorisation_check(stacks, stacks, stacks[:1])
+    with pytest.raises(ValueError, match="matching shapes"):
+        toeplitz.majorisation_check(stacks, stacks, [stacks[0][:1], stacks[1]])
+    with pytest.raises(ValueError, match="square matrix"):
+        toeplitz.majorisation_check(A[:3], B[:3], A[:3])
