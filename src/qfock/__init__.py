@@ -2,13 +2,13 @@
 
 from .spaces import (BlockSpectrum, DeformedContraction, DeformedSpace,
                      build_space, deformed_adjoint, deformed_inner,
-                     deformed_norm, deformed_op_norm, dilate, direct_sum,
-                     iti_residual, jti_map, random_contraction,
-                     random_jti_contraction, spectral_map)
+                     deformed_op_norm, dilate, direct_sum, iti_residual,
+                     jti_map, random_contraction, random_jti_contraction,
+                     spectral_map)
 from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
                    c_constant, creation, factorization_residual,
                    first_quantization, r_star, s_q)
-from .wick import WickWord, crossing_number, wick_word
+from .wick import WickWord, wick_word
 from .quantize import (QuantizationChannel, conjugation_channel, gns_residual,
                        kadison_schwarz_margin, positivity_probe,
                        second_quantization, two_positivity_margin)
@@ -24,13 +24,13 @@ from .reports import SweepConfig, VerificationReport, run_suite
 
 __all__ = [
     "BlockSpectrum", "DeformedContraction", "DeformedSpace", "build_space",
-    "deformed_adjoint", "deformed_inner", "deformed_norm", "deformed_op_norm",
+    "deformed_adjoint", "deformed_inner", "deformed_op_norm",
     "dilate", "direct_sum", "iti_residual", "jti_map", "random_contraction",
     "random_jti_contraction", "spectral_map",
     "FockContext", "GradedOperator", "GradedVector", "annihilation",
     "c_constant", "creation", "factorization_residual", "first_quantization",
     "r_star", "s_q",
-    "WickWord", "crossing_number", "wick_word",
+    "WickWord", "wick_word",
     "QuantizationChannel", "conjugation_channel", "gns_residual",
     "kadison_schwarz_margin", "positivity_probe", "second_quantization",
     "two_positivity_margin",

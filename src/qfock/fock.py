@@ -384,9 +384,10 @@ class GradedOperator:
             out[m] = out[m] + B @ vec.blocks[n]
         return GradedVector(self.ctx_out, out)
 
-    def diagonal_part(self) -> "GradedOperator":
-        return GradedOperator(self.ctx_out, self.ctx_in,
-                              {key: B for key, B in self.blocks.items() if key[0] == key[1]})
+    def vacuum_expectation(self) -> complex:
+        """``<Omega, x Omega>``: the degree-0 metric is 1, so it is the
+        vacuum entry of the (0, 0) block."""
+        return complex(self.block(0, 0)[0, 0])
 
     def to_dense(self, gauge: bool = False, window=None) -> np.ndarray:
         """Full matrix over the direct sum of degree blocks.
@@ -470,6 +471,21 @@ def first_quantization(ctx_src: FockContext, ctx_tgt: FockContext, T) -> GradedO
         power = np.kron(T, power)
         blocks[(n, n)] = power
     return GradedOperator(ctx_tgt, ctx_src, blocks)
+
+
+def coordinate_index(dim: int, indices, n: int) -> np.ndarray:
+    """Flat degree-n indices, over a ``dim``-dimensional base space, of the
+    basis tensors whose digits all lie in ``indices``, in the order of the
+    degree-n basis over the coordinate subspace they span.
+
+    A coordinate inclusion sends basis tensors to basis tensors, so its
+    first quantisation is this index map and a compression to the sub-Fock
+    space is an index restriction."""
+    digits = np.array(sorted(set(int(i) for i in indices)), dtype=np.intp)
+    flat = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        flat = (flat[:, None] * dim + digits).ravel()
+    return flat
 
 
 def crossing_weighted_partitions(n: int, k: int):

@@ -33,8 +33,8 @@ def generate_admissible(space: DeformedSpace, k: int) -> DeformedContraction:
     ``k`` grows."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    M = np.diag(np.array([admissible_profile(lam, k) for lam in space.a]))
-    return DeformedContraction(space, space, M)
+    return DeformedContraction(space, space,
+                               spaces.spectral_map(space, lambda lam: admissible_profile(lam, k)))
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,11 @@ def tail_norm(ctx: FockContext, T, t: float, n: int,
 def free_degree_norms(ctx: FockContext, T) -> np.ndarray:
     """Same per-degree norms computed with the q = 0 metric over the same
     deformed base space."""
-    T = np.asarray(T, dtype=complex)
+    fq = first_quantization(ctx, ctx, T)
     norms = [1.0]
-    power = np.eye(1, dtype=complex)
     for d in range(1, ctx.degree + 1):
-        power = np.kron(T, power)
         gt = ctx.metric_diag_free(d)
-        gauged = np.sqrt(gt)[:, None] * power / np.sqrt(gt)[None, :]
+        gauged = np.sqrt(gt)[:, None] * fq.block(d, d) / np.sqrt(gt)[None, :]
         norms.append(float(np.linalg.norm(gauged, ord=2)))
     return np.array(norms)
 
@@ -96,9 +94,7 @@ def free_reduction_crosscheck(ctx: FockContext, T, t: float, n: int,
     """Gap between the tail norm in the q-metric and in the free metric;
     ``per_degree`` is passed on to ``tail_norm``."""
     q_tail = tail_norm(ctx, T, t, n, per_degree=per_degree)
-    free_per_degree = free_degree_norms(ctx, T)
-    damp = np.exp(-t * np.arange(ctx.degree + 1))
-    free_tail = float(np.max(free_per_degree[n + 1:] * damp[n + 1:]))
+    free_tail = tail_norm(ctx, T, t, n, per_degree=free_degree_norms(ctx, T))
     return abs(q_tail - free_tail)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import spaces
 from .fock import (FockContext, GradedOperator, GradedVector, blockwise_gap,
-                   first_quantization, hermitian_min_eig)
+                   coordinate_index, first_quantization, hermitian_min_eig)
 from .spaces import DeformedContraction
 from .wick import WickWord, wick_word
 
@@ -37,12 +37,10 @@ def embed_tensor(src_ctx: FockContext, comb_ctx: FockContext, xi, degree: int) -
     Assumes the source space sits as the leading coordinates of the combined
     space, which is how ``spaces.direct_sum`` lays it out.
     """
-    if degree == 0:
-        return np.asarray(xi, dtype=complex).reshape(1).copy()
-    xi_nd = np.asarray(xi, dtype=complex).reshape((src_ctx.dim,) * degree)
-    out = np.zeros((comb_ctx.dim,) * degree, dtype=complex)
-    out[np.ix_(*([range(src_ctx.dim)] * degree))] = xi_nd
-    return out.ravel()
+    out = np.zeros(comb_ctx.block_size(degree), dtype=complex)
+    out[coordinate_index(comb_ctx.dim, range(src_ctx.dim), degree)] = \
+        np.asarray(xi, dtype=complex).reshape(src_ctx.block_size(degree))
+    return out
 
 
 def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord,
@@ -80,8 +78,7 @@ class QuantizationChannel:
         self.comb_ctx = comb_ctx
         U = spaces.dilate(contraction)
         PU = spaces.projection_matrix(contraction.source, contraction.target) @ U
-        self._front = first_quantization(comb_ctx, tgt_ctx, PU)
-        self._front_adj = self._front.adjoint()
+        self._conjugate = conjugation_channel(comb_ctx, tgt_ctx, PU)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -89,7 +86,7 @@ class QuantizationChannel:
 
     def conjugate(self, x: GradedOperator) -> GradedOperator:
         """The channel's conjugation step on an operator over the combined space."""
-        return self._front @ x @ self._front_adj
+        return self._conjugate(x)
 
     def _safe_window(self, degree: int) -> range:
         """Input degrees ``0..N-degree`` on which a degree-n image is exact."""
@@ -108,12 +105,8 @@ class QuantizationChannel:
 
     def image_tensor(self, word: WickWord) -> np.ndarray:
         """Coefficient tensor of the expected image word ``T^{(x)n} xi``."""
-        if word.degree == 0:
-            return word.tensor.copy()
-        power = np.eye(1, dtype=complex)
-        for _ in range(word.degree):
-            power = np.kron(self.matrix, power)
-        return power @ word.tensor
+        powers = first_quantization(self.src_ctx, self.tgt_ctx, self.matrix)
+        return powers.block(word.degree, word.degree) @ word.tensor
 
     def covariance_residual(self, word: WickWord, image: GradedOperator) -> float:
         """Deformed-norm gap between ``image``, the channel image of a Wick
@@ -131,13 +124,9 @@ class QuantizationChannel:
     def vacuum_state_residual(self, ops_src, ops_img) -> float:
         """Sup over provided (source op, channel image) pairs of the vacuum
         expectation gap."""
-        vac_src = GradedVector.vacuum(self.src_ctx)
-        vac_tgt = GradedVector.vacuum(self.tgt_ctx)
         res = 0.0
         for x, y in zip(ops_src, ops_img):
-            lhs = self.tgt_ctx.q_inner(vac_tgt.blocks[0], y.apply(vac_tgt).blocks[0], 0)
-            rhs = self.src_ctx.q_inner(vac_src.blocks[0], x.apply(vac_src).blocks[0], 0)
-            res = max(res, abs(lhs - rhs))
+            res = max(res, abs(y.vacuum_expectation() - x.vacuum_expectation()))
         return res
 
 

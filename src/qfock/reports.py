@@ -27,9 +27,9 @@ import numpy as np
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
 from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
-                   c_constant, creation, factorization_residual, hermitian_min_eig,
-                   id_embedding_norm, rstar_adjoint_residual, rstar_deformed_norm,
-                   rstar_free_norm)
+                   c_constant, coordinate_index, creation, factorization_residual,
+                   hermitian_min_eig, id_embedding_norm, rstar_adjoint_residual,
+                   rstar_deformed_norm, rstar_free_norm)
 from .spaces import BlockSpectrum, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -369,7 +369,7 @@ def _functoriality(pt: _Point) -> float:
         ch_t = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
         ch_st = quantize.QuantizationChannel(ST, src_ctx, src_ctx, comb_ctx)
         word = wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n)
-        mid = ch_t.apply_word(word).apply(GradedVector.vacuum(src_ctx)).blocks[n]
+        mid = ch_t.apply_word(word).block(n, 0)[:, 0]  # the degree-n part of W Omega
         lhs = ch_s.apply_word(wick.wick_word(src_ctx, mid, n))
         rhs = ch_st.apply_word(word)
         res = max(res, blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - n + 1)))
@@ -417,9 +417,8 @@ def _embed_multiplicativity_residual(pt: _Point) -> float:
     src_ctx, comb_ctx = pt.channel_ctxs
     deg = 1 if src_ctx.degree < 4 else 2
     # combined-space index of each source basis tensor, per degree
-    index = {n: np.flatnonzero(quantize.embed_tensor(
-        src_ctx, comb_ctx, np.ones(src_ctx.block_size(n)), n))
-        for n in range(comb_ctx.degree + 1)}
+    index = [coordinate_index(comb_ctx.dim, range(src_ctx.dim), n)
+             for n in range(comb_ctx.degree + 1)]
     res = 0.0
     for _ in range(2):
         xi = _gaussian(rng, src_ctx.block_size(deg))
@@ -449,15 +448,11 @@ def _expectation_residual(pt: _Point) -> float:
     psd = op.adjoint() @ op
     ex_psd = toeplitz.degree_expectation(psd)
     scale = max(ex_psd.op_norm(), 1.0)
-    min_eig = np.inf
-    for n in range(ctx.degree + 1):
-        gauged = ex_psd.to_dense(gauge=True, window=[n])
-        min_eig = min(min_eig, float(np.linalg.eigvalsh((gauged + np.conj(gauged).T) / 2.0)[0]))
+    min_eig = hermitian_min_eig([ex_psd.to_dense(gauge=True, window=[n])[None]
+                                 for n in range(ctx.degree + 1)])
     res = max(res, max(-min_eig, 0.0) / scale)  # positive, relative scale
-    vac = GradedVector.vacuum(ctx)
-    lhs = ctx.q_inner(vac.blocks[0], ex.apply(vac).blocks[0], 0)
-    rhs = ctx.q_inner(vac.blocks[0], op.apply(vac).blocks[0], 0)
-    return max(res, abs(lhs - rhs))  # vacuum-state compatible
+    # vacuum-state compatible
+    return max(res, abs(ex.vacuum_expectation() - op.vacuum_expectation()))
 
 
 def _random_graded(ctx: FockContext, rng) -> GradedOperator:

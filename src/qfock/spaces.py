@@ -78,42 +78,10 @@ class DeformedSpace:
         self.g = 2.0 * a / (1.0 + a)
         self.dim = int(a.size)
 
-    @property
-    def conj_permutation(self) -> np.ndarray:
-        """Matrix ``S`` with ``I x = S conj(x)``."""
-        S = np.zeros((self.dim, self.dim))
-        S[self.partner, np.arange(self.dim)] = 1.0
-        return S
-
     def conjugate(self, x) -> np.ndarray:
         """Apply the antilinear conjugation ``I`` to a vector."""
         x = np.asarray(x)
         return np.conj(x)[self.partner]
-
-    def real_fixed_basis(self) -> np.ndarray:
-        """Columns spanning the I-fixed real subspace (over the reals)."""
-        cols = []
-        seen = set()
-        for i in range(self.dim):
-            j = self.partner[i]
-            if i == j:
-                e = np.zeros(self.dim, dtype=complex)
-                e[i] = 1.0
-                cols.append(e)
-            elif i not in seen:
-                seen.update((i, j))
-                e = np.zeros(self.dim, dtype=complex)
-                e[i] = e[j] = 1.0 / np.sqrt(2.0)
-                cols.append(e)
-                f = np.zeros(self.dim, dtype=complex)
-                f[i] = 1j / np.sqrt(2.0)
-                f[j] = -1j / np.sqrt(2.0)
-                cols.append(f)
-        return np.stack(cols, axis=1)
-
-    def random_real_vector(self, rng) -> np.ndarray:
-        basis = self.real_fixed_basis()
-        return basis @ rng.standard_normal(basis.shape[1])
 
     def __repr__(self):
         return f"DeformedSpace(dim={self.dim}, a={self.a!r})"
@@ -162,10 +130,6 @@ def deformed_inner(space: DeformedSpace, x, y) -> complex:
     if x.shape != (space.dim,) or y.shape != (space.dim,):
         raise ValueError("vector dimension mismatch")
     return complex(np.sum(np.conj(x) * space.g * y))
-
-
-def deformed_norm(space: DeformedSpace, x) -> float:
-    return float(np.sqrt(max(deformed_inner(space, x, x).real, 0.0)))
 
 
 def deformed_op_norm(src: DeformedSpace, tgt: DeformedSpace, M) -> float:

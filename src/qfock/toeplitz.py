@@ -1,10 +1,11 @@
 """Length-graded machinery for the algebra generated by creation operators.
 
 Elements are realized as graded operators on the truncated Fock space:
-creation words, annihilation words, their mixed products, the circle-action
-conditional expectation (implemented as the exact block-diagonal projection),
-compressions to conjugation-invariant subspaces, and the quantitative norm
-comparisons between an element and its lowest nonvanishing corner.
+mixed creation/annihilation elements, the circle-action conditional
+expectation (implemented as the exact block-diagonal projection),
+compressions to conjugation-invariant subspaces (index restrictions), and the
+quantitative norm comparisons between an element and its lowest nonvanishing
+corner.
 """
 
 from __future__ import annotations
@@ -14,28 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockContext, GradedOperator, c_constant, first_quantization, r_star
+from .fock import FockContext, GradedOperator, c_constant, coordinate_index, r_star
 from .spaces import DeformedSpace
-
-
-def creation_word(ctx: FockContext, v_tensor, degree: int) -> GradedOperator:
-    """Linear extension of ``v_1 (x) ... (x) v_k -> a*_q(v_1)...a*_q(v_k)``."""
-    v = np.asarray(v_tensor, dtype=complex).reshape(ctx.block_size(degree), 1)
-    blocks = {}
-    for p in range(ctx.degree - degree + 1):
-        blocks[(p + degree, p)] = np.kron(v, np.eye(ctx.block_size(p)))
-    if degree == 0:
-        return v[0, 0] * GradedOperator.identity(ctx)
-    return GradedOperator(ctx, ctx, blocks)
-
-
-def annihilation_word(ctx: FockContext, w_tensor, degree: int) -> GradedOperator:
-    """Extension of ``w_1 (x) ... (x) w_m -> a_q(w_1)...a_q(w_m)`` (antilinear
-    in the tensor, i.e. linear on the conjugate space)."""
-    w = np.asarray(w_tensor, dtype=complex).reshape(ctx.block_size(degree))
-    if degree == 0:
-        return np.conj(w[0]) * GradedOperator.identity(ctx)
-    return ctx.mixed_word_operator(np.conj(w)[None, :], 0, degree)
 
 
 @dataclass
@@ -52,10 +33,6 @@ class LengthElement:
     n_annihilate: int
     coeff: np.ndarray = field(repr=False)
     op: GradedOperator = field(repr=False)
-
-    @property
-    def length(self) -> int:
-        return self.n_create + self.n_annihilate
 
     @property
     def balanced(self) -> bool:
@@ -96,7 +73,8 @@ def random_balanced(ctx: FockContext, rng, n: int) -> LengthElement:
 
 def degree_expectation(op: GradedOperator) -> GradedOperator:
     """Circle-action average: exact projection onto the degree-diagonal blocks."""
-    return op.diagonal_part()
+    return GradedOperator(op.ctx_out, op.ctx_in,
+                          {key: B for key, B in op.blocks.items() if key[0] == key[1]})
 
 
 def flip(ctx: FockContext, n: int) -> np.ndarray:
@@ -140,23 +118,18 @@ def subspace(space: DeformedSpace, indices) -> DeformedSpace:
     return DeformedSpace(space.a[indices], partner)
 
 
-def inclusion_of_subspace(space: DeformedSpace, indices) -> np.ndarray:
-    indices = sorted(set(int(i) for i in indices))
-    m = np.zeros((space.dim, len(indices)))
-    for col, i in enumerate(indices):
-        m[i, col] = 1.0
-    return m
-
-
 def compression(ctx_big: FockContext, ctx_small: FockContext, indices,
                 op: GradedOperator) -> GradedOperator:
     """Compress an operator to the Fock space over a basis-index subspace:
     ``F_q(iota*) x F_q(iota)``, a *-homomorphism on operators leaving the
-    small Fock space invariant."""
-    iota = inclusion_of_subspace(ctx_big.space, indices)
-    finc = first_quantization(ctx_small, ctx_big, iota)
-    fproj = first_quantization(ctx_big, ctx_small, iota.T)
-    return fproj @ op @ finc
+    small Fock space invariant.  ``F_q(iota)`` sends basis tensors to basis
+    tensors, so each block is restricted to the indices of
+    ``coordinate_index``."""
+    if ctx_big.degree != ctx_small.degree or ctx_big.q != ctx_small.q:
+        raise ValueError("contexts must share q and truncation degree")
+    index = [coordinate_index(ctx_big.dim, indices, n) for n in range(ctx_big.degree + 1)]
+    return GradedOperator(ctx_small, ctx_small, {(m, n): B[np.ix_(index[m], index[n])]
+                                                 for (m, n), B in op.blocks.items()})
 
 
 def finkernel_rank(ctx: FockContext, indices, max_length: int) -> dict:

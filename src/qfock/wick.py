@@ -14,19 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockContext, GradedOperator, GradedVector, _apply_r_star
-
-
-def crossing_number(i1, i2) -> int:
-    """Number of crossings ``sum_l (i_l - l)`` of a two-block partition."""
-    i1 = tuple(i1)
-    i2 = tuple(i2)
-    n = len(i1) + len(i2)
-    if sorted(i1 + i2) != list(range(1, n + 1)):
-        raise ValueError("blocks must partition {1..n}")
-    if list(i1) != sorted(i1) or list(i2) != sorted(i2):
-        raise ValueError("blocks must be increasing")
-    return sum(i - (l + 1) for l, i in enumerate(i1))
+from .fock import FockContext, GradedOperator, _apply_r_star
 
 
 @dataclass
@@ -89,11 +77,10 @@ def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:
 
 def vacuum_residual(ctx: FockContext, xi, degree: int) -> float:
     """q-norm of ``W(xi) Omega - xi``; only the word's blocks on the vacuum
-    degree are built."""
+    degree are built, and ``W(xi) Omega`` is the vacuum column of the
+    (n, 0) block."""
     word = wick_word(ctx, xi, degree, inputs=(0,))
-    image = word.op.apply(GradedVector.vacuum(ctx))
-    target = GradedVector.from_degree(ctx, word.degree, word.tensor)
-    return (image - target).norm()
+    return ctx.q_norm(word.op.block(degree, 0)[:, 0] - word.tensor, degree)
 
 
 def self_adjoint_residual(ctx: FockContext, word: WickWord) -> float:

@@ -419,3 +419,15 @@ def test_cached_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] += 1.0
     assert all(np.array_equal(arr, copy) for arr, copy in zip(arrays, before))
+
+
+def test_coordinate_index_matches_product_enumeration():
+    # oracle: the degree-n basis over the subspace, enumerated digit by digit
+    gen = np.random.default_rng(901)
+    for dim in (1, 3, 5):
+        for n in range(4):
+            for _ in range(3):
+                indices = gen.choice(dim, size=int(gen.integers(1, dim + 1)), replace=False)
+                expected = [sum(d * dim ** (n - 1 - pos) for pos, d in enumerate(digits))
+                            for digits in itertools.product(sorted(indices), repeat=n)]
+                assert np.array_equal(fock.coordinate_index(dim, indices, n), expected)

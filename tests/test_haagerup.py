@@ -152,7 +152,8 @@ def test_state_preservation_on_squared_field(rng):
     damped = sp.DeformedContraction(
         space, space, np.exp(-1.0) * haagerup.generate_admissible(space, 2).matrix)
     channel = quantize.QuantizationChannel(damped, ctx, ctx, comb_ctx)
-    h = space.random_real_vector(rng)
+    x = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    h = (x + space.conjugate(x)) / 2  # fixed by I
     word = wick.wick_word(ctx, h, 1)
     sq = word.op @ word.op
     emb = quantize.embed_wick(ctx, comb_ctx, word).op

@@ -111,7 +111,8 @@ def test_kadison_schwarz_margin_nonnegative(rng):
 def test_kadison_schwarz_on_squared_field(rng):
     # x = W(h) with h fixed by the conjugation; Phi(x*x) - Phi(x)*Phi(x) >= 0
     channel, ctx = build_channel("b2+t1", 0.5, 4, rng)
-    h = ctx.space.random_real_vector(rng)
+    x = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    h = (x + ctx.space.conjugate(x)) / 2  # fixed by I
     word = wick.wick_word(ctx, h, 1)
     margin = quantize.kadison_schwarz_margin(channel, [1.0], [word])
     assert margin >= -1e-10
@@ -235,3 +236,29 @@ def test_second_quantization_builds_combined_context(rng):
     channel = quantize.second_quantization(T, ctx, ctx)
     assert channel.comb_ctx.dim == 2
     assert channel.unitality_residual() < 1e-10
+
+
+def test_embed_tensor_is_the_leading_coordinate_scatter():
+    # oracle: scatter into the leading coordinates of every tensor factor
+    gen = np.random.default_rng(904)
+    src = make_ctx("b2+t1", 0.5, 3)
+    comb = FockContext(sp.direct_sum(src.space, src.space), 0.5, 3)
+    for n in range(src.degree + 1):
+        size = src.block_size(n)
+        xi = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+        expected = np.zeros((comb.dim,) * n, dtype=complex)
+        expected[np.ix_(*([range(src.dim)] * n))] = xi.reshape((src.dim,) * n)
+        assert np.array_equal(quantize.embed_tensor(src, comb, xi, n), expected.ravel())
+
+
+def test_image_tensor_is_the_tensor_power():
+    # oracle: the n-fold Kronecker power of the contraction, built by hand
+    gen = np.random.default_rng(905)
+    channel, ctx = build_channel("b2+t1", 0.5, 3, gen)
+    for n in range(ctx.degree + 1):
+        size = ctx.block_size(n)
+        word = wick.wick_word(ctx, gen.standard_normal(size) + 1j * gen.standard_normal(size), n)
+        power = np.eye(1, dtype=complex)
+        for _ in range(n):
+            power = np.kron(channel.matrix, power)
+        assert np.array_equal(channel.image_tensor(word), power @ word.tensor)

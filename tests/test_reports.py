@@ -219,3 +219,9 @@ def test_config_file_through_cli(tmp_path):
     assert res.returncode == 0
     payload = json.loads((tmp_path / "w.json").read_text())
     assert all(rec["params"]["q"] == 0.5 for rec in payload["reports"])
+
+
+def test_public_names_resolve():
+    import qfock
+    for name in qfock.__all__:
+        getattr(qfock, name)

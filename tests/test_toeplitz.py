@@ -3,7 +3,8 @@ import pytest
 
 from qfock import toeplitz
 from qfock import spaces as sp
-from qfock.fock import FockContext, GradedOperator, GradedVector, c_constant, r_star
+from qfock.fock import (FockContext, GradedOperator, GradedVector, annihilation, c_constant,
+                        creation, first_quantization, r_star)
 from conftest import Q_GRID, make_ctx
 
 
@@ -23,7 +24,7 @@ def test_monomial_matches_word_product(ctx_half, rng):
     v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     w = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     combined = toeplitz.monomial(ctx, [v], [w]).op
-    split = toeplitz.creation_word(ctx, v, 1) @ toeplitz.annihilation_word(ctx, w, 1)
+    split = creation(ctx, v) @ annihilation(ctx, w)
     assert combined.max_diff(split) < 1e-10
 
 
@@ -209,3 +210,29 @@ def test_majorisation_check_input_forms():
         toeplitz.majorisation_check(stacks, stacks, [stacks[0][:1], stacks[1]])
     with pytest.raises(ValueError, match="square matrix"):
         toeplitz.majorisation_check(A[:3], B[:3], A[:3])
+
+
+def test_compression_is_the_first_quantisation_sandwich():
+    # oracle: F_q(iota^T) x F_q(iota) with dense first quantisations of the
+    # 0/1 inclusion matrix
+    gen = np.random.default_rng(903)
+    ctx = make_ctx("b2+t1", 0.5, 4)
+    for indices in ([0, 1], [2], [2, 0, 1]):
+        small = FockContext(toeplitz.subspace(ctx.space, indices), ctx.q, ctx.degree)
+        iota = np.zeros((ctx.dim, small.dim))
+        iota[sorted(indices), np.arange(small.dim)] = 1.0
+        blocks = {}
+        for _ in range(6):
+            m, n = (int(d) for d in gen.integers(0, ctx.degree + 1, size=2))
+            shape = (ctx.block_size(m), ctx.block_size(n))
+            blocks[(m, n)] = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        op = GradedOperator(ctx, ctx, blocks)
+        fproj = first_quantization(ctx, small, iota.T)
+        expected = fproj @ op @ first_quantization(small, ctx, iota)
+        got = toeplitz.compression(ctx, small, indices, op)
+        assert set(got.blocks) == set(expected.blocks)
+        assert all(np.array_equal(got.blocks[key], expected.blocks[key]) for key in got.blocks)
+    sub = toeplitz.subspace(ctx.space, [0, 1])
+    for q, degree in ((ctx.q, ctx.degree - 1), (-ctx.q, ctx.degree)):
+        with pytest.raises(ValueError):
+            toeplitz.compression(ctx, FockContext(sub, q, degree), [0, 1], op)

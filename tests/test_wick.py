@@ -4,19 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock import wick
-from qfock.fock import GradedVector, annihilation, creation
+from qfock.fock import (GradedOperator, GradedVector, annihilation, creation,
+                        crossing_weighted_partitions)
 from conftest import Q_GRID, make_ctx
 
 
-def test_crossing_number_examples():
-    assert wick.crossing_number((1, 2), ()) == 0
-    assert wick.crossing_number((2,), (1,)) == 1
-    assert wick.crossing_number((1, 3), (2,)) == 1
-    assert wick.crossing_number((2, 3), (1,)) == 2
-    with pytest.raises(ValueError):
-        wick.crossing_number((1, 1), (2,))
-    with pytest.raises(ValueError):
-        wick.crossing_number((2, 1), (3,))
+def test_crossing_weighted_partitions_examples():
+    def crossings(i1, i2):
+        return {(a, b): c for a, b, c in crossing_weighted_partitions(
+            len(i1) + len(i2), len(i1))}[(i1, i2)]
+
+    assert crossings((1, 2), ()) == 0
+    assert crossings((2,), (1,)) == 1
+    assert crossings((1, 3), (2,)) == 1
+    assert crossings((2, 3), (1,)) == 2
 
 
 def test_degree_one_word_is_field_like(ctx_half, rng):
@@ -102,6 +103,24 @@ def test_vacuum_image_property(q, seed):
     size = ctx.block_size(n)
     xi = gen.standard_normal(size) + 1j * gen.standard_normal(size)
     assert wick.vacuum_residual(ctx, xi, n) < 1e-10
+
+
+def test_vacuum_column_and_expectation_match_the_vacuum_action():
+    # oracle: apply the operator to the vacuum vector and pair with q_inner
+    gen = np.random.default_rng(902)
+    ctx = make_ctx("b2+t1", 0.5, 4)
+    vac = GradedVector.vacuum(ctx)
+    for n in range(ctx.degree + 1):
+        size = ctx.block_size(n)
+        word = wick.wick_word(ctx, gen.standard_normal(size) + 1j * gen.standard_normal(size), n)
+        assert np.array_equal(word.op.block(n, 0)[:, 0], word.op.apply(vac).blocks[n])
+    for pairs in ([(0, 0), (0, 2), (3, 0), (2, 2)], [(1, 0), (0, 1)]):
+        op = GradedOperator(ctx, ctx, {
+            (m, p): gen.standard_normal((ctx.block_size(m), ctx.block_size(p)))
+            + 1j * gen.standard_normal((ctx.block_size(m), ctx.block_size(p)))
+            for m, p in pairs})
+        expected = ctx.q_inner(vac.blocks[0], op.apply(vac).blocks[0], 0)
+        assert op.vacuum_expectation() == expected
 
 
 def test_degree_zero_word_is_scalar(ctx_half):
