@@ -215,7 +215,7 @@ class FockContext:
 
     def block_norm(self, B, m: int, n: int) -> float:
         """Operator norm of a degree-n -> degree-m block w.r.t. the q-inner products."""
-        return float(np.linalg.norm(self.metric_sqrt(m) @ B @ self.metric_invsqrt(n), ord=2))
+        return float(np.linalg.norm(gauge_block(self, self, B, m, n), ord=2))
 
     # -- annihilation-word tensors ----------------------------------------------
 
@@ -312,6 +312,13 @@ class GradedVector:
         return float(np.sqrt(max(total, 0.0)))
 
 
+def gauge_block(ctx_out: FockContext, ctx_in: FockContext, B, m: int, n: int) -> np.ndarray:
+    """A degree-n -> degree-m block in coordinates orthonormal for the
+    q-inner products, ``metric_sqrt(m) @ B @ metric_invsqrt(n)``: its plain
+    spectral norm and eigenvalues are the q-geometric ones."""
+    return ctx_out.metric_sqrt(m) @ B @ ctx_in.metric_invsqrt(n)
+
+
 def _degree_slices(ctx: FockContext, degrees):
     """Place of each listed degree's block in the dense direct sum, and its size."""
     slices, start = {}, 0
@@ -319,6 +326,20 @@ def _degree_slices(ctx: FockContext, degrees):
         slices[n] = slice(start, start + ctx.block_size(n))
         start += ctx.block_size(n)
     return slices, start
+
+
+def _block_components(edges) -> list:
+    """Connected components of the bipartite graph on out and in degrees
+    whose edges are the (out, in) pairs ``edges``, as (out set, in set)."""
+    components = []
+    for m, n in edges:
+        outs, ins = {m}, {n}
+        for comp in [c for c in components if m in c[0] or n in c[1]]:
+            components.remove(comp)
+            outs |= comp[0]
+            ins |= comp[1]
+        components.append((outs, ins))
+    return components
 
 
 class GradedOperator:
@@ -393,28 +414,45 @@ class GradedOperator:
         """Full matrix over the direct sum of degree blocks.
 
         With ``gauge=True`` the matrix is conjugated by the metric square
-        roots, so plain spectral norms/eigenvalues refer to the q-inner
-        product geometry.  ``window`` keeps only the listed degrees, on both
-        sides and in increasing order; blocks outside it are ignored.
+        roots (``gauge_block``), so plain spectral norms/eigenvalues refer to
+        the q-inner product geometry.  ``window`` keeps only the listed
+        degrees, on both sides and in increasing order; blocks outside it are
+        ignored.
         """
         if window is None:
-            rows, n_rows = _degree_slices(self.ctx_out, range(self.ctx_out.degree + 1))
-            cols, n_cols = _degree_slices(self.ctx_in, range(self.ctx_in.degree + 1))
-        else:
-            rows, n_rows = _degree_slices(self.ctx_out, sorted(window))
-            cols, n_cols = _degree_slices(self.ctx_in, sorted(window))
+            return self._assemble(range(self.ctx_out.degree + 1),
+                                  range(self.ctx_in.degree + 1), gauge)
+        return self._assemble(sorted(window), sorted(window), gauge)
+
+    def _assemble(self, out_degrees, in_degrees, gauge: bool) -> np.ndarray:
+        """Matrix over the direct sums of the listed out and in degrees."""
+        rows, n_rows = _degree_slices(self.ctx_out, out_degrees)
+        cols, n_cols = _degree_slices(self.ctx_in, in_degrees)
         full = np.zeros((n_rows, n_cols), dtype=complex)
         for (m, n), B in self.blocks.items():
             if m not in rows or n not in cols:
                 continue
             if gauge:
-                B = self.ctx_out.metric_sqrt(m) @ B @ self.ctx_in.metric_invsqrt(n)
+                B = gauge_block(self.ctx_out, self.ctx_in, B, m, n)
             full[rows[m], cols[n]] = B
         return full
 
     def op_norm(self) -> float:
-        """Operator norm w.r.t. the q-inner products of the truncated spaces."""
-        return float(np.linalg.norm(self.to_dense(gauge=True), ord=2))
+        """Operator norm w.r.t. the q-inner products of the truncated spaces.
+
+        The out and in degrees are the nodes of a graph whose edges are the
+        non-zero blocks.  The operator is the direct sum of its restrictions
+        to the connected components, so its norm is the largest component
+        norm, each one SVD of the gauged blocks between the component's
+        degrees.  A degree-diagonal operator thus costs one SVD per block,
+        and the direct sum is assembled only when all blocks connect.
+        """
+        norm = 0.0
+        for out_degrees, in_degrees in _block_components(
+                [key for key, B in self.blocks.items() if B.any()]):
+            dense = self._assemble(sorted(out_degrees), sorted(in_degrees), gauge=True)
+            norm = max(norm, float(np.linalg.norm(dense, ord=2)))
+        return norm
 
     def max_diff(self, other: "GradedOperator") -> float:
         return (self - other).op_norm()

@@ -27,9 +27,9 @@ import numpy as np
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
 from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
-                   c_constant, coordinate_index, creation, factorization_residual,
+                   c_constant, coordinate_index, creation, factorization_residual, gauge_block,
                    hermitian_min_eig, id_embedding_norm, rstar_adjoint_residual,
-                   rstar_deformed_norm, rstar_free_norm)
+                   rstar_deformed_norm, rstar_free_norm, stack_norm)
 from .spaces import BlockSpectrum, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -447,9 +447,11 @@ def _expectation_residual(pt: _Point) -> float:
     res = max(res, toeplitz.degree_expectation(ident).max_diff(ident))  # unital
     psd = op.adjoint() @ op
     ex_psd = toeplitz.degree_expectation(psd)
-    scale = max(ex_psd.op_norm(), 1.0)
-    min_eig = hermitian_min_eig([ex_psd.to_dense(gauge=True, window=[n])[None]
-                                 for n in range(ctx.degree + 1)])
+    # degree-diagonal: each block is gauged once, for its norm and its
+    # spectrum; a degree without a block would add eigenvalue 0, clipped below
+    gauged = [gauge_block(ctx, ctx, B, m, n)[None] for (m, n), B in ex_psd.blocks.items()]
+    scale = max(stack_norm(gauged), 1.0)
+    min_eig = hermitian_min_eig(gauged)
     res = max(res, max(-min_eig, 0.0) / scale)  # positive, relative scale
     # vacuum-state compatible
     return max(res, abs(ex.vacuum_expectation() - op.vacuum_expectation()))

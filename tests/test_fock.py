@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import fock
+from qfock import fock, toeplitz
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedVector, annihilation, c_constant, creation, s_q
 from conftest import Q_GRID, SPECTRA, make_ctx
@@ -303,6 +303,73 @@ def test_gauged_dense_window_matches_block_norms(ctx_half):
     # degrees sit in increasing order: degree 0 first, degree 4 last
     assert np.array_equal(win[:1, :1], full[:1, :1])
     assert np.array_equal(win[-81:, -81:], full[-81:, -81:])
+
+
+def test_op_norm_by_components_matches_dense(ctx_half):
+    """``op_norm`` splits over the components of the block graph; the dense
+    oracle is the spectral norm of the whole gauged direct sum."""
+    ctx = ctx_half
+    rng = np.random.default_rng(47)
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def operator(*keys):
+        return fock.GradedOperator(ctx, ctx, {(m, n): gaussian(
+            (ctx.block_size(m), ctx.block_size(n))) for m, n in keys})
+
+    v = gaussian(ctx.dim)
+    # one component (1,1)-(1,2)-(2,2), whose norm no single block reaches
+    chain = operator((1, 1), (1, 2), (2, 2))
+    top_block = max(ctx.block_norm(B, m, n) for (m, n), B in chain.blocks.items())
+    assert chain.op_norm() > 1.01 * top_block
+    with_zero = fock.GradedOperator(ctx, ctx, {
+        (2, 2): gaussian((ctx.block_size(2),) * 2),
+        (2, 3): np.zeros((ctx.block_size(2), ctx.block_size(3)))})
+    ctx_small = make_ctx("t2", ctx.q, ctx.degree)
+    quantized = fock.first_quantization(ctx_small, ctx, gaussian((ctx.dim, ctx_small.dim)))
+    cases = {
+        "diagonal": operator((0, 0), (1, 1), (3, 3), (4, 4)),
+        "single shift": annihilation(ctx, v),
+        "two components": operator((0, 1), (1, 0)),
+        "chain": chain,
+        "zero block": with_zero,
+        "cross-context diagonal": quantized,
+        "cross-context chain": quantized + creation(ctx, v) @ quantized,
+    }
+    for name, op in cases.items():
+        dense = np.linalg.norm(op.to_dense(gauge=True), ord=2)
+        assert abs(op.op_norm() - dense) <= 1e-12 * dense, name
+    empty = fock.GradedOperator(ctx, ctx, {})
+    assert empty.op_norm() == 0.0 == np.linalg.norm(empty.to_dense(gauge=True), ord=2)
+
+
+def test_op_norm_never_assembles_the_direct_sum(monkeypatch):
+    """At N = 6 on b2+t1 the direct sum is 1093 wide; single-shift and
+    degree-diagonal norms run their SVDs on single blocks, at most 729 wide."""
+    ctx = make_ctx("b2+t1", 0.9, 6)
+    rng = np.random.default_rng(53)
+    widths = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        widths.append(max(np.shape(a)[-2:]))
+        return real_svd(a, *args, **kwargs)
+
+    # np.linalg.norm reads svd from the module that defines it
+    for module in {np.linalg, getattr(np.linalg, "_linalg", None) or np.linalg.linalg}:
+        monkeypatch.setattr(module, "svd", spy)
+    v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    assert creation(ctx, v).adjoint().max_diff(annihilation(ctx, v)) < 1e-8
+    blocks = {(n, n): rng.standard_normal((ctx.block_size(n),) * 2)
+              for n in range(ctx.degree + 1)}
+    blocks[(2, 5)] = rng.standard_normal((ctx.block_size(2), ctx.block_size(5)))
+    ex = toeplitz.degree_expectation(fock.GradedOperator(ctx, ctx, blocks))
+    assert toeplitz.degree_expectation(ex).max_diff(ex) == 0.0
+    ident = fock.GradedOperator.identity(ctx)
+    assert toeplitz.degree_expectation(ident).max_diff(ident) == 0.0
+    assert ex.op_norm() > 0.0
+    assert widths and max(widths) == ctx.block_size(ctx.degree)
 
 
 def test_ann_words_are_products_of_single_annihilations():
