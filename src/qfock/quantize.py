@@ -5,6 +5,10 @@ the Fock space over source (+) target, then conjugate by the first
 quantisation of (projection onto target) x (unitary dilation).  Its defining
 property, checked rather than assumed throughout, is Wick covariance:
 simple-tensor Wick words map to Wick words of the image tensors.
+
+The positivity margins use the intrinsic image instead: on the Wick algebra
+of one context, ``Gamma_q(T): W(xi) -> W(T^{(x)n} xi)`` needs neither the
+combined space nor the dilation.
 """
 
 from __future__ import annotations
@@ -149,17 +153,6 @@ def gns_residual(channel: QuantizationChannel, word: WickWord,
     return (vector - expected).norm()
 
 
-def _combination(src_ctx, comb_ctx, coeffs, words, window) -> GradedOperator:
-    """Embedded ``sum_i c_i W(xi_i)`` on the input degrees of ``window``."""
-    total = None
-    for c, w in zip(coeffs, words):
-        term = c * embed_wick(src_ctx, comb_ctx, w, inputs=window).op
-        total = term if total is None else total + term
-    if total is None:
-        raise ValueError("empty combination")
-    return total
-
-
 def _positivity_window(ctx: FockContext, words) -> range:
     """Degrees ``0..N-2 dmax`` on which ``x# x`` is exact for words of degree
     at most ``dmax``."""
@@ -167,56 +160,102 @@ def _positivity_window(ctx: FockContext, words) -> range:
     return range(max(ctx.degree - 2 * dmax, 0) + 1)
 
 
-def kadison_schwarz_margin(channel: QuantizationChannel, coeffs, words) -> float:
-    """Smallest eigenvalue of ``Phi(x# x) - Phi(x)# Phi(x)`` compressed to the
-    safe window, for ``x = sum_i c_i W(xi_i)``; nonnegative up to numerics."""
-    window = _positivity_window(channel.tgt_ctx, words)
-    # every block the window reads has input and output degree in it, so the
-    # embedded word is needed on those input degrees only
-    emb = _combination(channel.src_ctx, channel.comb_ctx, coeffs, words, window)
-    lhs = channel.conjugate(emb.adjoint() @ emb)
-    img = channel.conjugate(emb)
+def _on_inputs(op: GradedOperator, degrees) -> GradedOperator:
+    """The blocks of ``op`` whose input degree is in ``degrees``."""
+    return GradedOperator(op.ctx_out, op.ctx_in,
+                          {key: B for key, B in op.blocks.items() if key[1] in degrees})
+
+
+def _element(coeffs, words, degrees) -> GradedOperator:
+    """``x = sum_i c_i W(xi_i)`` on the input degrees ``degrees``."""
+    total = GradedOperator(words[0].ctx, words[0].ctx, {})
+    for c, w in zip(coeffs, words):
+        total = total + c * _on_inputs(w.op, degrees)
+    return total
+
+
+def _image(powers: GradedOperator, y: GradedOperator, window) -> GradedOperator:
+    """``Gamma_q(T) y`` on the input degrees of ``window``.
+
+    On the safe window an element of the Wick algebra is
+    ``y = sum_d W((y Omega)_d)``, so its image is
+    ``sum_d W(T^{(x)d} (y Omega)_d)``: ``(y Omega)_d`` is the vacuum column
+    of the ``(d, 0)`` block of ``y`` and ``T^{(x)d}`` the degree-d block of
+    ``powers``, the first quantisation of ``T``.  No dilation and no
+    combined space are involved."""
+    ctx = powers.ctx_out
+    total = GradedOperator(ctx, ctx, {})
+    for d in sorted(m for (m, p) in y.blocks if p == 0):
+        xi = powers.block(d, d) @ y.blocks[(d, 0)][:, 0]
+        total = total + wick_word(ctx, xi, d, inputs=window).op
+    return total
+
+
+def _span(ctx: FockContext, words) -> range:
+    """Input degrees ``0..2 dmax`` that ``x# x`` needs of ``x`` to have an
+    exact vacuum column, for words of degree at most ``dmax``."""
+    return range(min(2 * max(w.degree for w in words), ctx.degree) + 1)
+
+
+def kadison_schwarz_margin(ctx: FockContext, T, coeffs, words) -> float:
+    """Smallest eigenvalue of ``Gamma(x# x) - Gamma(x)# Gamma(x)`` compressed
+    to the safe window, for ``x = sum_i c_i W(xi_i)`` and ``Gamma`` the
+    intrinsic image ``Gamma_q(T)`` of a base-space matrix ``T`` on ``ctx``;
+    nonnegative up to numerics when ``T`` is a contraction with
+    ``J T I = T``."""
+    window = _positivity_window(ctx, words)
+    powers = first_quantization(ctx, ctx, T)
+    x = _element(coeffs, words, _span(ctx, words))
+    # the vacuum column of x# x, exact since x holds the inputs 0..2 dmax
+    lhs = _image(powers, x.adjoint() @ _on_inputs(x, (0,)), window)
+    img = _image(powers, x, window)
     rhs = img.adjoint() @ img
     return hermitian_min_eig([(lhs - rhs).to_dense(gauge=True, window=window)[None]])
 
 
-def two_positivity_margin(channel: QuantizationChannel, samples) -> float:
-    """Min eigenvalue of the entrywise channel image of a PSD 2x2 operator
-    matrix ``X# X`` with Wick-word entries, compressed to the safe window."""
-    window = _positivity_window(channel.tgt_ctx, [w for row in samples for (_, w) in row])
-    embedded = [[_combination(channel.src_ctx, channel.comb_ctx, [c], [w], window)
-                 for (c, w) in row] for row in samples]
-    adjoints = [[x.adjoint() for x in row] for row in embedded]
-    # Y = X# X as a 2x2 operator matrix over the combined space
-    images = {}
-    for i in range(2):
-        for j in range(2):
-            y = None
-            for r in range(2):
-                term = adjoints[r][i] @ embedded[r][j]
-                y = term if y is None else y + term
-            images[(i, j)] = channel.conjugate(y)
+def two_positivity_margin(ctx: FockContext, T, samples) -> float:
+    """Min eigenvalue of the entrywise image ``Gamma_q(T)`` of a PSD 2x2
+    operator matrix ``X# X`` with Wick-word entries, compressed to the safe
+    window."""
+    words = [w for row in samples for (_, w) in row]
+    window = _positivity_window(ctx, words)
+    span = _span(ctx, words)
+    powers = first_quantization(ctx, ctx, T)
+    entries = [[_element([c], [w], span) for (c, w) in row] for row in samples]
+    adjoints = [[x.adjoint() for x in row] for row in entries]
+    columns = [[_on_inputs(x, (0,)) for x in row] for row in entries]
+    # (X# X)_{ij} = sum_r X_{ri}# X_{rj}, needed on its vacuum column only
+    images = [[_image(powers, adjoints[0][i] @ columns[0][j]
+                      + adjoints[1][i] @ columns[1][j], window)
+               for j in range(2)] for i in range(2)]
     return hermitian_min_eig([np.block(
-        [[images[(i, j)].to_dense(gauge=True, window=window) for j in range(2)]
+        [[images[i][j].to_dense(gauge=True, window=window) for j in range(2)]
          for i in range(2)])[None]])
 
 
-def positivity_probe(channel: QuantizationChannel, rng, n_samples: int) -> dict:
-    """Random sweep of Kadison-Schwarz and 2-positivity margins on
-    combinations of two Wick words of degree at most 1."""
+def positivity_probe(contraction: DeformedContraction, ctx: FockContext, rng,
+                     n_samples: int) -> dict:
+    """Random sweep of the Kadison-Schwarz and 2-positivity margins of
+    ``Gamma_q(T)`` on ``ctx``, on combinations of two Wick words of degree at
+    most 1."""
     if n_samples < 1:
         raise ValueError("sample budget must be >= 1")
-    src = channel.src_ctx
+    if contraction.iti_residual() > ITI_TOL:
+        raise ValueError("contraction does not satisfy J T I = T; "
+                         "second quantisation is undefined")
+    if contraction.source is not ctx.space or contraction.target is not ctx.space:
+        raise ValueError("context does not match the contraction's spaces")
+    T = contraction.matrix
     ks_margins, two_pos_margins = [], []
     for s in range(n_samples):
-        coeffs, words = _random_words(src, rng)
-        ks_margins.append(kadison_schwarz_margin(channel, coeffs, words))
+        coeffs, words = _random_words(ctx, rng)
+        ks_margins.append(kadison_schwarz_margin(ctx, T, coeffs, words))
         if s % 4 == 0:
             rows = []
             for _ in range(2):
-                cs, ws = _random_words(src, rng)
+                cs, ws = _random_words(ctx, rng)
                 rows.append(list(zip(cs, ws)))
-            two_pos_margins.append(two_positivity_margin(channel, rows))
+            two_pos_margins.append(two_positivity_margin(ctx, T, rows))
     return {
         "samples": n_samples,
         "kadison_schwarz_min": min(ks_margins),
@@ -225,12 +264,13 @@ def positivity_probe(channel: QuantizationChannel, rng, n_samples: int) -> dict:
 
 
 def _random_words(ctx: FockContext, rng):
-    """Two random Wick words of degree 0 or 1 and their coefficients."""
+    """Two random Wick words of degree 0 or 1 and their coefficients, built
+    on the input degrees ``0..2``: all that the margins read of them."""
     coeffs, words = [], []
     for _ in range(2):
         deg = int(rng.integers(0, 2))
         size = ctx.block_size(deg)
         xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         coeffs.append(complex(rng.standard_normal() + 1j * rng.standard_normal()))
-        words.append(wick_word(ctx, xi, deg))
+        words.append(wick_word(ctx, xi, deg, inputs=range(min(2, ctx.degree) + 1)))
     return coeffs, words

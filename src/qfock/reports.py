@@ -213,12 +213,17 @@ class _Point:
         return channel_degree(2 * self.space.dim, self.config.degree)
 
     @cached_property
-    def channel_ctxs(self):
-        """(src_ctx, comb_ctx) pair at the channel truncation degree; the
-        source is the main context when the degrees agree."""
+    def channel_ctx(self) -> FockContext:
+        """Source context at the channel truncation degree: the main context
+        when the degrees agree."""
         n_ch = self.channel_degree
-        src = self.ctx if n_ch == self.config.degree else FockContext(self.space, self.q, n_ch)
-        return src, FockContext(sp.direct_sum(self.space, self.space), self.q, n_ch)
+        return self.ctx if n_ch == self.config.degree else FockContext(self.space, self.q, n_ch)
+
+    @cached_property
+    def channel_ctxs(self):
+        """(src_ctx, comb_ctx) pair at the channel truncation degree."""
+        return self.channel_ctx, FockContext(sp.direct_sum(self.space, self.space), self.q,
+                                             self.channel_degree)
 
     @cached_property
     def subspace_ctx(self) -> FockContext:
@@ -377,17 +382,16 @@ def _functoriality(pt: _Point) -> float:
 
 
 def _positivity(pt: _Point):
-    """Negated Kadison-Schwarz and 2-positivity minima over random channels."""
+    """Negated Kadison-Schwarz and 2-positivity minima of ``Gamma_q(T)`` over
+    random contractions, on the source context at the channel degree."""
     space, rng = pt.space, pt.rng
-    src_ctx, comb_ctx = pt.channel_ctxs
     n_samples = pt.config.samples["kadison_schwarz"]
     n_channels = max(1, n_samples // 20)
     per_channel = max(1, n_samples // n_channels)
     ks_min, tp_min = np.inf, np.inf
     for _ in range(n_channels):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
-        channel = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
-        probe = quantize.positivity_probe(channel, rng, per_channel)
+        probe = quantize.positivity_probe(T, pt.channel_ctx, rng, per_channel)
         ks_min = min(ks_min, probe["kadison_schwarz_min"])
         tp_min = min(tp_min, probe["two_positivity_min"])
     return -float(ks_min), -float(tp_min)
@@ -668,21 +672,20 @@ def _bound(rule, tol: dict, q: float) -> float:
     return tol[rule] if isinstance(rule, str) else rule
 
 
-def run_suite(config: SweepConfig, suite: str = "all") -> list:
+def run_suite(config: SweepConfig, suite="all") -> list:
     """Execute the selected suites over the configured grid.
 
-    The grid is walked once, point by point; every selected suite runs its
-    table at the point with its own generator, so the point's contexts are
-    shared by the suites and freed when the point is done.  Records are
-    returned suite by suite, each suite in grid order.  A row that reports
-    several checks gives each of them the row's wall time."""
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; expected one of "
-                         f"{', '.join(SUITES)} or 'all'")
+    ``suite`` is one suite name, a tuple of distinct names, or ``"all"`` for
+    ``SUITES``.  The grid is walked once, point by point; every selected
+    suite runs its table at the point with its own generator, so the point's
+    contexts are shared by the suites and freed when the point is done.
+    Records are returned suite by suite, in the order named, each suite in
+    grid order.  A row that reports several checks gives each of them the
+    row's wall time."""
+    names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
+    if not names or len(set(names)) != len(names) or any(n not in SUITES for n in names):
+        raise ValueError(f"unknown suite selection {suite!r}; expected one of "
+                         f"{', '.join(SUITES)}, a tuple of distinct ones, or 'all'")
     out = {name: [] for name in names}
     for gi, (spectrum, q) in enumerate(itertools.product(config.spectra, config.q_values)):
         pt = _Point(config, spectrum, q)

@@ -25,6 +25,8 @@ def test_rejects_non_jti_contraction(rng):
     T = sp.DeformedContraction(space, space, 0.5j * np.eye(2))
     with pytest.raises(ValueError):
         quantize.QuantizationChannel(T, ctx, ctx, comb_ctx)
+    with pytest.raises(ValueError, match="J T I = T"):
+        quantize.positivity_probe(T, ctx, rng, 1)
 
 
 def test_identity_contraction_acts_trivially(rng):
@@ -102,19 +104,21 @@ def test_functoriality(rng):
 
 def test_kadison_schwarz_margin_nonnegative(rng):
     for q in (-0.5, 0.3):
-        channel, ctx = build_channel("t2", q, 4, rng)
-        probe = quantize.positivity_probe(channel, rng, 20)
+        ctx = make_ctx("t2", q, 4)
+        T = sp.random_jti_contraction(rng, ctx.space, ctx.space, norm=0.7)
+        probe = quantize.positivity_probe(T, ctx, rng, 20)
         assert probe["kadison_schwarz_min"] >= -1e-8
         assert probe["two_positivity_min"] >= -1e-8
 
 
 def test_kadison_schwarz_on_squared_field(rng):
-    # x = W(h) with h fixed by the conjugation; Phi(x*x) - Phi(x)*Phi(x) >= 0
-    channel, ctx = build_channel("b2+t1", 0.5, 4, rng)
+    # x = W(h) with h fixed by the conjugation; G(x*x) - G(x)*G(x) >= 0
+    ctx = make_ctx("b2+t1", 0.5, 4)
+    T = sp.random_jti_contraction(rng, ctx.space, ctx.space, norm=0.7)
     x = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     h = (x + ctx.space.conjugate(x)) / 2  # fixed by I
     word = wick.wick_word(ctx, h, 1)
-    margin = quantize.kadison_schwarz_margin(channel, [1.0], [word])
+    margin = quantize.kadison_schwarz_margin(ctx, T.matrix, [1.0], [word])
     assert margin >= -1e-10
 
 
@@ -154,24 +158,34 @@ def _hermitian_min_eig(dense):
     return float(np.linalg.eigvalsh((dense + np.conj(dense).T) / 2.0)[0])
 
 
-def _full_embedding(channel, coeffs, words):
+def _dilation_route(ctx, matrix):
+    """(combined context, conjugation by ``F_q(P U)``) of the dilation of any
+    contraction matrix on ``ctx``'s space, without the ``J T I = T`` guard."""
+    space = ctx.space
+    comb_ctx = FockContext(sp.direct_sum(space, space), ctx.q, ctx.degree)
+    U = sp.dilate(sp.DeformedContraction(space, space, matrix))
+    return comb_ctx, quantize.conjugation_channel(comb_ctx, ctx,
+                                                  sp.projection_matrix(space, space) @ U)
+
+
+def _full_embedding(ctx, comb_ctx, coeffs, words):
     total = None
     for c, w in zip(coeffs, words):
-        term = c * quantize.embed_wick(channel.src_ctx, channel.comb_ctx, w).op
+        term = c * quantize.embed_wick(ctx, comb_ctx, w).op
         total = term if total is None else total + term
     return total
 
 
-def _full_route_ks(channel, coeffs, words, window):
-    emb = _full_embedding(channel, coeffs, words)
-    lhs = channel.conjugate(emb.adjoint() @ emb)
-    img = channel.conjugate(emb)
+def _full_route_ks(ctx, comb_ctx, conjugate, coeffs, words, window):
+    emb = _full_embedding(ctx, comb_ctx, coeffs, words)
+    lhs = conjugate(emb.adjoint() @ emb)
+    img = conjugate(emb)
     rhs = img.adjoint() @ img
     return _hermitian_min_eig((lhs - rhs).to_dense(gauge=True, window=window))
 
 
-def _full_route_two_positivity(channel, rows, window):
-    embedded = [[_full_embedding(channel, [c], [w]) for (c, w) in row] for row in rows]
+def _full_route_two_positivity(ctx, comb_ctx, conjugate, rows, window):
+    embedded = [[_full_embedding(ctx, comb_ctx, [c], [w]) for (c, w) in row] for row in rows]
     images = {}
     for i in range(2):
         for j in range(2):
@@ -179,29 +193,70 @@ def _full_route_two_positivity(channel, rows, window):
             for r in range(2):
                 term = embedded[r][i].adjoint() @ embedded[r][j]
                 y = term if y is None else y + term
-            images[(i, j)] = channel.conjugate(y)
+            images[(i, j)] = conjugate(y)
     return _hermitian_min_eig(np.block(
         [[images[(i, j)].to_dense(gauge=True, window=window) for j in range(2)]
          for i in range(2)]))
 
 
-def test_positivity_margins_equal_the_full_route():
-    # the margins build only the window's input degrees; the full route
-    # builds every block and drops the rest in to_dense
+def _window(ctx, degrees):
+    return range(max(ctx.degree - 2 * max(degrees), 0) + 1)
+
+
+def test_intrinsic_margins_match_the_dilation_oracle():
+    # on a J T I = T contraction the dilation channel on the embedded Wick
+    # algebra is Gamma_q(T), so the two routes agree
     rng = np.random.default_rng(53)
     for spectrum in ("t2", "b2+t1"):
         for q in (0.5, -0.9):
             channel, ctx = build_channel(spectrum, q, 3, rng)
+            oracle = (ctx, channel.comb_ctx, channel.conjugate)
             for degrees in ((1, 0), (0, 0), (1, 1)):
                 words = [_gaussian_word(ctx, rng, n) for n in degrees]
                 coeffs = [complex(rng.standard_normal(), rng.standard_normal())
                           for _ in words]
-                window = range(max(ctx.degree - 2 * max(degrees), 0) + 1)
-                assert quantize.kadison_schwarz_margin(channel, coeffs, words) \
-                    == _full_route_ks(channel, coeffs, words, window)
+                window = _window(ctx, degrees)
+                assert abs(quantize.kadison_schwarz_margin(ctx, channel.matrix, coeffs, words)
+                           - _full_route_ks(*oracle, coeffs, words, window)) <= 1e-10
                 rows = [list(zip(coeffs, words)), list(zip(coeffs[::-1], words))]
-                assert quantize.two_positivity_margin(channel, rows) \
-                    == _full_route_two_positivity(channel, rows, window)
+                assert abs(quantize.two_positivity_margin(ctx, channel.matrix, rows)
+                           - _full_route_two_positivity(*oracle, rows, window)) <= 1e-10
+
+
+def _top_singular_vector(space, M):
+    """Unit vector, in the deformed norm, that ``M`` stretches most."""
+    root_g = np.sqrt(space.g)
+    _, _, vh = np.linalg.svd(root_g[:, None] * M / root_g[None, :])
+    return np.conj(vh[0]) / root_g
+
+
+@pytest.mark.parametrize("spectrum", ("t2", "b2", "b2+t1"))
+def test_intrinsic_kadison_schwarz_margin_has_teeth(spectrum):
+    gen = np.random.default_rng(54)
+    ctx = make_ctx(spectrum, 0.5, 4)
+    space = ctx.space
+    one = wick.wick_word(ctx, np.ones(1), 0)
+
+    # a plain contraction on x = 10 + W(e), e = I v for v the top singular
+    # vector of J T I - T: the part of the margin linear in the scalar is
+    # 10 W((T - J T I) v), which nothing else cancels.  The dilation route
+    # cannot see it, since F# F <= 1 for every contraction P U.
+    plain = sp.random_contraction(gen, space, space, norm=0.7)
+    residual = sp.jti_map(space, space, plain.matrix) - plain.matrix
+    e = space.conjugate(_top_singular_vector(space, residual))
+    coeffs, words = [10.0, 1.0], [one, wick.wick_word(ctx, e, 1)]
+    assert quantize.kadison_schwarz_margin(ctx, plain.matrix, coeffs, words) < -1e-8
+    assert _full_route_ks(ctx, *_dilation_route(ctx, plain.matrix), coeffs, words,
+                          _window(ctx, (0, 1))) >= -1e-8
+
+    # a J T I = T map of norm 1.2 on x = W(e), e its top singular vector: the
+    # vacuum entry of the margin is ||e||^2 - ||T e||^2 = 1 - 1.44
+    M = gen.standard_normal((ctx.dim, ctx.dim)) + 1j * gen.standard_normal((ctx.dim, ctx.dim))
+    M = (M + sp.jti_map(space, space, M)) / 2.0
+    M *= 1.2 / sp.deformed_op_norm(space, space, M)
+    assert sp.iti_residual(space, space, M) < quantize.ITI_TOL
+    word = wick.wick_word(ctx, _top_singular_vector(space, M), 1)
+    assert quantize.kadison_schwarz_margin(ctx, M, [1.0], [word]) < -1e-8
 
 
 def test_conjugation_channel_projection_monomials(rng):

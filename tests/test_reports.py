@@ -105,13 +105,16 @@ def test_all_suites_equal_single_suite_runs():
     def records(reps):
         return [(r.check, r.params, r.residual, r.bound, r.passed) for r in reps]
 
-    concatenated = [rec for suite in reports.SUITES for rec in records(run_suite(cfg, suite))]
-    assert records(run_suite(cfg, "all")) == concatenated
+    singles = {suite: records(run_suite(cfg, suite)) for suite in reports.SUITES}
+    for selection in ("all", ("quantization", "symmetrizer"), ("toeplitz",)):
+        names = reports.SUITES if selection == "all" else selection
+        assert records(run_suite(cfg, selection)) == [rec for s in names for rec in singles[s]]
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(ValueError):
-        run_suite(small_config(), "nope")
+    for selection in ("nope", ("wick", "nope"), ("wick", "wick"), (), ("all",)):
+        with pytest.raises(ValueError):
+            run_suite(small_config(), selection)
 
 
 def test_render_round_trip(tmp_path):
@@ -225,3 +228,38 @@ def test_public_names_resolve():
     import qfock
     for name in qfock.__all__:
         getattr(qfock, name)
+
+
+def test_benchmark_layer_names_resolve():
+    # a per-layer metric is <module>.<name>.<field>, named as the benchmark's
+    # trace names spans: a public function, a class (its constructor), a
+    # public method, or Class.method where two share a name; `matmul` is `@`.
+    # Two-part names (reports.<suite>_s, trace.*) are the harness's own.
+    import inspect
+    from pathlib import Path
+
+    import qfock
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+
+    def resolves(module, name):
+        if "." in name:
+            cls_name, attr = name.split(".")
+            return inspect.isclass(getattr(module, cls_name, None)) \
+                and inspect.isfunction(getattr(getattr(module, cls_name), attr, None))
+        if name.startswith("_"):
+            return False
+        obj = getattr(module, name, None)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            return True
+        attr = "__matmul__" if name == "matmul" else name
+        return any(inspect.isfunction(vars(cls).get(attr))
+                   for cls in vars(module).values()
+                   if inspect.isclass(cls) and cls.__module__ == module.__name__)
+
+    layers = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+              if m["name"].count(".") == 2}
+    assert layers
+    unresolved = sorted(layer for layer in layers
+                        if not resolves(getattr(qfock, layer.split(".")[0]),
+                                        layer.split(".", 1)[1]))
+    assert unresolved == []
