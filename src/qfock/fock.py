@@ -25,28 +25,43 @@ import warnings
 
 import numpy as np
 
-from .spaces import DeformedSpace
+from .spaces import DeformedSpace, _spectral_norm
+
+# c_constant by q, and the partition orders of R*_{n,k} by (n + k, n): plain
+# numbers and index tuples, so no cache here holds a context or an array
+_C_CONSTANT = {}
+_R_STAR_ORDERS = {}
 
 
 def c_constant(q: float) -> float:
     """The norm-equivalence constant ``prod_k (1-|q|^k)^{-1}``.
 
     Partial products are accumulated until the multiplicative increment
-    falls below 1e-14.
+    falls below 1e-14.  Memoised per q.
     """
     if not -1.0 < q < 1.0:
         raise ValueError("|q| must be < 1")
-    aq = abs(q)
-    if aq == 0.0:
-        return 1.0
-    prod = 1.0
-    k = 1
-    while True:
-        factor = 1.0 / (1.0 - aq ** k)
-        prod *= factor
-        if factor - 1.0 < 1e-14:
-            return prod
-        k += 1
+    if q not in _C_CONSTANT:
+        aq = abs(q)
+        prod = 1.0
+        k = 1
+        while aq != 0.0:
+            factor = 1.0 / (1.0 - aq ** k)
+            prod *= factor
+            if factor - 1.0 < 1e-14:
+                break
+            k += 1
+        _C_CONSTANT[q] = prod
+    return _C_CONSTANT[q]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 1-D or two 2-D arrays: the same broadcast product
+    and reshape, without its generic axis handling."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(a.size * b.size)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 class FockContext:
@@ -73,7 +88,7 @@ class FockContext:
         self._gt = {0: np.ones(1)}
         self._sym = {0: np.eye(1)}
         for n in range(1, degree + 1):
-            self._gt[n] = np.kron(self._gt[n - 1], space.g)
+            self._gt[n] = _kron(self._gt[n - 1], space.g)
             # (1 (x) P_{n-1}) R*_{1,n-1}: P_{n-1} acts on all but the first factor
             size = self.dim ** n
             rstar = _apply_r_star(self.q, self.dim, 1, n - 1, np.eye(size))
@@ -88,6 +103,7 @@ class FockContext:
         self._type_index = {}
         self._rstar = {}
         self._ann = {}
+        self._index_maps = {}
 
     # -- cached accessors ------------------------------------------------------
 
@@ -215,7 +231,7 @@ class FockContext:
 
     def block_norm(self, B, m: int, n: int) -> float:
         """Operator norm of a degree-n -> degree-m block w.r.t. the q-inner products."""
-        return float(np.linalg.norm(gauge_block(self, self, B, m, n), ord=2))
+        return _spectral_norm(gauge_block(self, self, B, m, n))
 
     # -- annihilation-word tensors ----------------------------------------------
 
@@ -240,14 +256,24 @@ class FockContext:
             self._ann[key] = words
         return self._ann[key]
 
+    def _index_map(self, name: str, m: int, build) -> np.ndarray:
+        """The degree-m index map ``build(index)`` of the array of flat
+        indices in tensor shape, read-only and cached per (name, m)."""
+        key = (name, m)
+        if key not in self._index_maps:
+            flat = build(np.arange(self.dim ** m).reshape((self.dim,) * m)).ravel()
+            flat.flags.writeable = False
+            self._index_maps[key] = flat
+        return self._index_maps[key]
+
     def _reverse_map(self, m: int) -> np.ndarray:
         """Flat index map reversing the order of the m tensor factors."""
-        return np.arange(self.dim ** m).reshape((self.dim,) * m).transpose().ravel()
+        return self._index_map("reverse", m, np.transpose)
 
     def partner_map(self, m: int) -> np.ndarray:
         """Flat index map of the conjugation's basis permutation on degree m."""
-        index = np.arange(self.dim ** m).reshape((self.dim,) * m)
-        return index[np.ix_(*[self.space.partner] * m)].ravel()
+        return self._index_map("partner", m,
+                               lambda index: index[np.ix_(*[self.space.partner] * m)])
 
     def mixed_word_block(self, Z, k: int, m: int, p: int) -> np.ndarray:
         """Block (degree p -> degree p-m+k) of ``sum_{s,t} Z[s,t] a*_q(e_s) a_q(e_t)``
@@ -357,6 +383,17 @@ class GradedOperator:
             self.blocks[(m, n)] = B
 
     @classmethod
+    def _trusted(cls, ctx_out: FockContext, ctx_in: FockContext, blocks) -> "GradedOperator":
+        """An operator on blocks that are already complex arrays of the right
+        shapes: the results of ``@``, ``+``, scalar ``*`` and ``adjoint``,
+        built from operators that hold only such blocks."""
+        op = cls.__new__(cls)
+        op.ctx_out = ctx_out
+        op.ctx_in = ctx_in
+        op.blocks = blocks
+        return op
+
+    @classmethod
     def identity(cls, ctx: FockContext) -> "GradedOperator":
         return cls(ctx, ctx, {(n, n): np.eye(ctx.block_size(n)) for n in range(ctx.degree + 1)})
 
@@ -376,27 +413,30 @@ class GradedOperator:
                 key = (m, n)
                 C = A @ B
                 blocks[key] = blocks[key] + C if key in blocks else C
-        return GradedOperator(self.ctx_out, other.ctx_in, blocks)
+        return GradedOperator._trusted(self.ctx_out, other.ctx_in, blocks)
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
+        if other.ctx_out.dim != self.ctx_out.dim or other.ctx_in.dim != self.ctx_in.dim:
+            raise ValueError("base dimension mismatch in operator sum")
         blocks = dict(self.blocks)
         for key, B in other.blocks.items():
             blocks[key] = blocks[key] + B if key in blocks else B
-        return GradedOperator(self.ctx_out, self.ctx_in, blocks)
+        return GradedOperator._trusted(self.ctx_out, self.ctx_in, blocks)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "GradedOperator":
-        return GradedOperator(self.ctx_out, self.ctx_in,
-                              {key: scalar * B for key, B in self.blocks.items()})
+        scalar = complex(scalar)  # a complex128 product, as numpy casts it anyway
+        return GradedOperator._trusted(self.ctx_out, self.ctx_in,
+                                       {key: scalar * B for key, B in self.blocks.items()})
 
     def adjoint(self) -> "GradedOperator":
         """Adjoint w.r.t. the q-inner products of both contexts."""
         blocks = {}
         for (m, n), B in self.blocks.items():
             blocks[(n, m)] = self.ctx_in.metric_inv(n) @ np.conj(B).T @ self.ctx_out.metric(m)
-        return GradedOperator(self.ctx_in, self.ctx_out, blocks)
+        return GradedOperator._trusted(self.ctx_in, self.ctx_out, blocks)
 
     def apply(self, vec: GradedVector) -> GradedVector:
         out = [np.zeros(self.ctx_out.block_size(n), dtype=complex)
@@ -451,7 +491,7 @@ class GradedOperator:
         for out_degrees, in_degrees in _block_components(
                 [key for key, B in self.blocks.items() if B.any()]):
             dense = self._assemble(sorted(out_degrees), sorted(in_degrees), gauge=True)
-            norm = max(norm, float(np.linalg.norm(dense, ord=2)))
+            norm = max(norm, _spectral_norm(dense))
         return norm
 
     def max_diff(self, other: "GradedOperator") -> float:
@@ -460,11 +500,13 @@ class GradedOperator:
 
 def blockwise_gap(ctx: FockContext, A: GradedOperator, B: GradedOperator, inputs) -> float:
     """Largest q-norm of the block gaps ``A_{m,p} - B_{m,p}`` over the input
-    degrees ``inputs`` and every output degree of ``ctx``."""
+    degrees ``inputs`` and every output degree of ``ctx``.  A pair where
+    neither operator has a block has gap exactly 0 and is skipped."""
     res = 0.0
     for p in inputs:
         for m in range(ctx.degree + 1):
-            res = max(res, ctx.block_norm(A.block(m, p) - B.block(m, p), m, p))
+            if (m, p) in A.blocks or (m, p) in B.blocks:
+                res = max(res, ctx.block_norm(A.block(m, p) - B.block(m, p), m, p))
     return res
 
 
@@ -476,7 +518,7 @@ def creation(ctx: FockContext, v) -> GradedOperator:
     v = np.asarray(v, dtype=complex).reshape(ctx.dim)
     blocks = {}
     for n in range(ctx.degree):
-        blocks[(n + 1, n)] = np.kron(v[:, None], np.eye(ctx.block_size(n)))
+        blocks[(n + 1, n)] = _kron(v[:, None], np.eye(ctx.block_size(n)))
     return GradedOperator(ctx, ctx, blocks)
 
 
@@ -506,7 +548,7 @@ def first_quantization(ctx_src: FockContext, ctx_tgt: FockContext, T) -> GradedO
     blocks = {(0, 0): np.eye(1, dtype=complex)}
     power = np.eye(1, dtype=complex)
     for n in range(1, ctx_src.degree + 1):
-        power = np.kron(T, power)
+        power = _kron(T, power)
         blocks[(n, n)] = power
     return GradedOperator(ctx_tgt, ctx_src, blocks)
 
@@ -535,18 +577,30 @@ def crossing_weighted_partitions(n: int, k: int):
         yield i1, i2, cross
 
 
+def _r_star_orders(total: int, n: int) -> tuple:
+    """(axis order, crossings) of each partition of ``total`` tensor positions
+    into the first n and the rest, in ``crossing_weighted_partitions`` order;
+    cached per (total, n)."""
+    key = (total, n)
+    if key not in _R_STAR_ORDERS:
+        _R_STAR_ORDERS[key] = tuple(
+            (tuple(p - 1 for p in i1) + tuple(p - 1 for p in i2), cross)
+            for i1, i2, cross in crossing_weighted_partitions(total, n))
+    return _R_STAR_ORDERS[key]
+
+
 def _apply_r_star(q: float, dim: int, n: int, k: int, x) -> np.ndarray:
     """``R*_{n,k}`` applied to ``x`` of shape (dim**(n+k), ...): the sum over
     the partitions (I1, I2) of q**crossings times ``x`` with the tensor
     factors at the positions I1 moved in front of those at I2."""
     total = n + k
-    x_nd = np.asarray(x).reshape((dim,) * total + np.shape(x)[1:])
+    x = np.asarray(x)
+    x_nd = x.reshape((dim,) * total + x.shape[1:])
     rest = tuple(range(total, x_nd.ndim))
     out = np.zeros(x_nd.shape, dtype=np.result_type(x_nd, q))
-    for i1, i2, cross in crossing_weighted_partitions(total, n):
-        order = tuple(p - 1 for p in i1) + tuple(p - 1 for p in i2) + rest
-        out += q ** cross * x_nd.transpose(order)
-    return out.reshape(np.shape(x))
+    for order, cross in _r_star_orders(total, n):
+        out += q ** cross * x_nd.transpose(order + rest)
+    return out.reshape(x.shape)
 
 
 def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
@@ -574,7 +628,7 @@ def factorization_residual(ctx: FockContext, n: int, k: int) -> float:
     """Spectral-norm residual of ``P_q^(n+k) = (P_q^(n) (x) P_q^(k)) R*``."""
     total = n + k
     groups = zip(ctx.type_stacks(total, ctx.sym(total)),
-                 ctx.type_stacks(total, np.kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
+                 ctx.type_stacks(total, _kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
     return stack_norm([lhs - pair @ rstar for lhs, pair, rstar in groups])
 
 
@@ -589,13 +643,13 @@ def id_embedding_norm(ctx: FockContext, n: int, k: int) -> float:
     degree n+k."""
     total = n + k
     groups = zip(ctx.type_stacks(total, ctx.metric_sqrt(total)),
-                 ctx.type_stacks(total, np.kron(ctx.metric_invsqrt(n), ctx.metric_invsqrt(k))))
+                 ctx.type_stacks(total, _kron(ctx.metric_invsqrt(n), ctx.metric_invsqrt(k))))
     return stack_norm([sqrt @ pair_invsqrt for sqrt, pair_invsqrt in groups])
 
 
 def rstar_deformed_norm(ctx: FockContext, n: int, k: int) -> float:
     total = n + k
-    groups = zip(ctx.type_stacks(total, np.kron(ctx.metric_sqrt(n), ctx.metric_sqrt(k))),
+    groups = zip(ctx.type_stacks(total, _kron(ctx.metric_sqrt(n), ctx.metric_sqrt(k))),
                  ctx.rstar_stacks(n, k), ctx.type_stacks(total, ctx.metric_invsqrt(total)))
     return stack_norm([pair_sqrt @ rstar @ invsqrt for pair_sqrt, rstar, invsqrt in groups])
 
@@ -603,6 +657,6 @@ def rstar_deformed_norm(ctx: FockContext, n: int, k: int) -> float:
 def rstar_adjoint_residual(ctx: FockContext, n: int, k: int) -> float:
     """Residual of ``(Id_{n,k})* = R*`` w.r.t. the deformed q-inner products."""
     total = n + k
-    groups = zip(ctx.type_stacks(total, np.kron(ctx.metric(n), ctx.metric(k))),
+    groups = zip(ctx.type_stacks(total, _kron(ctx.metric(n), ctx.metric(k))),
                  ctx.type_stacks(total, ctx.metric(total)), ctx.rstar_stacks(n, k))
     return stack_norm([np.linalg.solve(pair, metric) - rstar for pair, metric, rstar in groups])

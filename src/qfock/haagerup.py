@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spaces
 from .fock import FockContext, first_quantization
-from .spaces import DeformedContraction, DeformedSpace
+from .spaces import DeformedContraction, DeformedSpace, _spectral_norm
 
 
 def admissible_profile(lam: float, k: int) -> float:
@@ -85,7 +85,7 @@ def free_degree_norms(ctx: FockContext, T) -> np.ndarray:
     for d in range(1, ctx.degree + 1):
         gt = ctx.metric_diag_free(d)
         gauged = np.sqrt(gt)[:, None] * fq.block(d, d) / np.sqrt(gt)[None, :]
-        norms.append(float(np.linalg.norm(gauged, ord=2)))
+        norms.append(_spectral_norm(gauged))
     return np.array(norms)
 
 

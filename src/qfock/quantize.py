@@ -13,6 +13,8 @@ combined space nor the dilation.
 
 from __future__ import annotations
 
+from functools import cached_property, partial
+
 import numpy as np
 
 from . import spaces
@@ -24,15 +26,14 @@ from .wick import WickWord, wick_word
 ITI_TOL = 1e-10
 
 
+def _conjugate(F: GradedOperator, F_adj: GradedOperator, x: GradedOperator) -> GradedOperator:
+    return F @ x @ F_adj
+
+
 def conjugation_channel(ctx_in: FockContext, ctx_out: FockContext, V):
     """Operator map ``x -> F_q(V) x F_q(V)#`` for a base-space matrix ``V``."""
     F = first_quantization(ctx_in, ctx_out, V)
-    Fadj = F.adjoint()
-
-    def channel(x: GradedOperator) -> GradedOperator:
-        return F @ x @ Fadj
-
-    return channel
+    return partial(_conjugate, F, F.adjoint())
 
 
 def embed_tensor(src_ctx: FockContext, comb_ctx: FockContext, xi, degree: int) -> np.ndarray:
@@ -61,7 +62,9 @@ class QuantizationChannel:
     """Second quantisation of a contraction with ``J T I = T``.
 
     Acts on source Wick words by embedding them in the combined space and
-    conjugating with ``F_q(P U_T)``; ``conjugate`` is that last step alone.
+    conjugating with ``F = F_q(P U_T)``; ``conjugate`` is that last step
+    alone.  The channel holds ``F`` and ``F#``, and builds the tensor powers
+    of ``T`` for ``image_tensor`` once, on first use.
     """
 
     def __init__(self, contraction: DeformedContraction,
@@ -82,7 +85,8 @@ class QuantizationChannel:
         self.comb_ctx = comb_ctx
         U = spaces.dilate(contraction)
         PU = spaces.projection_matrix(contraction.source, contraction.target) @ U
-        self._conjugate = conjugation_channel(comb_ctx, tgt_ctx, PU)
+        self._F = first_quantization(comb_ctx, tgt_ctx, PU)
+        self._F_adj = self._F.adjoint()
 
     @property
     def matrix(self) -> np.ndarray:
@@ -90,7 +94,7 @@ class QuantizationChannel:
 
     def conjugate(self, x: GradedOperator) -> GradedOperator:
         """The channel's conjugation step on an operator over the combined space."""
-        return self._conjugate(x)
+        return _conjugate(self._F, self._F_adj, x)
 
     def _safe_window(self, degree: int) -> range:
         """Input degrees ``0..N-degree`` on which a degree-n image is exact."""
@@ -107,10 +111,13 @@ class QuantizationChannel:
         return self.conjugate(embed_wick(self.src_ctx, self.comb_ctx, word,
                                          inputs=self._safe_window(word.degree)).op)
 
+    @cached_property
+    def _powers(self) -> GradedOperator:
+        return first_quantization(self.src_ctx, self.tgt_ctx, self.matrix)
+
     def image_tensor(self, word: WickWord) -> np.ndarray:
         """Coefficient tensor of the expected image word ``T^{(x)n} xi``."""
-        powers = first_quantization(self.src_ctx, self.tgt_ctx, self.matrix)
-        return powers.block(word.degree, word.degree) @ word.tensor
+        return self._powers.block(word.degree, word.degree) @ word.tensor
 
     def covariance_residual(self, word: WickWord, image: GradedOperator) -> float:
         """Deformed-norm gap between ``image``, the channel image of a Wick
@@ -122,8 +129,9 @@ class QuantizationChannel:
         return blockwise_gap(self.tgt_ctx, image, expected, window)
 
     def unitality_residual(self) -> float:
-        image = self.conjugate(GradedOperator.identity(self.comb_ctx))
-        return image.max_diff(GradedOperator.identity(self.tgt_ctx))
+        """Gap between the image ``F 1 F# = F F#`` of the identity and the
+        identity."""
+        return (self._F @ self._F_adj).max_diff(GradedOperator.identity(self.tgt_ctx))
 
     def vacuum_state_residual(self, ops_src, ops_img) -> float:
         """Sup over provided (source op, channel image) pairs of the vacuum

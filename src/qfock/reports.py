@@ -26,11 +26,11 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
-                   c_constant, coordinate_index, creation, factorization_residual, gauge_block,
-                   hermitian_min_eig, id_embedding_norm, rstar_adjoint_residual,
-                   rstar_deformed_norm, rstar_free_norm, stack_norm)
-from .spaces import BlockSpectrum, build_space
+from .fock import (FockContext, GradedOperator, GradedVector, _kron, annihilation,
+                   blockwise_gap, c_constant, coordinate_index, creation,
+                   factorization_residual, gauge_block, hermitian_min_eig, id_embedding_norm,
+                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
+from .spaces import BlockSpectrum, _spectral_norm, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
 
@@ -335,10 +335,10 @@ def _dilation(pt: _Point) -> float:
         U = sp.dilate(T)
         Uadj = sp.deformed_adjoint(comb, comb, U)
         corner = sp.projection_matrix(space, space) @ U @ sp.inclusion_matrix(space, space)
-        res = max(res, np.linalg.norm(Uadj @ U - np.eye(comb.dim), ord=2),
-                  np.linalg.norm(U @ Uadj - np.eye(comb.dim), ord=2),
-                  np.linalg.norm(corner - T.matrix, ord=2))
-    return float(res)
+        res = max(res, _spectral_norm(Uadj @ U - np.eye(comb.dim)),
+                  _spectral_norm(U @ Uadj - np.eye(comb.dim)),
+                  _spectral_norm(corner - T.matrix))
+    return res
 
 
 def _channel_on_words(pt: _Point):
@@ -535,7 +535,7 @@ def _majorisation(pt: _Point) -> float:
     for n, k in _pairs(ctx.degree):
         check = toeplitz.majorisation_check(
             ctx.type_stacks(n + k, ctx.sym(n + k)),
-            ctx.type_stacks(n + k, np.kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
+            ctx.type_stacks(n + k, _kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
         if not check["consistent"]:
             margin = -np.inf
         margin = min(margin, check["margin"])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockContext, GradedOperator, c_constant, coordinate_index, r_star
+from .fock import FockContext, GradedOperator, _kron, c_constant, coordinate_index, r_star
 from .spaces import DeformedSpace
 
 
@@ -57,10 +57,10 @@ def monomial(ctx: FockContext, v_list, w_list) -> LengthElement:
         raise ValueError("length overflow for this truncation")
     v = np.ones(1, dtype=complex)
     for vec in v_list:
-        v = np.kron(v, np.asarray(vec, dtype=complex).reshape(ctx.dim))
+        v = _kron(v, np.asarray(vec, dtype=complex).reshape(ctx.dim))
     w = np.ones(1, dtype=complex)
     for vec in w_list:
-        w = np.kron(w, np.asarray(vec, dtype=complex).reshape(ctx.dim))
+        w = _kron(w, np.asarray(vec, dtype=complex).reshape(ctx.dim))
     coeff = np.outer(v, np.conj(w))
     return realize(ctx, coeff, k, m)
 
@@ -175,7 +175,7 @@ def compression_identity_residual(ctx: FockContext, elem: LengthElement, k: int)
     if n + k > ctx.degree:
         raise ValueError("degree overflow")
     lhs = elem.op.block(n + k, n + k)
-    rhs = np.kron(elem.op.block(n, n), np.eye(ctx.block_size(k))) @ r_star(ctx, n, k)
+    rhs = _kron(elem.op.block(n, n), np.eye(ctx.block_size(k))) @ r_star(ctx, n, k)
     return ctx.block_norm(lhs - rhs, n + k, n + k)
 
 

@@ -498,3 +498,138 @@ def test_coordinate_index_matches_product_enumeration():
                 expected = [sum(d * dim ** (n - 1 - pos) for pos, d in enumerate(digits))
                             for digits in itertools.product(sorted(indices), repeat=n)]
                 assert np.array_equal(fock.coordinate_index(dim, indices, n), expected)
+
+
+def _read_only(arr):
+    arr = np.array(arr)
+    arr.flags.writeable = False
+    return arr
+
+
+def test_kron_is_np_kron_bit_for_bit():
+    gen = np.random.default_rng(911)
+    real = gen.standard_normal((3, 2))
+    real[0, 0] = -0.0
+    cplx = gen.standard_normal((2, 4)) + 1j * gen.standard_normal((2, 4))
+    vec = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+    pairs = [
+        (real, cplx), (cplx, real), (cplx, cplx), (real, real),
+        (_read_only(cplx), _read_only(real)), (real.T, cplx),
+        (vec, gen.standard_normal(4)), (gen.standard_normal(2), vec),
+        (np.ones(1), vec), (_read_only(vec), _read_only(vec)),
+        (vec[:, None], np.eye(4)), (np.eye(1), cplx), (np.ones((1, 1)), np.eye(3)),
+    ]
+    for a, b in pairs:
+        expected = np.kron(a, b)
+        got = fock._kron(a, b)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.flags.c_contiguous == expected.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_spectral_norm_is_np_linalg_norm_ord_2():
+    gen = np.random.default_rng(912)
+    for shape in ((1, 1), (3, 1), (1, 4), (5, 5), (4, 7), (9, 3)):
+        real = gen.standard_normal(shape)
+        cplx = real + 1j * gen.standard_normal(shape)
+        for M in (real, cplx, np.zeros(shape), _read_only(cplx), cplx.T):
+            value = sp._spectral_norm(M)
+            assert type(value) is float
+            assert value == float(np.linalg.norm(M, ord=2))
+
+
+def _r_star_from_partitions(q, dim, n, k, x):
+    """``R*_{n,k} x`` summed straight from ``crossing_weighted_partitions``."""
+    total = n + k
+    x_nd = x.reshape((dim,) * total + x.shape[1:])
+    rest = tuple(range(total, x_nd.ndim))
+    out = np.zeros(x_nd.shape, dtype=np.result_type(x_nd, q))
+    for i1, i2, cross in fock.crossing_weighted_partitions(total, n):
+        order = tuple(p - 1 for p in i1) + tuple(p - 1 for p in i2) + rest
+        out += q ** cross * x_nd.transpose(order)
+    return out.reshape(x.shape)
+
+
+def test_cached_r_star_orders_keep_the_partition_sum():
+    gen = np.random.default_rng(913)
+    for dim, n, k in ((1, 2, 2), (2, 1, 2), (2, 2, 1), (3, 1, 1), (2, 0, 3), (3, 2, 0),
+                      (2, 3, 2), (3, 2, 2)):
+        size = dim ** (n + k)
+        for q in (0.5, -0.9, 0.0):
+            for x in (gen.standard_normal(size) + 1j * gen.standard_normal(size),
+                      np.eye(size), gen.standard_normal((size, 2))):
+                expected = _r_star_from_partitions(q, dim, n, k, x)
+                for _ in range(2):  # first call fills the cache, second reads it
+                    got = fock._apply_r_star(q, dim, n, k, x)
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected)
+
+
+def test_c_constant_memo_returns_the_computed_value():
+    fock._C_CONSTANT.pop(0.37, None)
+    first = c_constant(0.37)
+    assert fock._C_CONSTANT[0.37] == first and c_constant(0.37) == first
+    assert c_constant(-0.37) == first and c_constant(0.0) == 1.0
+    with pytest.raises(ValueError):
+        c_constant(1.0)
+
+
+def test_index_maps_are_cached_and_read_only():
+    ctx = make_ctx("b2+t1", 0.5, 3)
+    for m in range(ctx.degree + 1):
+        for index_map in (ctx.partner_map, ctx._reverse_map):
+            flat = index_map(m)
+            assert flat is index_map(m) and not flat.flags.writeable
+            assert sorted(flat) == list(range(ctx.block_size(m)))
+            with pytest.raises(ValueError, match="read-only"):
+                flat[0] = 0
+    digits = np.array(list(itertools.product(range(3), repeat=3)))
+    flat = (digits * [9, 3, 1]).sum(axis=1)
+    assert np.array_equal(ctx._reverse_map(3)[flat], (digits[:, ::-1] * [9, 3, 1]).sum(axis=1))
+    assert np.array_equal(ctx.partner_map(3)[flat],
+                          (ctx.space.partner[digits] * [9, 3, 1]).sum(axis=1))
+
+
+def _random_operator(ctx, gen, keys):
+    return fock.GradedOperator(ctx, ctx, {
+        (m, n): gen.standard_normal((ctx.block_size(m), ctx.block_size(n)))
+        + 1j * gen.standard_normal((ctx.block_size(m), ctx.block_size(n))) for m, n in keys})
+
+
+@pytest.mark.parametrize("spectrum", ["t2", "b2+t1"])
+def test_operator_algebra_keeps_complex_blocks_of_the_right_shapes(spectrum):
+    gen = np.random.default_rng(914)
+    ctx = make_ctx(spectrum, 0.5, 3)
+    A = _random_operator(ctx, gen, [(0, 0), (1, 2), (3, 1)])
+    B = _random_operator(ctx, gen, [(1, 2), (2, 0), (2, 2)])
+    results = [A @ B, B @ A, A + B, A - B, A.adjoint(), B.adjoint(),
+               2 * A, 0.5 * A, np.float64(-1.5) * A, (0.5 - 2j) * A, -0.0 * A]
+    for op in results:
+        assert op.blocks
+        for (m, n), blk in op.blocks.items():
+            assert blk.dtype == np.complex128
+            assert blk.shape == (ctx.block_size(m), ctx.block_size(n))
+    for scalar in (2, 0.5, np.float64(-1.5), 0.5 - 2j, -0.0):
+        for key, blk in (scalar * A).blocks.items():
+            assert blk.tobytes() == (scalar * A.blocks[key]).tobytes()
+    # the public constructor still checks every block
+    with pytest.raises(ValueError, match="shape"):
+        fock.GradedOperator(ctx, ctx, {(1, 2): np.zeros((ctx.block_size(2), ctx.block_size(1)))})
+    small = make_ctx("t1", 0.5, 3)
+    with pytest.raises(ValueError, match="dimension"):
+        A + _random_operator(small, gen, [(1, 1)])
+    with pytest.raises(ValueError, match="context"):
+        A @ _random_operator(small, gen, [(1, 1)])
+
+
+def test_blockwise_gap_equals_the_gap_over_every_block_pair():
+    gen = np.random.default_rng(917)
+    ctx = make_ctx("b2+t1", 0.5, 3)
+    A = _random_operator(ctx, gen, [(0, 0), (1, 2), (3, 1)])
+    B = _random_operator(ctx, gen, [(1, 2), (2, 0), (2, 2)])
+    empty = fock.GradedOperator(ctx, ctx, {})
+    for X, Y in ((A, B), (B, A), (A, empty), (empty, B), (empty, empty)):
+        for inputs in (range(ctx.degree + 1), (0,), (2, 3)):
+            expected = max([0.0] + [ctx.block_norm(X.block(m, p) - Y.block(m, p), m, p)
+                                    for p in inputs for m in range(ctx.degree + 1)])
+            assert fock.blockwise_gap(ctx, X, Y, inputs) == expected

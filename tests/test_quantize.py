@@ -3,7 +3,7 @@ import pytest
 
 from qfock import quantize, toeplitz, wick
 from qfock import spaces as sp
-from qfock.fock import FockContext, GradedVector
+from qfock.fock import FockContext, GradedOperator, GradedVector, first_quantization
 from conftest import Q_GRID, make_ctx
 
 
@@ -317,3 +317,28 @@ def test_image_tensor_is_the_tensor_power():
         for _ in range(n):
             power = np.kron(channel.matrix, power)
         assert np.array_equal(channel.image_tensor(word), power @ word.tensor)
+
+
+@pytest.mark.parametrize("spectrum", ["t2", "b2+t1"])
+def test_channel_shortcuts_equal_the_old_routes_bit_for_bit(spectrum):
+    # unitality: F F# against the conjugation of a materialized identity,
+    # F 1 F#; image_tensor: the channel's stored tensor powers against one
+    # first_quantization per call
+    gen = np.random.default_rng(915)
+    for q in (0.5, -0.9):
+        for _ in range(3):
+            channel, ctx = build_channel(spectrum, q, 3, gen)
+            comb_ctx = channel.comb_ctx
+            PU = sp.projection_matrix(ctx.space, ctx.space) @ sp.dilate(channel.contraction)
+            old_image = quantize.conjugation_channel(comb_ctx, ctx, PU)(
+                GradedOperator.identity(comb_ctx))
+            assert channel.unitality_residual() \
+                == old_image.max_diff(GradedOperator.identity(ctx))
+            for n in range(ctx.degree + 1):
+                size = ctx.block_size(n)
+                word = wick.wick_word(ctx, gen.standard_normal(size)
+                                      + 1j * gen.standard_normal(size), n)
+                powers = first_quantization(ctx, ctx, channel.matrix)
+                old = powers.block(n, n) @ word.tensor
+                for _ in range(2):
+                    assert channel.image_tensor(word).tobytes() == old.tobytes()

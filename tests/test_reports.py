@@ -4,9 +4,11 @@ import subprocess
 import sys
 import weakref
 
+import numpy as np
 import pytest
 
-from qfock import reports
+from qfock import fock, quantize, reports, wick
+from qfock import spaces as sp
 from qfock.fock import FockContext
 from qfock.reports import SweepConfig, parse_spectrum, run_suite
 
@@ -263,3 +265,35 @@ def test_benchmark_layer_names_resolve():
                         if not resolves(getattr(qfock, layer.split(".")[0]),
                                         layer.split(".", 1)[1]))
     assert unresolved == []
+
+
+def test_no_cache_pins_a_context(monkeypatch):
+    # the module-level caches (c_constant by q, R* partition orders) hold
+    # numbers and tuples only: every context dies once its users let go
+    refs = []
+
+    class Recorded(FockContext):
+        def __init__(self, space, q, degree):
+            super().__init__(space, q, degree)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(reports, "FockContext", Recorded)
+    run_suite(SweepConfig(q_values=(0.5,), spectra=("t1",), degree=4), "all")
+    gc.collect()
+    assert len(refs) >= 2 and all(ref() is None for ref in refs)
+
+    space = sp.build_space(parse_spectrum("b2+t1"))
+    ctx = FockContext(space, 0.5, 3)
+    comb_ctx = FockContext(sp.direct_sum(space, space), 0.5, 3)
+    refs = [weakref.ref(ctx), weakref.ref(comb_ctx)]
+    gen = np.random.default_rng(916)
+    assert not ctx.partner_map(2).flags.writeable and not ctx._reverse_map(2).flags.writeable
+    fock.c_constant(ctx.q)
+    word = wick.wick_word(ctx, gen.standard_normal(9) + 1j * gen.standard_normal(9), 2)
+    channel = quantize.QuantizationChannel(sp.random_jti_contraction(gen, space, space),
+                                           ctx, ctx, comb_ctx)
+    channel.covariance_residual(word, channel.apply_word(word))
+    channel.unitality_residual()
+    del ctx, comb_ctx, word, channel
+    gc.collect()
+    assert all(ref() is None for ref in refs)
