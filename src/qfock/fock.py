@@ -13,13 +13,14 @@ commute because the base metric is diagonal in the chosen basis.
 Every one of these matrices commutes with the permutations of tensor
 positions, so it keeps the multiset of digits of a basis index, its *type*,
 and is block-diagonal over the types.  Their dense linear algebra (eigen-pairs,
-spectral norms, solves) runs on stacks of type blocks, gathered by
-``FockContext.type_stacks``; a degree-6 block 729 wide on a 3-dimensional
-base space splits into 28 type blocks, the widest 90 wide.
+spectral norms, solves) runs on stacks of type blocks, each gathered once per
+context by ``FockContext.stacks``; a degree-6 block 729 wide on a
+3-dimensional base space splits into 28 type blocks, the widest 90 wide.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 
@@ -64,16 +65,51 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+def _read_only(value):
+    """``value``, every array in it (also in lists and tuples) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def _memo(method):
+    """Memoise a ``FockContext`` method in the context's own ``_cache``, keyed
+    by its name and positional arguments with the defaults filled in (so
+    ``f(n)`` and ``f(n, 0)`` share an entry when k defaults to 0), and make
+    every array of a result read-only."""
+    name = method.__name__
+    n_params = method.__code__.co_argcount - 1
+    defaults = method.__defaults__ or ()
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        if len(args) < n_params:
+            args += defaults[len(args) - n_params:]
+        key = (name, *args)
+        if key not in self._cache:
+            self._cache[key] = _read_only(method(self, *args))
+        return self._cache[key]
+
+    return cached
+
+
+# the metric's square root, inverse square root and inverse, as eigenvalue maps
+_METRIC_FUNCTIONS = {"metric_sqrt": np.sqrt, "metric_invsqrt": lambda w: 1.0 / np.sqrt(w),
+                     "metric_inv": lambda w: 1.0 / w}
+
+
 class FockContext:
     """Truncated q-Fock space: cached symmetrizers and degree metrics.
 
     Every degree is built from the crossing-weighted coproduct ``R*`` alone:
     the symmetrizer by the recursion ``P_n = (1 (x) P_{n-1}) R*_{1,n-1}`` and
     the annihilation words by ``R*_{m,p-m}``, so no matrix is ever inverted.
-    Immutable after construction; the lazy caches (metric eigen-pairs,
-    metric functions, ``R*`` type stacks and annihilation-word tensors) are
-    never mutated once filled, and every array they return is read-only, so
-    contexts stay safe to share across parameter sweeps.
+    Immutable after construction: whatever is derived lazily lives in the one
+    cache ``_cache`` of the ``_memo`` methods, whose entries are never
+    mutated and whose arrays are read-only, so contexts stay safe to share.
     """
 
     def __init__(self, space: DeformedSpace, q: float, degree: int):
@@ -95,15 +131,8 @@ class FockContext:
             self._sym[n] = (self._sym[n - 1]
                             @ rstar.reshape(self.dim, size // self.dim, size)).reshape(size, size)
         self._metric = {n: self._gt[n][:, None] * self._sym[n] for n in range(degree + 1)}
-        for cache in (self._gt, self._sym, self._metric):
-            for arr in cache.values():
-                arr.flags.writeable = False
-        self._metric_eig = {}
-        self._metric_fn = {}
-        self._type_index = {}
-        self._rstar = {}
-        self._ann = {}
-        self._index_maps = {}
+        _read_only([*self._gt.values(), *self._sym.values(), *self._metric.values()])
+        self._cache = {}
 
     # -- cached accessors ------------------------------------------------------
 
@@ -128,28 +157,22 @@ class FockContext:
 
     # -- digit types ------------------------------------------------------------
 
+    @_memo
     def _types(self, n: int) -> list:
         """The degree-n indices grouped by type, and the types by their size b:
         one (count, b) array per size, each row the increasing indices of one
-        type.  Built on first use."""
-        if n not in self._type_index:
-            size = self.block_size(n)
-            # the digit counts of an index, read in base n + 1, name its type
-            digit_keys = (n + 1) ** np.arange(self.dim, dtype=np.int64)
-            key = np.zeros(1, dtype=np.int64)
-            for _ in range(n):
-                key = (key[:, None] + digit_keys).ravel()
-            order = np.argsort(key, kind="stable")
-            sorted_key = key[order]
-            first = np.ones(size, dtype=bool)
-            first[1:] = sorted_key[1:] != sorted_key[:-1]
-            starts = np.flatnonzero(first)
-            sizes = np.empty_like(starts)
-            sizes[:-1] = starts[1:] - starts[:-1]
-            sizes[-1] = size - starts[-1]
-            self._type_index[n] = [order[starts[sizes == b][:, None] + np.arange(b)]
-                                   for b in np.unique(sizes)]
-        return self._type_index[n]
+        type."""
+        size = self.block_size(n)
+        # the digit counts of an index, read in base n + 1, name its type
+        digit_keys = (n + 1) ** np.arange(self.dim, dtype=np.int64)
+        key = np.zeros(1, dtype=np.int64)
+        for _ in range(n):
+            key = (key[:, None] + digit_keys).ravel()
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+        sizes = np.diff(np.r_[starts, size])
+        return [order[starts[sizes == b][:, None] + np.arange(b)] for b in np.unique(sizes)]
 
     def type_stacks(self, n: int, M) -> list:
         """The type blocks of a degree-n matrix that keeps digit types, as one
@@ -169,53 +192,50 @@ class FockContext:
                              "digit types")
         return stacks
 
-    def rstar_stacks(self, n: int, k: int) -> list:
-        """Type stacks of ``R*_{n,k}`` (see ``r_star``), read-only and cached per
-        (n, k): the norm and residual checks of every pair read them."""
-        key = (n, k)
-        if key not in self._rstar:
-            stacks = self.type_stacks(n + k, r_star(self, n, k))
-            for S in stacks:
-                S.flags.writeable = False
-            self._rstar[key] = stacks
-        return self._rstar[key]
+    @_memo
+    def stacks(self, name: str, n: int, k: int = 0) -> list:
+        """Type stacks (``type_stacks``), cached per (name, n, k), of
+        ``R*_{n,k}`` for name ``rstar``, else of ``X(n) (x) X(k)`` for X the
+        method ``sym``, ``metric``, ``metric_sqrt``, ``metric_invsqrt`` or
+        ``metric_inv``; ``X(0) = 1``, and the metric functions' ``X(n)``
+        come straight from the eigen-pairs of the metric's type blocks."""
+        if name == "rstar":
+            return self.type_stacks(n + k, r_star(self, n, k))
+        if name not in ("sym", "metric", *_METRIC_FUNCTIONS):
+            raise ValueError(f"unknown matrix name {name!r}")
+        if k == 0 and name in _METRIC_FUNCTIONS:
+            scale = _METRIC_FUNCTIONS[name]
+            return [(v * scale(w)[:, None, :]) @ v.swapaxes(1, 2) for w, v in self._eig(n)]
+        X = getattr(self, name)
+        return self.type_stacks(n + k, X(n) if k == 0 else _kron(X(n), X(k)))
 
     # -- metric functions -------------------------------------------------------
 
+    @_memo
     def _eig(self, n: int) -> list:
         """Eigen-pairs (w, v) of the degree-n metric, one per type stack."""
-        if n not in self._metric_eig:
-            pairs = []
-            for S in self.type_stacks(n, self._metric[n]):
-                w, v = np.linalg.eigh((S + S.swapaxes(1, 2)) / 2.0)
-                if w.min() <= 0:
-                    raise ValueError(f"degree-{n} metric is not positive definite")
-                pairs.append((w, v))
-            self._metric_eig[n] = pairs
-        return self._metric_eig[n]
+        pairs = [np.linalg.eigh((S + S.swapaxes(1, 2)) / 2.0) for S in self.stacks("metric", n)]
+        if min(w.min() for w, _ in pairs) <= 0:
+            raise ValueError(f"degree-{n} metric is not positive definite")
+        return pairs
 
-    def _metric_function(self, n: int, name: str, scale) -> np.ndarray:
-        """``v diag(scale(w)) v^T`` over the type blocks, scattered once into a
-        dense read-only degree-n matrix."""
-        key = (name, n)
-        if key not in self._metric_fn:
-            size = self.block_size(n)
-            out = np.zeros((size, size))
-            for idx, (w, v) in zip(self._types(n), self._eig(n)):
-                block = (v * scale(w)[:, None, :]) @ v.swapaxes(1, 2)
-                out[idx[:, :, None], idx[:, None, :]] = block
-            out.flags.writeable = False
-            self._metric_fn[key] = out
-        return self._metric_fn[key]
+    @_memo
+    def _scatter(self, name: str, n: int) -> np.ndarray:
+        """The dense degree-n matrix of the type stacks ``stacks(name, n)``."""
+        size = self.block_size(n)
+        out = np.zeros((size, size))
+        for idx, S in zip(self._types(n), self.stacks(name, n)):
+            out[idx[:, :, None], idx[:, None, :]] = S
+        return out
 
     def metric_sqrt(self, n: int) -> np.ndarray:
-        return self._metric_function(n, "sqrt", np.sqrt)
+        return self._scatter("metric_sqrt", n)
 
     def metric_invsqrt(self, n: int) -> np.ndarray:
-        return self._metric_function(n, "invsqrt", lambda w: 1.0 / np.sqrt(w))
+        return self._scatter("metric_invsqrt", n)
 
     def metric_inv(self, n: int) -> np.ndarray:
-        return self._metric_function(n, "inv", lambda w: 1.0 / w)
+        return self._scatter("metric_inv", n)
 
     # -- inner products and norms ----------------------------------------------
 
@@ -235,6 +255,7 @@ class FockContext:
 
     # -- annihilation-word tensors ----------------------------------------------
 
+    @_memo
     def ann_words(self, m: int, p: int) -> np.ndarray:
         """Tensor of shape (dim**m, dim**(p-m), dim**p).
 
@@ -245,35 +266,22 @@ class FockContext:
         """
         if m > p or p > self.degree:
             raise ValueError("degree out of range")
-        key = (m, p)
-        if key not in self._ann:
-            size = self.dim ** p
-            rstar = _apply_r_star(self.q, self.dim, m, p - m, np.eye(size))
-            picked = self._metric[m][self._reverse_map(m)]
-            words = (picked @ rstar.reshape(self.dim ** m, -1)).reshape(
-                self.dim ** m, self.dim ** (p - m), size)
-            words.flags.writeable = False
-            self._ann[key] = words
-        return self._ann[key]
+        size = self.dim ** p
+        rstar = _apply_r_star(self.q, self.dim, m, p - m, np.eye(size))
+        picked = self._metric[m][self._reverse_map(m)]
+        return (picked @ rstar.reshape(self.dim ** m, -1)).reshape(
+            self.dim ** m, self.dim ** (p - m), size)
 
-    def _index_map(self, name: str, m: int, build) -> np.ndarray:
-        """The degree-m index map ``build(index)`` of the array of flat
-        indices in tensor shape, read-only and cached per (name, m)."""
-        key = (name, m)
-        if key not in self._index_maps:
-            flat = build(np.arange(self.dim ** m).reshape((self.dim,) * m)).ravel()
-            flat.flags.writeable = False
-            self._index_maps[key] = flat
-        return self._index_maps[key]
-
+    @_memo
     def _reverse_map(self, m: int) -> np.ndarray:
         """Flat index map reversing the order of the m tensor factors."""
-        return self._index_map("reverse", m, np.transpose)
+        return np.arange(self.dim ** m).reshape((self.dim,) * m).T.ravel()
 
+    @_memo
     def partner_map(self, m: int) -> np.ndarray:
         """Flat index map of the conjugation's basis permutation on degree m."""
-        return self._index_map("partner", m,
-                               lambda index: index[np.ix_(*[self.space.partner] * m)])
+        index = np.arange(self.dim ** m).reshape((self.dim,) * m)
+        return index[np.ix_(*[self.space.partner] * m)].ravel()
 
     def mixed_word_block(self, Z, k: int, m: int, p: int) -> np.ndarray:
         """Block (degree p -> degree p-m+k) of ``sum_{s,t} Z[s,t] a*_q(e_s) a_q(e_t)``
@@ -626,37 +634,31 @@ def hermitian_min_eig(stacks) -> float:
 
 def factorization_residual(ctx: FockContext, n: int, k: int) -> float:
     """Spectral-norm residual of ``P_q^(n+k) = (P_q^(n) (x) P_q^(k)) R*``."""
-    total = n + k
-    groups = zip(ctx.type_stacks(total, ctx.sym(total)),
-                 ctx.type_stacks(total, _kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
+    groups = zip(ctx.stacks("sym", n + k), ctx.stacks("sym", n, k), ctx.stacks("rstar", n, k))
     return stack_norm([lhs - pair @ rstar for lhs, pair, rstar in groups])
 
 
 def rstar_free_norm(ctx: FockContext, n: int, k: int) -> float:
     """Norm of R* between undeformed tensor powers (plain spectral norm; the
     base metric commutes with position permutations)."""
-    return stack_norm(ctx.rstar_stacks(n, k))
+    return stack_norm(ctx.stacks("rstar", n, k))
 
 
 def id_embedding_norm(ctx: FockContext, n: int, k: int) -> float:
     """Deformed norm of the coordinate identity from degree-n (x) degree-k to
     degree n+k."""
-    total = n + k
-    groups = zip(ctx.type_stacks(total, ctx.metric_sqrt(total)),
-                 ctx.type_stacks(total, _kron(ctx.metric_invsqrt(n), ctx.metric_invsqrt(k))))
+    groups = zip(ctx.stacks("metric_sqrt", n + k), ctx.stacks("metric_invsqrt", n, k))
     return stack_norm([sqrt @ pair_invsqrt for sqrt, pair_invsqrt in groups])
 
 
 def rstar_deformed_norm(ctx: FockContext, n: int, k: int) -> float:
-    total = n + k
-    groups = zip(ctx.type_stacks(total, _kron(ctx.metric_sqrt(n), ctx.metric_sqrt(k))),
-                 ctx.rstar_stacks(n, k), ctx.type_stacks(total, ctx.metric_invsqrt(total)))
+    groups = zip(ctx.stacks("metric_sqrt", n, k), ctx.stacks("rstar", n, k),
+                 ctx.stacks("metric_invsqrt", n + k))
     return stack_norm([pair_sqrt @ rstar @ invsqrt for pair_sqrt, rstar, invsqrt in groups])
 
 
 def rstar_adjoint_residual(ctx: FockContext, n: int, k: int) -> float:
     """Residual of ``(Id_{n,k})* = R*`` w.r.t. the deformed q-inner products."""
-    total = n + k
-    groups = zip(ctx.type_stacks(total, _kron(ctx.metric(n), ctx.metric(k))),
-                 ctx.type_stacks(total, ctx.metric(total)), ctx.rstar_stacks(n, k))
+    groups = zip(ctx.stacks("metric", n, k), ctx.stacks("metric", n + k),
+                 ctx.stacks("rstar", n, k))
     return stack_norm([np.linalg.solve(pair, metric) - rstar for pair, metric, rstar in groups])

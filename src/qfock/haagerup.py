@@ -65,15 +65,15 @@ def degree_norms(ctx: FockContext, T) -> np.ndarray:
     return np.array([ctx.block_norm(fq.block(d, d), d, d) for d in range(ctx.degree + 1)])
 
 
-def tail_norm(ctx: FockContext, T, t: float, n: int,
-              per_degree: np.ndarray | None = None) -> float:
+def tail_norm(per_degree, t: float, n: int) -> float:
     """Norm of the high-degree part ``P_n^perp F_q(exp(-t) T)`` on the
-    truncated space; bounded by ``exp(-t (n+1))`` for admissible T."""
-    if n >= ctx.degree:
-        raise ValueError("n must be below the truncation degree")
-    if per_degree is None:
-        per_degree = degree_norms(ctx, T)
-    damp = np.exp(-t * np.arange(ctx.degree + 1))
+    truncated space, from the degree profile ``per_degree`` of ``T``
+    (``degree_norms``, d = 0..N); bounded by ``exp(-t (n+1))`` for
+    admissible T."""
+    top = len(per_degree) - 1
+    if not 0 <= n < top:
+        raise ValueError("n must be in 0..N-1 for a profile of degrees 0..N")
+    damp = np.exp(-t * np.arange(top + 1))
     return float(np.max(per_degree[n + 1:] * damp[n + 1:]))
 
 
@@ -89,13 +89,10 @@ def free_degree_norms(ctx: FockContext, T) -> np.ndarray:
     return np.array(norms)
 
 
-def free_reduction_crosscheck(ctx: FockContext, T, t: float, n: int,
-                              per_degree: np.ndarray | None = None) -> float:
-    """Gap between the tail norm in the q-metric and in the free metric;
-    ``per_degree`` is passed on to ``tail_norm``."""
-    q_tail = tail_norm(ctx, T, t, n, per_degree=per_degree)
-    free_tail = tail_norm(ctx, T, t, n, per_degree=free_degree_norms(ctx, T))
-    return abs(q_tail - free_tail)
+def free_reduction_crosscheck(ctx: FockContext, T, per_degree, t: float, n: int) -> float:
+    """Gap between the tail norm in the q-metric, from the degree profile
+    ``per_degree = degree_norms(ctx, T)``, and in the free metric."""
+    return abs(tail_norm(per_degree, t, n) - tail_norm(free_degree_norms(ctx, T), t, n))
 
 
 def compactness_profile(ctx: FockContext, T, t: float, n_max: int) -> dict:
@@ -104,7 +101,7 @@ def compactness_profile(ctx: FockContext, T, t: float, n_max: int) -> dict:
     per_degree = degree_norms(ctx, T)
     rows = []
     for n in range(min(n_max, ctx.degree - 1) + 1):
-        tail = tail_norm(ctx, T, t, n, per_degree=per_degree)
+        tail = tail_norm(per_degree, t, n)
         bound = float(np.exp(-t * (n + 1)))
         rows.append({"n": n, "tail": tail, "bound": bound,
                      "within_bound": tail <= bound + 1e-10})

@@ -205,14 +205,15 @@ def _span(ctx: FockContext, words) -> range:
     return range(min(2 * max(w.degree for w in words), ctx.degree) + 1)
 
 
-def kadison_schwarz_margin(ctx: FockContext, T, coeffs, words) -> float:
+def kadison_schwarz_margin(powers: GradedOperator, coeffs, words) -> float:
     """Smallest eigenvalue of ``Gamma(x# x) - Gamma(x)# Gamma(x)`` compressed
     to the safe window, for ``x = sum_i c_i W(xi_i)`` and ``Gamma`` the
-    intrinsic image ``Gamma_q(T)`` of a base-space matrix ``T`` on ``ctx``;
-    nonnegative up to numerics when ``T`` is a contraction with
+    intrinsic image ``Gamma_q(T)`` of a base-space matrix ``T``, given by its
+    tensor powers ``powers = first_quantization(ctx, ctx, T)`` on the words'
+    context; nonnegative up to numerics when ``T`` is a contraction with
     ``J T I = T``."""
+    ctx = powers.ctx_out
     window = _positivity_window(ctx, words)
-    powers = first_quantization(ctx, ctx, T)
     x = _element(coeffs, words, _span(ctx, words))
     # the vacuum column of x# x, exact since x holds the inputs 0..2 dmax
     lhs = _image(powers, x.adjoint() @ _on_inputs(x, (0,)), window)
@@ -221,14 +222,14 @@ def kadison_schwarz_margin(ctx: FockContext, T, coeffs, words) -> float:
     return hermitian_min_eig([(lhs - rhs).to_dense(gauge=True, window=window)[None]])
 
 
-def two_positivity_margin(ctx: FockContext, T, samples) -> float:
+def two_positivity_margin(powers: GradedOperator, samples) -> float:
     """Min eigenvalue of the entrywise image ``Gamma_q(T)`` of a PSD 2x2
     operator matrix ``X# X`` with Wick-word entries, compressed to the safe
-    window."""
+    window; ``powers`` is ``first_quantization(ctx, ctx, T)``."""
+    ctx = powers.ctx_out
     words = [w for row in samples for (_, w) in row]
     window = _positivity_window(ctx, words)
     span = _span(ctx, words)
-    powers = first_quantization(ctx, ctx, T)
     entries = [[_element([c], [w], span) for (c, w) in row] for row in samples]
     adjoints = [[x.adjoint() for x in row] for row in entries]
     columns = [[_on_inputs(x, (0,)) for x in row] for row in entries]
@@ -253,17 +254,17 @@ def positivity_probe(contraction: DeformedContraction, ctx: FockContext, rng,
                          "second quantisation is undefined")
     if contraction.source is not ctx.space or contraction.target is not ctx.space:
         raise ValueError("context does not match the contraction's spaces")
-    T = contraction.matrix
+    powers = first_quantization(ctx, ctx, contraction.matrix)
     ks_margins, two_pos_margins = [], []
     for s in range(n_samples):
         coeffs, words = _random_words(ctx, rng)
-        ks_margins.append(kadison_schwarz_margin(ctx, T, coeffs, words))
+        ks_margins.append(kadison_schwarz_margin(powers, coeffs, words))
         if s % 4 == 0:
             rows = []
             for _ in range(2):
                 cs, ws = _random_words(ctx, rng)
                 rows.append(list(zip(cs, ws)))
-            two_pos_margins.append(two_positivity_margin(ctx, T, rows))
+            two_pos_margins.append(two_positivity_margin(powers, rows))
     return {
         "samples": n_samples,
         "kadison_schwarz_min": min(ks_margins),

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, _kron, annihilation,
+from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
                    blockwise_gap, c_constant, coordinate_index, creation,
                    factorization_residual, gauge_block, hermitian_min_eig, id_embedding_norm,
                    rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
@@ -249,7 +249,7 @@ def _pairs(degree: int):
 
 def _sym_positivity(pt: _Point) -> float:
     ctx = pt.ctx
-    return -min(hermitian_min_eig(ctx.type_stacks(n, ctx.sym(n))) for n in range(ctx.degree + 1))
+    return -min(hermitian_min_eig(ctx.stacks("sym", n)) for n in range(ctx.degree + 1))
 
 
 def _over_pairs(residual):
@@ -534,8 +534,7 @@ def _majorisation(pt: _Point) -> float:
     margin = np.inf
     for n, k in _pairs(ctx.degree):
         check = toeplitz.majorisation_check(
-            ctx.type_stacks(n + k, ctx.sym(n + k)),
-            ctx.type_stacks(n + k, _kron(ctx.sym(n), ctx.sym(k))), ctx.rstar_stacks(n, k))
+            ctx.stacks("sym", n + k), ctx.stacks("sym", n, k), ctx.stacks("rstar", n, k))
         if not check["consistent"]:
             margin = -np.inf
         margin = min(margin, check["margin"])
@@ -559,10 +558,10 @@ def _tail(pt: _Point):
         per_degree = haagerup.degree_norms(ctx, T)
         for t in family.ts:
             for n in range(ctx.degree):
-                tail = haagerup.tail_norm(ctx, T, t, n, per_degree=per_degree)
+                tail = haagerup.tail_norm(per_degree, t, n)
                 margin = max(margin, tail - float(np.exp(-t * (n + 1))))
-        crosscheck = max(crosscheck, haagerup.free_reduction_crosscheck(
-            ctx, T, 1.0, 1, per_degree=per_degree))
+        crosscheck = max(crosscheck,
+                         haagerup.free_reduction_crosscheck(ctx, T, per_degree, 1.0, 1))
     return float(margin), crosscheck
 
 

@@ -173,11 +173,11 @@ def test_criterion_10_tail_bound_and_free_crosscheck():
             per = haagerup.degree_norms(ctx, T)
             for t in family.ts:
                 for n in range(DEGREE):
-                    tail = haagerup.tail_norm(ctx, T, t, n, per_degree=per)
+                    tail = haagerup.tail_norm(per, t, n)
                     margin = max(margin, tail - float(np.exp(-t * (n + 1))))
             if abs(q) <= 0.5:
                 cross = max(cross,
-                            haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1))
+                            haagerup.free_reduction_crosscheck(ctx, T, per, 1.0, 1))
     announce("criterion 10: tail norms within e^{-t(n+1)} + 1e-10; free "
              "metric crosscheck <= 1e-8 for |q| <= 0.5",
              margin <= 1e-10 and cross <= 1e-8,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import fock, toeplitz
+from qfock import fock, reports, toeplitz
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedVector, annihilation, c_constant, creation, s_q
 from conftest import Q_GRID, SPECTRA, make_ctx
@@ -476,11 +476,65 @@ def test_type_stacks_reject_off_type_entries():
         ctx.type_stacks(2, M)
 
 
+STACK_NAMES = ("rstar", "sym", "metric", "metric_sqrt", "metric_invsqrt", "metric_inv")
+
+
+def _dense_route(ctx, name, n, k):
+    """The dense degree-(n + k) matrix whose type stacks ``ctx.stacks`` holds."""
+    if name == "rstar":
+        return fock.r_star(ctx, n, k)
+    X = getattr(ctx, name)
+    return fock._kron(X(n), X(k))
+
+
+def test_stacks_are_the_type_stacks_of_the_dense_route():
+    for spectrum in ("t2", "b2+t1"):
+        for q in (0.5, -0.9):
+            ctx = make_ctx(spectrum, q, 4)
+            for name in STACK_NAMES:
+                for n, k in reports._pairs(ctx.degree):
+                    # k = 0 is asked for without k first, and with it below
+                    got = ctx.stacks(name, n) if k == 0 else ctx.stacks(name, n, k)
+                    expected = ctx.type_stacks(n + k, _dense_route(ctx, name, n, k))
+                    assert len(got) == len(expected)
+                    assert all(np.array_equal(S, E) for S, E in zip(got, expected))
+                    assert not any(S.flags.writeable for S in got)
+                    assert ctx.stacks(name, n, k) is got
+    with pytest.raises(ValueError, match="unknown"):
+        ctx.stacks("metric_diag_free", 1)
+
+
+def test_second_round_of_residuals_gathers_nothing(monkeypatch):
+    calls = []
+    gather = FockContext.type_stacks
+
+    def counted(self, n, M):
+        calls.append(n)
+        return gather(self, n, M)
+
+    monkeypatch.setattr(FockContext, "type_stacks", counted)
+    pt = reports._Point(reports.SweepConfig(q_values=(0.5,), spectra=("b2+t1",), degree=4),
+                        "b2+t1", 0.5)
+    residuals = (fock.factorization_residual, fock.rstar_free_norm, fock.id_embedding_norm,
+                 fock.rstar_deformed_norm, fock.rstar_adjoint_residual)
+
+    def one_round():
+        return [f(pt.ctx, n, k) for f in residuals for n, k in reports._pairs(pt.ctx.degree)]
+
+    first = one_round()
+    assert calls
+    calls.clear()
+    assert one_round() == first
+    reports._majorisation(pt)
+    assert calls == []
+
+
 def test_cached_arrays_are_read_only():
     ctx = make_ctx("b2+t1", 0.5, 3)
     arrays = [ctx.sym(2), ctx.metric(2), ctx.metric_sqrt(2), ctx.metric_invsqrt(2),
               ctx.metric_inv(2), ctx.metric_diag_free(2), ctx.ann_words(1, 2),
-              *ctx.rstar_stacks(1, 1)]
+              *ctx.stacks("rstar", 1, 1), *ctx.stacks("metric_sqrt", 1, 1),
+              *ctx.stacks("metric_invsqrt", 2)]
     before = [np.array(arr) for arr in arrays]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):

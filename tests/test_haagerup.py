@@ -44,7 +44,7 @@ def test_tail_norm_closed_form_trivial_space():
     # (t = 1, n = 1) over N = 4 is e^{-2}
     space = sp.build_space(sp.BlockSpectrum([], trivial=1))
     ctx = FockContext(space, 0.0, 4)
-    tail = haagerup.tail_norm(ctx, np.eye(1), 1.0, 1)
+    tail = haagerup.tail_norm(haagerup.degree_norms(ctx, np.eye(1)), 1.0, 1)
     assert abs(tail - np.exp(-2.0)) < 1e-14
 
 
@@ -57,36 +57,30 @@ def test_tail_bound_across_grid():
                 per = haagerup.degree_norms(ctx, T)
                 for t in (1.0, 0.25):
                     for n in range(ctx.degree):
-                        tail = haagerup.tail_norm(ctx, T, t, n, per_degree=per)
+                        tail = haagerup.tail_norm(per, t, n)
                         assert tail <= np.exp(-t * (n + 1)) + 1e-10
 
 
 def test_free_reduction_crosscheck_zero_at_q0():
     ctx = make_ctx("b2", 0.0, 4)
     T = haagerup.generate_admissible(ctx.space, 4).matrix
-    assert haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1) == 0.0
+    per = haagerup.degree_norms(ctx, T)
+    assert haagerup.free_reduction_crosscheck(ctx, T, per, 1.0, 1) == 0.0
 
 
 def test_free_reduction_crosscheck_small_q():
     for q in (-0.5, 0.5):
         ctx = make_ctx("t2", q, 4)
         T = haagerup.generate_admissible(ctx.space, 8).matrix
-        assert haagerup.free_reduction_crosscheck(ctx, T, 0.5, 1) < 1e-8
+        per = haagerup.degree_norms(ctx, T)
+        assert haagerup.free_reduction_crosscheck(ctx, T, per, 0.5, 1) < 1e-8
 
 
 def test_free_reduction_crosscheck_large_q_loose():
     ctx = make_ctx("t2", 0.9, 4)
     T = haagerup.generate_admissible(ctx.space, 8).matrix
-    assert haagerup.free_reduction_crosscheck(ctx, T, 0.5, 1) < 1e-6
-
-
-def test_free_reduction_crosscheck_reuses_degree_norms():
-    for spectrum, q in (("t2", 0.5), ("b2+t1", -0.9)):
-        ctx = make_ctx(spectrum, q, 4)
-        T = haagerup.generate_admissible(ctx.space, 8).matrix
-        per_degree = haagerup.degree_norms(ctx, T)
-        assert haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1, per_degree=per_degree) \
-            == haagerup.free_reduction_crosscheck(ctx, T, 1.0, 1)
+    per = haagerup.degree_norms(ctx, T)
+    assert haagerup.free_reduction_crosscheck(ctx, T, per, 0.5, 1) < 1e-6
 
 
 def test_compactness_profile_structure():
@@ -163,4 +157,12 @@ def test_state_preservation_on_squared_field(rng):
 
 def test_tail_norm_rejects_bad_degree(ctx_half):
     with pytest.raises(ValueError):
-        haagerup.tail_norm(ctx_half, np.eye(3), 1.0, ctx_half.degree)
+        haagerup.tail_norm(haagerup.degree_norms(ctx_half, np.eye(3)), 1.0, ctx_half.degree)
+
+
+def test_tail_norm_rejects_negative_degree(ctx_half):
+    # n = -1 would read the whole profile, degree 0 included, as its tail
+    per = haagerup.degree_norms(ctx_half, np.eye(3))
+    for n in (-1, -ctx_half.degree):
+        with pytest.raises(ValueError):
+            haagerup.tail_norm(per, 1.0, n)

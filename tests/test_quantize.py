@@ -118,7 +118,8 @@ def test_kadison_schwarz_on_squared_field(rng):
     x = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     h = (x + ctx.space.conjugate(x)) / 2  # fixed by I
     word = wick.wick_word(ctx, h, 1)
-    margin = quantize.kadison_schwarz_margin(ctx, T.matrix, [1.0], [word])
+    powers = first_quantization(ctx, ctx, T.matrix)
+    margin = quantize.kadison_schwarz_margin(powers, [1.0], [word])
     assert margin >= -1e-10
 
 
@@ -211,15 +212,16 @@ def test_intrinsic_margins_match_the_dilation_oracle():
         for q in (0.5, -0.9):
             channel, ctx = build_channel(spectrum, q, 3, rng)
             oracle = (ctx, channel.comb_ctx, channel.conjugate)
+            powers = first_quantization(ctx, ctx, channel.matrix)
             for degrees in ((1, 0), (0, 0), (1, 1)):
                 words = [_gaussian_word(ctx, rng, n) for n in degrees]
                 coeffs = [complex(rng.standard_normal(), rng.standard_normal())
                           for _ in words]
                 window = _window(ctx, degrees)
-                assert abs(quantize.kadison_schwarz_margin(ctx, channel.matrix, coeffs, words)
+                assert abs(quantize.kadison_schwarz_margin(powers, coeffs, words)
                            - _full_route_ks(*oracle, coeffs, words, window)) <= 1e-10
                 rows = [list(zip(coeffs, words)), list(zip(coeffs[::-1], words))]
-                assert abs(quantize.two_positivity_margin(ctx, channel.matrix, rows)
+                assert abs(quantize.two_positivity_margin(powers, rows)
                            - _full_route_two_positivity(*oracle, rows, window)) <= 1e-10
 
 
@@ -245,7 +247,8 @@ def test_intrinsic_kadison_schwarz_margin_has_teeth(spectrum):
     residual = sp.jti_map(space, space, plain.matrix) - plain.matrix
     e = space.conjugate(_top_singular_vector(space, residual))
     coeffs, words = [10.0, 1.0], [one, wick.wick_word(ctx, e, 1)]
-    assert quantize.kadison_schwarz_margin(ctx, plain.matrix, coeffs, words) < -1e-8
+    assert quantize.kadison_schwarz_margin(first_quantization(ctx, ctx, plain.matrix),
+                                           coeffs, words) < -1e-8
     assert _full_route_ks(ctx, *_dilation_route(ctx, plain.matrix), coeffs, words,
                           _window(ctx, (0, 1))) >= -1e-8
 
@@ -256,7 +259,8 @@ def test_intrinsic_kadison_schwarz_margin_has_teeth(spectrum):
     M *= 1.2 / sp.deformed_op_norm(space, space, M)
     assert sp.iti_residual(space, space, M) < quantize.ITI_TOL
     word = wick.wick_word(ctx, _top_singular_vector(space, M), 1)
-    assert quantize.kadison_schwarz_margin(ctx, M, [1.0], [word]) < -1e-8
+    assert quantize.kadison_schwarz_margin(first_quantization(ctx, ctx, M),
+                                           [1.0], [word]) < -1e-8
 
 
 def test_conjugation_channel_projection_monomials(rng):
