@@ -197,12 +197,14 @@ class FockContext:
         """Type stacks (``type_stacks``), cached per (name, n, k), of
         ``R*_{n,k}`` for name ``rstar``, else of ``X(n) (x) X(k)`` for X the
         method ``sym``, ``metric``, ``metric_sqrt``, ``metric_invsqrt`` or
-        ``metric_inv``; ``X(0) = 1``, and the metric functions' ``X(n)``
-        come straight from the eigen-pairs of the metric's type blocks."""
+        ``metric_inv``; ``X(0) = 1``, so (0, k) shares (k, 0), and the metric
+        functions' ``X(n)`` come from the eigen-pairs of the type blocks."""
         if name == "rstar":
             return self.type_stacks(n + k, r_star(self, n, k))
         if name not in ("sym", "metric", *_METRIC_FUNCTIONS):
             raise ValueError(f"unknown matrix name {name!r}")
+        if n == 0 and k > 0:
+            return self.stacks(name, k)
         if k == 0 and name in _METRIC_FUNCTIONS:
             scale = _METRIC_FUNCTIONS[name]
             return [(v * scale(w)[:, None, :]) @ v.swapaxes(1, 2) for w, v in self._eig(n)]

@@ -1,10 +1,10 @@
 """Approximant families and quantitative approximation diagnostics.
 
 The family ``exp(-t) T_k`` of damped conjugation-compatible contractions is
-quantised on the Hilbert-space level by first quantisation; the diagnostics
-below measure the tail of its degree profile (compactness surrogate), its
-strong convergence to the identity along the double limit, and vacuum-state
-preservation of the induced channels.
+quantised by its tensor powers alone.  The diagnostics read the degree
+profile of a base map (``degree_norms``), whose damped tail bounds the
+high-degree part of ``F_q(exp(-t) T_k)`` by ``exp(-t (n+1))`` (compactness
+surrogate), and measure its strong convergence along the double limit.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class ApproximantFamily:
 
     @classmethod
     def default(cls, space: DeformedSpace, levels: int = 7) -> "ApproximantFamily":
+        if levels < 1:
+            raise ValueError("levels must be >= 1")
         ks = tuple(2 ** i for i in range(levels))
         ts = tuple(1.0 / (2 ** i) for i in range(levels))
         return cls(space, ks, ts)
@@ -95,12 +97,14 @@ def free_reduction_crosscheck(ctx: FockContext, T, per_degree, t: float, n: int)
     return abs(tail_norm(per_degree, t, n) - tail_norm(free_degree_norms(ctx, T), t, n))
 
 
-def compactness_profile(ctx: FockContext, T, t: float, n_max: int) -> dict:
-    """Tail norms against the geometric bound ``exp(-t (n+1))`` for n <= n_max,
-    up to a slack of 1e-10."""
-    per_degree = degree_norms(ctx, T)
+def compactness_profile(per_degree, t: float, n_max: int) -> dict:
+    """Tail norms, from the degree profile ``per_degree`` of ``T``
+    (``degree_norms``, d = 0..N), against the geometric bound
+    ``exp(-t (n+1))`` for n = 0..n_max, up to a slack of 1e-10."""
+    if not 0 <= n_max < len(per_degree) - 1:
+        raise ValueError("n_max must be in 0..N-1 for a profile of degrees 0..N")
     rows = []
-    for n in range(min(n_max, ctx.degree - 1) + 1):
+    for n in range(n_max + 1):
         tail = tail_norm(per_degree, t, n)
         bound = float(np.exp(-t * (n + 1)))
         rows.append({"n": n, "tail": tail, "bound": bound,
@@ -138,13 +142,6 @@ def strong_convergence_sweep(family: ApproximantFamily, ctx: FockContext,
                      "monotone": monotone, "converged": converged})
     return {"rows": rows, "all_monotone": all_monotone, "all_converged": all_converged,
             "grid": diag}
-
-
-def state_preservation_residual(channel, words) -> float:
-    """Sup over sampled Wick words of the vacuum expectation gap of a channel."""
-    src_ops = [w.op for w in words]
-    img_ops = [channel.apply_word(w) for w in words]
-    return channel.vacuum_state_residual(src_ops, img_ops)
 
 
 def admissible_residuals(space: DeformedSpace, k: int) -> dict:

@@ -7,13 +7,14 @@ property, checked rather than assumed throughout, is Wick covariance:
 simple-tensor Wick words map to Wick words of the image tensors.
 
 The positivity margins use the intrinsic image instead: on the Wick algebra
-of one context, ``Gamma_q(T): W(xi) -> W(T^{(x)n} xi)`` needs neither the
-combined space nor the dilation.
+of one context, ``Gamma_q(T): W(xi) -> W(T^{(x)n} xi)`` (``intrinsic_image``)
+needs neither the combined space nor the dilation, only the tensor powers of
+``T`` (``tensor_powers``, which also holds the one guard: ``J T I = T``).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -58,23 +59,31 @@ def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord,
                      word.degree, inputs=inputs)
 
 
+def tensor_powers(contraction: DeformedContraction, src_ctx: FockContext,
+                  tgt_ctx: FockContext) -> GradedOperator:
+    """``first_quantization(src_ctx, tgt_ctx, T)`` of a contraction ``T`` between
+    the contexts' spaces, behind the one guard of second quantisation."""
+    if contraction.iti_residual() > ITI_TOL:
+        raise ValueError("contraction does not satisfy J T I = T; "
+                         "second quantisation is undefined")
+    if src_ctx.space is not contraction.source or tgt_ctx.space is not contraction.target:
+        raise ValueError("contexts do not match the contraction's spaces")
+    return first_quantization(src_ctx, tgt_ctx, contraction.matrix)
+
+
 class QuantizationChannel:
     """Second quantisation of a contraction with ``J T I = T``.
 
     Acts on source Wick words by embedding them in the combined space and
     conjugating with ``F = F_q(P U_T)``; ``conjugate`` is that last step
-    alone.  The channel holds ``F`` and ``F#``, and builds the tensor powers
-    of ``T`` for ``image_tensor`` once, on first use.
+    alone.  The channel holds ``F``, ``F#`` and the tensor powers of ``T``
+    (``tensor_powers``) for ``image_tensor``.
     """
 
     def __init__(self, contraction: DeformedContraction,
                  src_ctx: FockContext, tgt_ctx: FockContext,
                  comb_ctx: FockContext):
-        if contraction.iti_residual() > ITI_TOL:
-            raise ValueError("contraction does not satisfy J T I = T; "
-                             "second quantisation is undefined")
-        if src_ctx.space is not contraction.source or tgt_ctx.space is not contraction.target:
-            raise ValueError("contexts do not match the contraction's spaces")
+        self._powers = tensor_powers(contraction, src_ctx, tgt_ctx)
         if comb_ctx.dim != src_ctx.dim + tgt_ctx.dim:
             raise ValueError("combined context has wrong base dimension")
         if comb_ctx.degree != tgt_ctx.degree or comb_ctx.q != tgt_ctx.q:
@@ -111,10 +120,6 @@ class QuantizationChannel:
         return self.conjugate(embed_wick(self.src_ctx, self.comb_ctx, word,
                                          inputs=self._safe_window(word.degree)).op)
 
-    @cached_property
-    def _powers(self) -> GradedOperator:
-        return first_quantization(self.src_ctx, self.tgt_ctx, self.matrix)
-
     def image_tensor(self, word: WickWord) -> np.ndarray:
         """Coefficient tensor of the expected image word ``T^{(x)n} xi``."""
         return self._powers.block(word.degree, word.degree) @ word.tensor
@@ -132,14 +137,6 @@ class QuantizationChannel:
         """Gap between the image ``F 1 F# = F F#`` of the identity and the
         identity."""
         return (self._F @ self._F_adj).max_diff(GradedOperator.identity(self.tgt_ctx))
-
-    def vacuum_state_residual(self, ops_src, ops_img) -> float:
-        """Sup over provided (source op, channel image) pairs of the vacuum
-        expectation gap."""
-        res = 0.0
-        for x, y in zip(ops_src, ops_img):
-            res = max(res, abs(y.vacuum_expectation() - x.vacuum_expectation()))
-        return res
 
 
 def second_quantization(contraction: DeformedContraction,
@@ -182,7 +179,7 @@ def _element(coeffs, words, degrees) -> GradedOperator:
     return total
 
 
-def _image(powers: GradedOperator, y: GradedOperator, window) -> GradedOperator:
+def intrinsic_image(powers: GradedOperator, y: GradedOperator, window) -> GradedOperator:
     """``Gamma_q(T) y`` on the input degrees of ``window``.
 
     On the safe window an element of the Wick algebra is
@@ -216,8 +213,8 @@ def kadison_schwarz_margin(powers: GradedOperator, coeffs, words) -> float:
     window = _positivity_window(ctx, words)
     x = _element(coeffs, words, _span(ctx, words))
     # the vacuum column of x# x, exact since x holds the inputs 0..2 dmax
-    lhs = _image(powers, x.adjoint() @ _on_inputs(x, (0,)), window)
-    img = _image(powers, x, window)
+    lhs = intrinsic_image(powers, x.adjoint() @ _on_inputs(x, (0,)), window)
+    img = intrinsic_image(powers, x, window)
     rhs = img.adjoint() @ img
     return hermitian_min_eig([(lhs - rhs).to_dense(gauge=True, window=window)[None]])
 
@@ -234,8 +231,8 @@ def two_positivity_margin(powers: GradedOperator, samples) -> float:
     adjoints = [[x.adjoint() for x in row] for row in entries]
     columns = [[_on_inputs(x, (0,)) for x in row] for row in entries]
     # (X# X)_{ij} = sum_r X_{ri}# X_{rj}, needed on its vacuum column only
-    images = [[_image(powers, adjoints[0][i] @ columns[0][j]
-                      + adjoints[1][i] @ columns[1][j], window)
+    images = [[intrinsic_image(powers, adjoints[0][i] @ columns[0][j]
+                               + adjoints[1][i] @ columns[1][j], window)
                for j in range(2)] for i in range(2)]
     return hermitian_min_eig([np.block(
         [[images[i][j].to_dense(gauge=True, window=window) for j in range(2)]
@@ -249,12 +246,7 @@ def positivity_probe(contraction: DeformedContraction, ctx: FockContext, rng,
     most 1."""
     if n_samples < 1:
         raise ValueError("sample budget must be >= 1")
-    if contraction.iti_residual() > ITI_TOL:
-        raise ValueError("contraction does not satisfy J T I = T; "
-                         "second quantisation is undefined")
-    if contraction.source is not ctx.space or contraction.target is not ctx.space:
-        raise ValueError("context does not match the contraction's spaces")
-    powers = first_quantization(ctx, ctx, contraction.matrix)
+    powers = tensor_powers(contraction, ctx, ctx)
     ks_margins, two_pos_margins = [], []
     for s in range(n_samples):
         coeffs, words = _random_words(ctx, rng)

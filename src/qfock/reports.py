@@ -190,9 +190,9 @@ def _rng(config: SweepConfig, suite: str, grid_index: int):
 
 
 class _Point:
-    """One (spectrum, q) grid point: the owner of its space and Fock
-    contexts, each built on first use and dropped with the point.  ``rng`` is
-    the generator of the suite running at the point."""
+    """One (spectrum, q) grid point: the owner of its space, Fock contexts,
+    approximant family and degree profiles, each built on first use and dropped
+    with the point.  ``rng`` is the generator of the suite running at it."""
 
     def __init__(self, config: SweepConfig, spectrum: str, q: float):
         self.config = config
@@ -224,6 +224,17 @@ class _Point:
         """(src_ctx, comb_ctx) pair at the channel truncation degree."""
         return self.channel_ctx, FockContext(sp.direct_sum(self.space, self.space), self.q,
                                              self.channel_degree)
+
+    @cached_property
+    def family(self) -> haagerup.ApproximantFamily:
+        return haagerup.ApproximantFamily.default(self.space)
+
+    @cached_property
+    def profiles(self) -> dict:
+        """The matrix of each base map ``T_k`` of the family and its degree
+        profile ``degree_norms(ctx, T_k)``, by k."""
+        maps = {k: self.family.base_map(k).matrix for k in self.family.ks}
+        return {k: (T, haagerup.degree_norms(self.ctx, T)) for k, T in maps.items()}
 
     @cached_property
     def subspace_ctx(self) -> FockContext:
@@ -319,6 +330,11 @@ def _wick_linearity(pt: _Point) -> float:
     return combined.max_diff(split)
 
 
+def _vacuum_gap(x: GradedOperator, image: GradedOperator) -> float:
+    """``|<Omega, image Omega> - <Omega, x Omega>|`` for an image of ``x``."""
+    return abs(image.vacuum_expectation() - x.vacuum_expectation())
+
+
 def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
     """Degree-n tensor fixed by the Wick adjoint involution, so its Wick word
     is self-adjoint."""
@@ -356,7 +372,7 @@ def _channel_on_words(pt: _Point):
         image = channel.apply_word(word)
         res_cov = max(res_cov, channel.covariance_residual(word, image))
         res_unital = max(res_unital, channel.unitality_residual())
-        res_vac = max(res_vac, channel.vacuum_state_residual([word.op], [image]))
+        res_vac = max(res_vac, _vacuum_gap(word.op, image))
         res_gns = max(res_gns, quantize.gns_residual(channel, word, image))
     return res_cov, res_unital, res_vac, res_gns
 
@@ -458,7 +474,7 @@ def _expectation_residual(pt: _Point) -> float:
     min_eig = hermitian_min_eig(gauged)
     res = max(res, max(-min_eig, 0.0) / scale)  # positive, relative scale
     # vacuum-state compatible
-    return max(res, abs(ex.vacuum_expectation() - op.vacuum_expectation()))
+    return max(res, _vacuum_gap(op, ex))
 
 
 def _random_graded(ctx: FockContext, rng) -> GradedOperator:
@@ -542,21 +558,17 @@ def _majorisation(pt: _Point) -> float:
 
 
 def _admissible(pt: _Point) -> float:
-    family = haagerup.ApproximantFamily.default(pt.space)
-    return max(max(haagerup.admissible_residuals(pt.space, k).values()) for k in family.ks)
+    return max(max(haagerup.admissible_residuals(pt.space, k).values()) for k in pt.family.ks)
 
 
 def _tail(pt: _Point):
     """Worst excess of the tail norms over their geometric bound, and the
     q-to-free reduction gap."""
     ctx = pt.ctx
-    family = haagerup.ApproximantFamily.default(pt.space)
     margin = -np.inf
     crosscheck = 0.0
-    for k in family.ks:
-        T = family.base_map(k).matrix
-        per_degree = haagerup.degree_norms(ctx, T)
-        for t in family.ts:
+    for T, per_degree in pt.profiles.values():
+        for t in pt.family.ts:
             for n in range(ctx.degree):
                 tail = haagerup.tail_norm(per_degree, t, n)
                 margin = max(margin, tail - float(np.exp(-t * (n + 1))))
@@ -569,32 +581,29 @@ def _strong_convergence(pt: _Point) -> float:
     ctx = pt.ctx
     vectors = [GradedVector.vacuum(ctx)] + \
         [GradedVector.random(ctx, pt.rng) for _ in range(3)]
-    sweep = haagerup.strong_convergence_sweep(
-        haagerup.ApproximantFamily.default(pt.space), ctx, vectors,
-        final_tol=pt.config.tolerances["strong"])
+    sweep = haagerup.strong_convergence_sweep(pt.family, ctx, vectors,
+                                              final_tol=pt.config.tolerances["strong"])
     return 0.0 if (sweep["all_monotone"] and sweep["all_converged"]) else 1.0
 
 
 def _compactness_profile(pt: _Point) -> float:
-    ctx = pt.ctx
-    profile = haagerup.compactness_profile(
-        ctx, haagerup.ApproximantFamily.default(pt.space).base_map(4).matrix, 0.5,
-        ctx.degree - 1)
+    profile = haagerup.compactness_profile(pt.profiles[4][1], 0.5, pt.ctx.degree - 1)
     return 0.0 if profile["all_within_bound"] else 1.0
 
 
 def _approximant_state_residual(pt: _Point) -> float:
-    space, rng = pt.space, pt.rng
-    src_ctx, comb_ctx = pt.channel_ctxs
-    damped = sp.DeformedContraction(
-        space, space, np.exp(-0.5) * haagerup.generate_admissible(space, 4).matrix)
-    channel = quantize.QuantizationChannel(damped, src_ctx, src_ctx, comb_ctx)
-    words = []
-    deg_max = max(1, min(2, src_ctx.degree - 1))
+    """Vacuum-state gap of the damped approximant ``Gamma_q(exp(-1/2) T_4)``,
+    the intrinsic image on the main context, over random Wick words."""
+    space, ctx, rng = pt.space, pt.ctx, pt.rng
+    damped = sp.DeformedContraction(space, space, np.exp(-0.5) * pt.profiles[4][0])
+    powers = quantize.tensor_powers(damped, ctx, ctx)
+    res = 0.0
+    deg_max = max(1, min(2, ctx.degree - 1))
     for _ in range(pt.config.samples["state_preservation"]):
         n = int(rng.integers(0, deg_max + 1))
-        words.append(wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n))
-    return haagerup.state_preservation_residual(channel, words)
+        word = wick.wick_word(ctx, _gaussian(rng, ctx.block_size(n)), n, inputs=range(1))
+        res = max(res, _vacuum_gap(word.op, quantize.intrinsic_image(powers, word.op, range(1))))
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,19 @@ def test_stacks_are_the_type_stacks_of_the_dense_route():
         ctx.stacks("metric_diag_free", 1)
 
 
+def test_degree_zero_left_factor_shares_the_entry_of_the_right_one():
+    # X(0) = 1, so X(0) (x) X(k) is X(k): (0, k) is the cached entry of (k, 0),
+    # whichever of the two is asked for first
+    for first_left in (True, False):
+        ctx = make_ctx("b2+t1", 0.5, 4)
+        for name in STACK_NAMES[1:]:
+            for k in range(1, ctx.degree + 1):
+                if first_left:
+                    assert ctx.stacks(name, 0, k) is ctx.stacks(name, k)
+                else:
+                    assert ctx.stacks(name, k) is ctx.stacks(name, 0, k)
+
+
 def test_second_round_of_residuals_gathers_nothing(monkeypatch):
     calls = []
     gather = FockContext.type_stacks

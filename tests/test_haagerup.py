@@ -85,10 +85,30 @@ def test_free_reduction_crosscheck_large_q_loose():
 
 def test_compactness_profile_structure():
     ctx = make_ctx("t1", 0.0, 4)
-    profile = haagerup.compactness_profile(ctx, np.eye(1), 1.0, 3)
+    profile = haagerup.compactness_profile(haagerup.degree_norms(ctx, np.eye(1)), 1.0, 3)
     assert profile["all_within_bound"]
     # for T = Id at q = 0 consecutive tails decay by exactly e^{-1}
     assert np.allclose(profile["decay_ratios"], np.exp(-1.0))
+
+
+def test_compactness_profile_rejects_n_max_out_of_range():
+    # n_max = -1 used to give no rows and so "all within bound" for a map of
+    # norm 1.5, whose profile fails the bound at n_max = 3
+    ctx = make_ctx("t1", 0.0, 4)
+    per = haagerup.degree_norms(ctx, 1.5 * np.eye(1))
+    assert not haagerup.compactness_profile(per, 0.0, 3)["all_within_bound"]
+    for n_max in (-1, ctx.degree, ctx.degree + 1):
+        with pytest.raises(ValueError, match="n_max"):
+            haagerup.compactness_profile(per, 0.0, n_max)
+
+
+def test_default_family_needs_a_level(space_b2t1):
+    # levels = 0 used to build an empty family, on which the strong
+    # convergence sweep failed with an IndexError
+    for levels in (0, -1):
+        with pytest.raises(ValueError, match="levels"):
+            haagerup.ApproximantFamily.default(space_b2t1, levels)
+    assert haagerup.ApproximantFamily.default(space_b2t1, 1).ks == (1,)
 
 
 def test_strong_convergence_vacuum_and_closed_form(rng):
@@ -123,20 +143,29 @@ def test_strong_convergence_monotone_but_bounded_away(rng):
         assert row["distances"][-1] > 1.0 - np.exp(-1.0 / 64.0)
 
 
+def _vacuum_gap(x, image):
+    return abs(image.vacuum_expectation() - x.vacuum_expectation())
+
+
 def test_damped_channels_preserve_state(rng):
+    # the intrinsic image Gamma_q(T) against the dilation channel (oracle) on
+    # the same damped approximant and the same words
     ctx = make_ctx("t2", 0.5, 3)
     space = ctx.space
     comb_ctx = FockContext(sp.direct_sum(space, space), 0.5, 3)
     damped = sp.DeformedContraction(
         space, space, np.exp(-0.5) * haagerup.generate_admissible(space, 4).matrix)
     channel = quantize.QuantizationChannel(damped, ctx, ctx, comb_ctx)
+    powers = quantize.tensor_powers(damped, ctx, ctx)
     assert channel.unitality_residual() < 1e-10
-    words = []
     for n in (0, 1, 2):
         size = ctx.block_size(n)
         xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        words.append(wick.wick_word(ctx, xi, n))
-    assert haagerup.state_preservation_residual(channel, words) < 1e-10
+        word = wick.wick_word(ctx, xi, n)
+        oracle = _vacuum_gap(word.op, channel.apply_word(word))
+        gap = _vacuum_gap(word.op, quantize.intrinsic_image(powers, word.op, range(1)))
+        assert gap < 1e-10
+        assert abs(gap - oracle) < 1e-12
 
 
 def test_state_preservation_on_squared_field(rng):
@@ -151,8 +180,11 @@ def test_state_preservation_on_squared_field(rng):
     word = wick.wick_word(ctx, h, 1)
     sq = word.op @ word.op
     emb = quantize.embed_wick(ctx, comb_ctx, word).op
-    image = channel.conjugate(emb @ emb)
-    assert channel.vacuum_state_residual([sq], [image]) < 1e-10
+    oracle = _vacuum_gap(sq, channel.conjugate(emb @ emb))
+    powers = quantize.tensor_powers(damped, ctx, ctx)
+    gap = _vacuum_gap(sq, quantize.intrinsic_image(powers, sq, range(1)))
+    assert gap < 1e-10
+    assert abs(gap - oracle) < 1e-12
 
 
 def test_tail_norm_rejects_bad_degree(ctx_half):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qfock import fock, quantize, reports, wick
+from qfock import fock, haagerup, quantize, reports, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext
 from qfock.reports import SweepConfig, parse_spectrum, run_suite
@@ -99,6 +99,44 @@ def test_contexts_die_with_their_grid_point(monkeypatch, suite):
     run_suite(small_config(q_values=(0.5, -0.5, 0.3)), suite)
     assert len(built) >= 6 and not stale
     assert peak <= 3  # one point's set: main, combined and subspace contexts
+
+
+# the spectra of the q_scan workload at its degree: on t2 and b2 the channel
+# degree (4) differs from N, so a channel route would build three contexts
+HAAGERUP_GRID = dict(q_values=(0.5, -0.5), spectra=("t1", "t2", "b2"), degree=5)
+
+
+def test_haagerup_suite_builds_one_context_per_point(monkeypatch):
+    # the suite reads Gamma_q through tensor powers on the point's main
+    # context: no combined context and no context at a channel degree
+    built = []
+    init = FockContext.__init__
+
+    def counted(self, space, q, degree):
+        built.append((space.dim, q, degree))
+        init(self, space, q, degree)
+
+    monkeypatch.setattr(FockContext, "__init__", counted)
+    monkeypatch.setattr(quantize, "QuantizationChannel", None)
+    run_suite(small_config(**HAAGERUP_GRID), "haagerup")
+    assert sorted(built) == sorted((sp.build_space(parse_spectrum(s)).dim, q, 5)
+                                   for s in HAAGERUP_GRID["spectra"]
+                                   for q in HAAGERUP_GRID["q_values"])
+
+
+def test_haagerup_suite_takes_each_degree_profile_once(monkeypatch):
+    calls = []
+    degree_norms = haagerup.degree_norms
+
+    def counted(ctx, T):
+        calls.append((ctx, np.asarray(T).tobytes()))  # holds ctx: ids stay distinct
+        return degree_norms(ctx, T)
+
+    monkeypatch.setattr(haagerup, "degree_norms", counted)
+    reps = run_suite(small_config(**HAAGERUP_GRID), "haagerup")
+    levels = len(haagerup.ApproximantFamily.default(sp.build_space(parse_spectrum("t1"))).ks)
+    assert len(calls) == len({(id(ctx), T) for ctx, T in calls}) == 6 * levels
+    assert [r.check for r in reps].count("haagerup/compactness_profile") == 6
 
 
 def test_all_suites_equal_single_suite_runs():
