@@ -13,9 +13,8 @@ from .quantize import (QuantizationChannel, conjugation_channel, gns_residual,
                        kadison_schwarz_margin, positivity_probe,
                        second_quantization, two_positivity_margin)
 from .toeplitz import (LengthElement, compression, compression_identity_residual,
-                       degree_expectation, finkernel_rank, flip,
-                       majorisation_check, monomial, norm_bound_margin,
-                       realize, subspace)
+                       degree_expectation, finkernel_rank, majorisation_check,
+                       monomial, norm_bound_margin, realize, subspace)
 from .haagerup import (ApproximantFamily, admissible_profile,
                        compactness_profile, free_reduction_crosscheck,
                        generate_admissible, strong_convergence_sweep,
@@ -35,7 +34,7 @@ __all__ = [
     "kadison_schwarz_margin", "positivity_probe", "second_quantization",
     "two_positivity_margin",
     "LengthElement", "compression", "compression_identity_residual",
-    "degree_expectation", "finkernel_rank", "flip", "majorisation_check",
+    "degree_expectation", "finkernel_rank", "majorisation_check",
     "monomial", "norm_bound_margin", "realize", "subspace",
     "ApproximantFamily", "admissible_profile", "compactness_profile",
     "free_reduction_crosscheck", "generate_admissible",

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .spaces import DeformedSpace, _spectral_norm
+from .spaces import DeformedSpace, _gaussian, _spectral_norm
 
 # c_constant by q, and the partition orders of R*_{n,k} by (n + k, n): plain
 # numbers and index tuples, so no cache here holds a context or an array
@@ -270,12 +270,12 @@ class FockContext:
             raise ValueError("degree out of range")
         size = self.dim ** p
         rstar = _apply_r_star(self.q, self.dim, m, p - m, np.eye(size))
-        picked = self._metric[m][self._reverse_map(m)]
+        picked = self._metric[m][self.reverse_map(m)]
         return (picked @ rstar.reshape(self.dim ** m, -1)).reshape(
             self.dim ** m, self.dim ** (p - m), size)
 
     @_memo
-    def _reverse_map(self, m: int) -> np.ndarray:
+    def reverse_map(self, m: int) -> np.ndarray:
         """Flat index map reversing the order of the m tensor factors."""
         return np.arange(self.dim ** m).reshape((self.dim,) * m).T.ravel()
 
@@ -327,12 +327,7 @@ class GradedVector:
 
     @classmethod
     def random(cls, ctx: FockContext, rng) -> "GradedVector":
-        vec = cls.vacuum(ctx)
-        vec.blocks[0][0] = 0.0
-        for n in range(ctx.degree + 1):
-            size = ctx.block_size(n)
-            vec.blocks[n] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return vec
+        return cls(ctx, [_gaussian(rng, ctx.block_size(n)) for n in range(ctx.degree + 1)])
 
     def __add__(self, other):
         return GradedVector(self.ctx, [a + b for a, b in zip(self.blocks, other.blocks)])

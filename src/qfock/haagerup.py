@@ -9,13 +9,13 @@ surrogate), and measure its strong convergence along the double limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import spaces
 from .fock import FockContext, first_quantization
-from .spaces import DeformedContraction, DeformedSpace, _spectral_norm
+from .spaces import DeformedContraction, DeformedSpace, _gauge, _spectral_norm
 
 
 def admissible_profile(lam: float, k: int) -> float:
@@ -39,11 +39,17 @@ def generate_admissible(space: DeformedSpace, k: int) -> DeformedContraction:
 
 @dataclass(frozen=True)
 class ApproximantFamily:
-    """Grid of damped contractions ``exp(-t) T_k`` on a fixed space."""
+    """Grid of damped contractions ``exp(-t) T_k`` on a fixed space.
+
+    ``maps`` holds each base map ``T_k`` by k, generated once with the family."""
 
     space: DeformedSpace
     ks: tuple
     ts: tuple
+    maps: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "maps", {k: generate_admissible(self.space, k) for k in self.ks})
 
     @classmethod
     def default(cls, space: DeformedSpace, levels: int = 7) -> "ApproximantFamily":
@@ -53,11 +59,8 @@ class ApproximantFamily:
         ts = tuple(1.0 / (2 ** i) for i in range(levels))
         return cls(space, ks, ts)
 
-    def base_map(self, k: int) -> DeformedContraction:
-        return generate_admissible(self.space, k)
-
     def damped_matrix(self, k: int, t: float) -> np.ndarray:
-        return np.exp(-t) * self.base_map(k).matrix
+        return np.exp(-t) * self.maps[k].matrix
 
 
 def degree_norms(ctx: FockContext, T) -> np.ndarray:
@@ -86,8 +89,7 @@ def free_degree_norms(ctx: FockContext, T) -> np.ndarray:
     norms = [1.0]
     for d in range(1, ctx.degree + 1):
         gt = ctx.metric_diag_free(d)
-        gauged = np.sqrt(gt)[:, None] * fq.block(d, d) / np.sqrt(gt)[None, :]
-        norms.append(_spectral_norm(gauged))
+        norms.append(_spectral_norm(_gauge(gt, fq.block(d, d), gt)))
     return np.array(norms)
 
 
@@ -144,10 +146,10 @@ def strong_convergence_sweep(family: ApproximantFamily, ctx: FockContext,
             "grid": diag}
 
 
-def admissible_residuals(space: DeformedSpace, k: int) -> dict:
-    """Conjugation and group-intertwining residuals of a generated base map."""
-    T = generate_admissible(space, k)
+def admissible_residuals(T: DeformedContraction) -> dict:
+    """Conjugation and group-intertwining residuals of a base map such as
+    ``generate_admissible(space, k)``."""
     return {
         "iti_residual": T.iti_residual(),
-        "intertwiner_residual": spaces.intertwiner_residual(T.matrix, space, space),
+        "intertwiner_residual": spaces.intertwiner_residual(T.matrix, T.source, T.target),
     }

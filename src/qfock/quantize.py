@@ -21,7 +21,7 @@ import numpy as np
 from . import spaces
 from .fock import (FockContext, GradedOperator, GradedVector, blockwise_gap,
                    coordinate_index, first_quantization, hermitian_min_eig)
-from .spaces import DeformedContraction
+from .spaces import DeformedContraction, _gaussian
 from .wick import WickWord, wick_word
 
 ITI_TOL = 1e-10
@@ -270,8 +270,7 @@ def _random_words(ctx: FockContext, rng):
     coeffs, words = [], []
     for _ in range(2):
         deg = int(rng.integers(0, 2))
-        size = ctx.block_size(deg)
-        xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        coeffs.append(complex(rng.standard_normal() + 1j * rng.standard_normal()))
+        xi = _gaussian(rng, ctx.block_size(deg))
+        coeffs.append(complex(_gaussian(rng, ())))
         words.append(wick_word(ctx, xi, deg, inputs=range(min(2, ctx.degree) + 1)))
     return coeffs, words

@@ -14,6 +14,7 @@ reports.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -27,10 +28,10 @@ import numpy as np
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
 from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
-                   blockwise_gap, c_constant, coordinate_index, creation,
-                   factorization_residual, gauge_block, hermitian_min_eig, id_embedding_norm,
+                   blockwise_gap, c_constant, creation, factorization_residual,
+                   gauge_block, hermitian_min_eig, id_embedding_norm,
                    rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
-from .spaces import BlockSpectrum, _spectral_norm, build_space
+from .spaces import BlockSpectrum, _gaussian, _spectral_norm, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
 
@@ -109,6 +110,9 @@ class SweepConfig:
         _check_field("seed", self.seed, numbers.Integral, None, "an integer")
         _check_field("samples", self.samples, dict, numbers.Integral, "an object of integers")
         _check_field("tolerances", self.tolerances, dict, numbers.Real, "an object of numbers")
+        for name in ("q_values", "spectra"):
+            if not getattr(self, name):
+                raise ValueError(f"config field {name!r} must not be empty")
         for name, given, known in (("samples", self.samples, DEFAULT_SAMPLES),
                                    ("tolerances", self.tolerances, DEFAULT_TOLERANCES)):
             unknown = sorted(set(given) - set(known))
@@ -146,8 +150,7 @@ class SweepConfig:
                 raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a JSON object")
-        known = {"q_values", "spectra", "degree", "seed", "samples", "tolerances"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"{path}: unknown config fields {sorted(unknown)}")
         return cls(**raw)
@@ -231,10 +234,9 @@ class _Point:
 
     @cached_property
     def profiles(self) -> dict:
-        """The matrix of each base map ``T_k`` of the family and its degree
-        profile ``degree_norms(ctx, T_k)``, by k."""
-        maps = {k: self.family.base_map(k).matrix for k in self.family.ks}
-        return {k: (T, haagerup.degree_norms(self.ctx, T)) for k, T in maps.items()}
+        """The degree profile ``degree_norms(ctx, T_k)`` of each base map of
+        the family, by k."""
+        return {k: haagerup.degree_norms(self.ctx, T.matrix) for k, T in self.family.maps.items()}
 
     @cached_property
     def subspace_ctx(self) -> FockContext:
@@ -242,10 +244,6 @@ class _Point:
         ``_subspace_indices``, at the configured degree."""
         sub = toeplitz.subspace(self.space, _subspace_indices(self.space))
         return FockContext(sub, self.q, self.config.degree)
-
-
-def _gaussian(rng, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _pairs(degree: int):
@@ -323,8 +321,7 @@ def _wick_linearity(pt: _Point) -> float:
     n = min(2, ctx.degree)
     xi = _gaussian(rng, ctx.block_size(n))
     eta = _gaussian(rng, ctx.block_size(n))
-    a, b = complex(rng.standard_normal(), rng.standard_normal()), complex(
-        rng.standard_normal(), rng.standard_normal())
+    a, b = complex(_gaussian(rng, ())), complex(_gaussian(rng, ()))
     combined = wick.wick_word(ctx, a * xi + b * eta, n).op
     split = a * wick.wick_word(ctx, xi, n).op + b * wick.wick_word(ctx, eta, n).op
     return combined.max_diff(split)
@@ -436,9 +433,6 @@ def _embed_multiplicativity_residual(pt: _Point) -> float:
     rng = pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
     deg = 1 if src_ctx.degree < 4 else 2
-    # combined-space index of each source basis tensor, per degree
-    index = [coordinate_index(comb_ctx.dim, range(src_ctx.dim), n)
-             for n in range(comb_ctx.degree + 1)]
     res = 0.0
     for _ in range(2):
         xi = _gaussian(rng, src_ctx.block_size(deg))
@@ -447,14 +441,11 @@ def _embed_multiplicativity_residual(pt: _Point) -> float:
         wy = wick.wick_word(src_ctx, eta, deg)
         ex = quantize.embed_wick(src_ctx, comb_ctx, wx).op
         ey = quantize.embed_wick(src_ctx, comb_ctx, wy).op
-        prod_src = wx.op @ wy.op
-        prod_emb = ex @ ey
         # the sub-Fock space over the source coordinates is invariant; the
         # embedded product must restrict to the source product there
-        for p in range(comb_ctx.degree - 2 * deg + 1):
-            for m in range(comb_ctx.degree + 1):
-                restricted = prod_emb.block(m, p)[np.ix_(index[m], index[p])]
-                res = max(res, src_ctx.block_norm(restricted - prod_src.block(m, p), m, p))
+        restricted = toeplitz.compression(comb_ctx, src_ctx, range(src_ctx.dim), ex @ ey)
+        res = max(res, blockwise_gap(src_ctx, restricted, wx.op @ wy.op,
+                                     range(comb_ctx.degree - 2 * deg + 1)))
     return res
 
 
@@ -534,7 +525,7 @@ def _compression_residual(pt: _Point) -> float:
 def _embedded_vector(ctx: FockContext, indices, rng) -> np.ndarray:
     v = np.zeros(ctx.dim, dtype=complex)
     for i in indices:
-        v[i] = rng.standard_normal() + 1j * rng.standard_normal()
+        v[i] = _gaussian(rng, ())
     return v
 
 
@@ -558,7 +549,7 @@ def _majorisation(pt: _Point) -> float:
 
 
 def _admissible(pt: _Point) -> float:
-    return max(max(haagerup.admissible_residuals(pt.space, k).values()) for k in pt.family.ks)
+    return max(max(haagerup.admissible_residuals(T).values()) for T in pt.family.maps.values())
 
 
 def _tail(pt: _Point):
@@ -567,13 +558,14 @@ def _tail(pt: _Point):
     ctx = pt.ctx
     margin = -np.inf
     crosscheck = 0.0
-    for T, per_degree in pt.profiles.values():
+    for k, T in pt.family.maps.items():
+        per_degree = pt.profiles[k]
         for t in pt.family.ts:
             for n in range(ctx.degree):
                 tail = haagerup.tail_norm(per_degree, t, n)
                 margin = max(margin, tail - float(np.exp(-t * (n + 1))))
         crosscheck = max(crosscheck,
-                         haagerup.free_reduction_crosscheck(ctx, T, per_degree, 1.0, 1))
+                         haagerup.free_reduction_crosscheck(ctx, T.matrix, per_degree, 1.0, 1))
     return float(margin), crosscheck
 
 
@@ -587,7 +579,7 @@ def _strong_convergence(pt: _Point) -> float:
 
 
 def _compactness_profile(pt: _Point) -> float:
-    profile = haagerup.compactness_profile(pt.profiles[4][1], 0.5, pt.ctx.degree - 1)
+    profile = haagerup.compactness_profile(pt.profiles[4], 0.5, pt.ctx.degree - 1)
     return 0.0 if profile["all_within_bound"] else 1.0
 
 
@@ -595,7 +587,7 @@ def _approximant_state_residual(pt: _Point) -> float:
     """Vacuum-state gap of the damped approximant ``Gamma_q(exp(-1/2) T_4)``,
     the intrinsic image on the main context, over random Wick words."""
     space, ctx, rng = pt.space, pt.ctx, pt.rng
-    damped = sp.DeformedContraction(space, space, np.exp(-0.5) * pt.profiles[4][0])
+    damped = sp.DeformedContraction(space, space, pt.family.damped_matrix(4, 0.5))
     powers = quantize.tensor_powers(damped, ctx, ctx)
     res = 0.0
     deg_max = max(1, min(2, ctx.degree - 1))

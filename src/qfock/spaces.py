@@ -23,6 +23,19 @@ def _spectral_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
+def _gauge(g_out, M, g_in) -> np.ndarray:
+    """A matrix between spaces of diagonal metrics ``g_in`` and ``g_out`` in
+    coordinates orthonormal for them: its plain spectral norm is the
+    deformed one."""
+    return np.sqrt(g_out)[:, None] * M / np.sqrt(g_in)[None, :]
+
+
+def _gaussian(rng, shape):
+    """Complex standard Gaussian draw of the given shape: the real parts are
+    drawn first, then the imaginary parts; ``shape = ()`` draws one scalar."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class BlockSpectrum:
     """Spectral recipe for the generator.
 
@@ -140,9 +153,7 @@ def deformed_inner(space: DeformedSpace, x, y) -> complex:
 
 def deformed_op_norm(src: DeformedSpace, tgt: DeformedSpace, M) -> float:
     """Operator norm of ``M: src -> tgt`` w.r.t. the deformed metrics."""
-    M = np.asarray(M)
-    gauged = np.sqrt(tgt.g)[:, None] * M / np.sqrt(src.g)[None, :]
-    return _spectral_norm(gauged)
+    return _spectral_norm(_gauge(tgt.g, np.asarray(M), src.g))
 
 
 def deformed_adjoint(src: DeformedSpace, tgt: DeformedSpace, M) -> np.ndarray:
@@ -219,9 +230,8 @@ def dilate(contraction: DeformedContraction) -> np.ndarray:
     the direct-sum deformed metric and satisfies ``P U iota = T``.
     """
     src, tgt = contraction.source, contraction.target
-    T = contraction.matrix
     # work in the orthonormal gauge, where adjoints are conjugate transposes
-    Tg = np.sqrt(tgt.g)[:, None] * T / np.sqrt(src.g)[None, :]
+    Tg = _gauge(tgt.g, contraction.matrix, src.g)
     if _spectral_norm(Tg) > 1.0 + NORM_TOL:
         raise ValueError("cannot dilate: norm exceeds 1")
     dk = _psd_sqrt(np.eye(src.dim) - np.conj(Tg).T @ Tg)
@@ -242,7 +252,7 @@ def _psd_sqrt(M) -> np.ndarray:
 def random_contraction(rng, src: DeformedSpace, tgt: DeformedSpace,
                        norm: float = 0.5) -> DeformedContraction:
     """Random matrix rescaled to a prescribed deformed operator norm."""
-    M = rng.standard_normal((tgt.dim, src.dim)) + 1j * rng.standard_normal((tgt.dim, src.dim))
+    M = _gaussian(rng, (tgt.dim, src.dim))
     M *= norm / deformed_op_norm(src, tgt, M)
     return DeformedContraction(src, tgt, M)
 
@@ -254,7 +264,7 @@ def random_jti_contraction(rng, src: DeformedSpace, tgt: DeformedSpace,
     Produced by averaging a random matrix with its ``J (.) I`` conjugate and
     rescaling by a positive real, which preserves the symmetry.
     """
-    M = rng.standard_normal((tgt.dim, src.dim)) + 1j * rng.standard_normal((tgt.dim, src.dim))
+    M = _gaussian(rng, (tgt.dim, src.dim))
     M = (M + jti_map(src, tgt, M)) / 2.0
     nrm = deformed_op_norm(src, tgt, M)
     if nrm < 1e-12:

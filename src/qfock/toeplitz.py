@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import FockContext, GradedOperator, _kron, c_constant, coordinate_index, r_star
-from .spaces import DeformedSpace
+from .spaces import DeformedSpace, _gaussian
 
 
 @dataclass
@@ -67,8 +67,7 @@ def monomial(ctx: FockContext, v_list, w_list) -> LengthElement:
 
 def random_balanced(ctx: FockContext, rng, n: int) -> LengthElement:
     size = ctx.block_size(n)
-    coeff = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    return realize(ctx, coeff, n, n)
+    return realize(ctx, _gaussian(rng, (size, size)), n, n)
 
 
 def degree_expectation(op: GradedOperator) -> GradedOperator:
@@ -77,19 +76,10 @@ def degree_expectation(op: GradedOperator) -> GradedOperator:
                           {key: B for key, B in op.blocks.items() if key[0] == key[1]})
 
 
-def flip(ctx: FockContext, n: int) -> np.ndarray:
-    """Tensor order reversal on degree-n coordinates."""
-    if n > ctx.degree:
-        raise ValueError("degree out of range")
-    size = ctx.block_size(n)
-    F = np.zeros((size, size))
-    F[ctx._reverse_map(n), np.arange(size)] = 1.0
-    return F
-
-
 def flip_pairing_residual(ctx: FockContext, v_tensor, w_tensor, e_tensor, n: int) -> float:
     """Residual of ``a*_q(v) a_q(w-bar) e = <flip(w), e> v`` on degree-n input.
 
+    The flip reverses the tensor order, ``flip(w) = w[ctx.reverse_map(n)]``.
     At q = 0 the pairing is the plain (free) one; for q != 0 the identity
     holds with the q-deformed pairing, which is what is checked here.
     """
@@ -98,7 +88,7 @@ def flip_pairing_residual(ctx: FockContext, v_tensor, w_tensor, e_tensor, n: int
     e = np.asarray(e_tensor, dtype=complex).reshape(ctx.block_size(n))
     elem = realize(ctx, np.outer(v, np.conj(w)), n, n)
     lhs = elem.op.block(n, n) @ e
-    pairing = ctx.q_inner(flip(ctx, n) @ w, e, n)
+    pairing = ctx.q_inner(w[ctx.reverse_map(n)], e, n)
     rhs = pairing * v
     return ctx.q_norm(lhs - rhs, n)
 

@@ -72,7 +72,7 @@ def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:
     """Coefficient tensor of ``W(xi)*``: factor order reversed and the
     conjugation applied entrywise."""
     xi = np.asarray(xi, dtype=complex).ravel()
-    return np.conj(xi)[ctx.partner_map(degree)][ctx._reverse_map(degree)]
+    return np.conj(xi)[ctx.partner_map(degree)][ctx.reverse_map(degree)]
 
 
 def vacuum_residual(ctx: FockContext, xi, degree: int) -> float:

@@ -169,7 +169,7 @@ def test_criterion_10_tail_bound_and_free_crosscheck():
     for spectrum, q, ctx in grid_contexts():
         family = haagerup.ApproximantFamily.default(ctx.space)
         for k in family.ks:
-            T = family.base_map(k).matrix
+            T = family.maps[k].matrix
             per = haagerup.degree_norms(ctx, T)
             for t in family.ts:
                 for n in range(DEGREE):

@@ -644,7 +644,7 @@ def test_c_constant_memo_returns_the_computed_value():
 def test_index_maps_are_cached_and_read_only():
     ctx = make_ctx("b2+t1", 0.5, 3)
     for m in range(ctx.degree + 1):
-        for index_map in (ctx.partner_map, ctx._reverse_map):
+        for index_map in (ctx.partner_map, ctx.reverse_map):
             flat = index_map(m)
             assert flat is index_map(m) and not flat.flags.writeable
             assert sorted(flat) == list(range(ctx.block_size(m)))
@@ -652,7 +652,7 @@ def test_index_maps_are_cached_and_read_only():
                 flat[0] = 0
     digits = np.array(list(itertools.product(range(3), repeat=3)))
     flat = (digits * [9, 3, 1]).sum(axis=1)
-    assert np.array_equal(ctx._reverse_map(3)[flat], (digits[:, ::-1] * [9, 3, 1]).sum(axis=1))
+    assert np.array_equal(ctx.reverse_map(3)[flat], (digits[:, ::-1] * [9, 3, 1]).sum(axis=1))
     assert np.array_equal(ctx.partner_map(3)[flat],
                           (ctx.space.partner[digits] * [9, 3, 1]).sum(axis=1))
 

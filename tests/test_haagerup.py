@@ -26,11 +26,21 @@ def test_profile_tends_to_identity():
 
 def test_generated_maps_are_admissible(space_b2t1):
     for k in (1, 2, 16, 64):
-        res = haagerup.admissible_residuals(space_b2t1, k)
+        T = haagerup.generate_admissible(space_b2t1, k)
+        res = haagerup.admissible_residuals(T)
         assert res["iti_residual"] < 1e-12
         assert res["intertwiner_residual"] < 1e-12
-        T = haagerup.generate_admissible(space_b2t1, k)
         assert T.norm <= 1.0 + 1e-12
+
+
+def test_family_owns_its_generated_maps(space_b2t1):
+    family = haagerup.ApproximantFamily.default(space_b2t1)
+    assert list(family.maps) == list(family.ks)
+    for k in family.ks:
+        assert np.array_equal(family.maps[k].matrix,
+                              haagerup.generate_admissible(space_b2t1, k).matrix)
+        assert np.array_equal(family.damped_matrix(k, 0.5),
+                              np.exp(-0.5) * family.maps[k].matrix)
 
 
 def test_trivial_space_base_map_value():

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qfock import fock, haagerup, quantize, reports, wick
+from qfock import cli, fock, haagerup, quantize, reports, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext
 from qfock.reports import SweepConfig, parse_spectrum, run_suite
@@ -139,6 +139,42 @@ def test_haagerup_suite_takes_each_degree_profile_once(monkeypatch):
     assert [r.check for r in reps].count("haagerup/compactness_profile") == 6
 
 
+def test_haagerup_suite_generates_each_map_once(monkeypatch):
+    levels = len(haagerup.ApproximantFamily.default(sp.build_space(parse_spectrum("t1"))).ks)
+    calls = []
+    generate = haagerup.generate_admissible
+
+    def counted(space, k):
+        calls.append((space, k))  # holds the space: ids stay distinct
+        return generate(space, k)
+
+    monkeypatch.setattr(haagerup, "generate_admissible", counted)
+    run_suite(small_config(q_values=(0.5, -0.5), spectra=("t1", "t2")), "haagerup")
+    assert len(calls) == len({(id(space), k) for space, k in calls}) == 4 * levels
+
+
+def test_embedding_check_has_teeth(monkeypatch):
+    # a source tensor scattered into the second summand is no embedding: the
+    # product restricted to the source sub-Fock space no longer matches
+    config = small_config(spectra=("b2",))
+
+    def residual():
+        pt = reports._Point(config, "b2", 0.5)
+        pt.rng = np.random.default_rng(43)
+        return reports._embed_multiplicativity_residual(pt)
+
+    def second_summand(src_ctx, comb_ctx, xi, degree):
+        out = np.zeros(comb_ctx.block_size(degree), dtype=complex)
+        out[fock.coordinate_index(comb_ctx.dim, range(src_ctx.dim, comb_ctx.dim), degree)] = \
+            np.ravel(xi)
+        return out
+
+    bound = config.tolerances["product"]
+    assert residual() <= bound
+    monkeypatch.setattr(quantize, "embed_tensor", second_summand)
+    assert residual() > bound
+
+
 def test_all_suites_equal_single_suite_runs():
     cfg = small_config(q_values=(0.5, -0.5))
 
@@ -155,6 +191,19 @@ def test_unknown_suite_rejected():
     for selection in ("nope", ("wick", "nope"), ("wick", "wick"), (), ("all",)):
         with pytest.raises(ValueError):
             run_suite(small_config(), selection)
+
+
+@pytest.mark.parametrize("name", ["q_values", "spectra"])
+def test_empty_grid_rejected(tmp_path, capsys, name):
+    # an empty grid would run no check and report success
+    with pytest.raises(ValueError, match=repr(name)):
+        SweepConfig(**{name: []})
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({name: []}))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(name) in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_render_round_trip(tmp_path):
@@ -325,7 +374,7 @@ def test_no_cache_pins_a_context(monkeypatch):
     comb_ctx = FockContext(sp.direct_sum(space, space), 0.5, 3)
     refs = [weakref.ref(ctx), weakref.ref(comb_ctx)]
     gen = np.random.default_rng(916)
-    assert not ctx.partner_map(2).flags.writeable and not ctx._reverse_map(2).flags.writeable
+    assert not ctx.partner_map(2).flags.writeable and not ctx.reverse_map(2).flags.writeable
     fock.c_constant(ctx.q)
     word = wick.wick_word(ctx, gen.standard_normal(9) + 1j * gen.standard_normal(9), 2)
     channel = quantize.QuantizationChannel(sp.random_jti_contraction(gen, space, space),

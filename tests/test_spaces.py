@@ -121,3 +121,17 @@ def test_direct_sum_layout(space_b2t1, space_t2):
     iota = sp.inclusion_matrix(space_b2t1, space_t2)
     proj = sp.projection_matrix(space_b2t1, space_t2)
     assert np.allclose(proj @ iota, 0.0)
+
+
+def test_gaussian_draws_real_parts_then_imaginary_parts():
+    for shape in ((3, 2), 4, ()):
+        z = sp._gaussian(np.random.default_rng(31), shape)
+        ref = np.random.default_rng(31)
+        re, im = ref.standard_normal(shape), ref.standard_normal(shape)
+        assert np.shape(z) == np.shape(re)
+        assert np.array_equal(np.real(z), re) and np.array_equal(np.imag(z), im)
+    # scalar form: one real draw, then one imaginary draw
+    gen, ref = np.random.default_rng(32), np.random.default_rng(32)
+    z = complex(sp._gaussian(gen, ()))
+    assert z == complex(ref.standard_normal(), ref.standard_normal())
+    assert gen.standard_normal() == ref.standard_normal()  # same draws consumed
