@@ -135,14 +135,15 @@ def finkernel_rank(ctx: FockContext, indices, max_length: int) -> dict:
         e = np.zeros(ctx.dim, dtype=complex)
         e[i] = 1.0
         basis_vecs.append(e)
-    n_cols_kept = sum(ctx.block_size(p) for p in range(p_max + 1))
     columns = []
     for k in range(max_length + 1):
         for m in range(max_length + 1 - k):
             for vs in itertools.product(basis_vecs, repeat=k):
                 for ws in itertools.product(basis_vecs, repeat=m):
                     elem = monomial(ctx, list(vs), list(ws))
-                    dense = elem.op.to_dense()[:, :n_cols_kept]
+                    # every output degree, the input degrees 0..p_max only
+                    dense = elem.op._assemble(range(ctx.degree + 1), range(p_max + 1),
+                                              gauge=False)
                     columns.append(dense.ravel())
     matrix = np.stack(columns, axis=1)
     svals = np.linalg.svd(matrix, compute_uv=False)
@@ -184,10 +185,12 @@ def norm_bound_margin(ctx: FockContext, elem: LengthElement) -> float:
 
 def low_degree_residual(ctx: FockContext, elem: LengthElement) -> float:
     """Max norm of corners ``P_m x P_m`` below the annihilation leg degree;
-    zero for pure-length elements."""
+    zero for pure-length elements.  A corner without a block has norm
+    exactly 0 and is skipped."""
     res = 0.0
     for m in range(min(elem.n_annihilate, ctx.degree + 1)):
-        res = max(res, ctx.block_norm(elem.op.block(m, m), m, m))
+        if (m, m) in elem.op.blocks:
+            res = max(res, ctx.block_norm(elem.op.blocks[(m, m)], m, m))
     return res
 
 

@@ -700,3 +700,80 @@ def test_blockwise_gap_equals_the_gap_over_every_block_pair():
             expected = max([0.0] + [ctx.block_norm(X.block(m, p) - Y.block(m, p), m, p)
                                     for p in inputs for m in range(ctx.degree + 1)])
             assert fock.blockwise_gap(ctx, X, Y, inputs) == expected
+
+
+# Bound fixed before measuring: the typed and dense products of a metric
+# function differ only in summation order, over at most 729 terms of entries
+# within a few conditioning factors of the largest, so 1e-13 of the dense
+# product's largest entry leaves a margin of over 100 above round-off.
+TYPED_PRODUCT_BOUND = 1e-13
+
+
+def _typed_against_dense_gap(ctx, gen) -> float:
+    """Largest gap, relative to the dense product's largest entry, between
+    ``gauge_block`` and ``adjoint`` and their dense products, over every
+    (m, n) block of ``ctx``."""
+    assert ctx.block_size(0) < fock._TYPED_MIN_WIDTH <= ctx.block_size(ctx.degree)
+    worst = 0.0
+    for m in range(ctx.degree + 1):
+        for n in range(ctx.degree + 1):
+            B = _random_operator(ctx, gen, [(m, n)])
+            gauged = fock.gauge_block(ctx, ctx, B.blocks[(m, n)], m, n)
+            adjoint = B.adjoint().blocks[(n, m)]
+            dense_gauged = ctx.metric_sqrt(m) @ B.blocks[(m, n)] @ ctx.metric_invsqrt(n)
+            dense_adjoint = ctx.metric_inv(n) @ np.conj(B.blocks[(m, n)]).T @ ctx.metric(m)
+            for got, ref in ((gauged, dense_gauged), (adjoint, dense_adjoint)):
+                assert got.shape == ref.shape and got.dtype == np.complex128
+                worst = max(worst, np.abs(got - ref).max() / np.abs(ref).max())
+    return worst
+
+
+@pytest.mark.parametrize("q", [0.5, -0.9, 0.95])
+def test_typed_gauge_and_adjoint_match_the_dense_products(q):
+    # b2+t1 at N = 6: widths 1 to 729, on both sides of the width constant,
+    # square and non-square blocks
+    gen = np.random.default_rng(921)
+    assert _typed_against_dense_gap(make_ctx("b2+t1", q, 6), gen) <= TYPED_PRODUCT_BOUND
+
+
+def test_typed_products_fail_with_a_misaligned_type_layout(monkeypatch):
+    layout = FockContext._type_layout
+
+    def rolled(self, n):
+        perm, _, spans = layout(self, n)
+        perm = np.roll(perm, 1)
+        return perm, np.argsort(perm), spans
+
+    monkeypatch.setattr(FockContext, "_type_layout", rolled)
+    gen = np.random.default_rng(921)
+    assert _typed_against_dense_gap(make_ctx("b2+t1", 0.5, 6), gen) > TYPED_PRODUCT_BOUND
+
+
+def test_wide_gauge_and_adjoint_scatter_no_dense_metric_function():
+    gen = np.random.default_rng(922)
+    ctx = make_ctx("b2+t1", 0.9, 6)
+    for n in (3, 6):  # 27 wide: the dense route; 729 wide: the type stacks
+        B = _random_operator(ctx, gen, [(n, n)])
+        ctx.block_norm(B.blocks[(n, n)], n, n)
+        B.adjoint()
+    for name in ("metric_sqrt", "metric_invsqrt", "metric_inv"):
+        assert ("_scatter", name, 3) in ctx._cache
+        assert ("_scatter", name, 6) not in ctx._cache
+
+
+def test_mixed_word_block_matches_the_einsum_oracle():
+    # GEMM against einsum: sums of at most 27 products in another order, so
+    # 1e-13 of the oracle's largest entry, fixed before measuring
+    gen = np.random.default_rng(923)
+    for spectrum in ("t2", "b2+t1"):
+        ctx = make_ctx(spectrum, 0.7, 5 if spectrum == "t2" else 4)
+        for k, m, p in ((0, 1, 1), (1, 1, 3), (2, 1, 4), (1, 2, 4), (2, 2, 4), (0, 3, 4),
+                        (3, 1, 2)):
+            if p - m + k > ctx.degree:
+                continue
+            Z = sp._gaussian(gen, (ctx.dim ** k, ctx.dim ** m))
+            oracle = np.einsum("st,tij->sij", Z, ctx.ann_words(m, p)).reshape(
+                ctx.dim ** (k + p - m), ctx.dim ** p)
+            got = ctx.mixed_word_block(Z, k, m, p)
+            assert got.shape == oracle.shape
+            assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max(), (spectrum, k, m, p)
