@@ -40,22 +40,44 @@ def c_constant(q: float) -> float:
     """The norm-equivalence constant ``prod_k (1-|q|^k)^{-1}``.
 
     Partial products are accumulated until the multiplicative increment
-    falls below 1e-14.  Memoised per q.
+    falls below 1e-14.  Memoised per q.  Raises ``ValueError`` once a partial
+    product overflows a float, from |q| = 0.998 on (k = 793 there; k = 29 at
+    1 - 1e-12), which also bounds the ~1/(1-|q|) iterations for q near 1.
     """
     if not -1.0 < q < 1.0:
         raise ValueError("|q| must be < 1")
     if q not in _C_CONSTANT:
-        aq = abs(q)
+        aq = abs(float(q))  # a Python float overflows to inf without a RuntimeWarning
         prod = 1.0
         k = 1
         while aq != 0.0:
             factor = 1.0 / (1.0 - aq ** k)
             prod *= factor
+            if prod == np.inf:
+                raise ValueError(f"C(q) = prod_k (1-|q|^k)^-1 overflows a float at q={q}")
             if factor - 1.0 < 1e-14:
                 break
             k += 1
         _C_CONSTANT[q] = prod
     return _C_CONSTANT[q]
+
+
+# The degree-n metric's smallest entry is min(g)^n, its eigenvalues lie below
+# that by the spread of P_q, and the inverse metric takes their reciprocals.
+# So min(g)^n must clear the smallest normal float by 1/eps: 2^-970, about
+# 1.0e-292.  Measured on b<lam> over the default q grid, the first power of
+# ten whose inverse metric overflows is lam = 1e154 at N = 2, 1e103 at 3,
+# 1e77 at 4, 1e62 at 5 and 1e52 at 6; this floor admits lam up to 2.0e146,
+# 4.3e97, 2.0e73, 5.0e58 and 9.3e48.
+_METRIC_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def check_metric_floor(g_min: float, degree: int) -> None:
+    """Raise ``ValueError`` when a base metric whose smallest entry is
+    ``g_min`` leaves the degree-``degree`` metric no float headroom."""
+    if g_min ** degree < _METRIC_FLOOR:
+        raise ValueError(f"metric entry {g_min:.3g} to the power {degree} is below "
+                         f"{_METRIC_FLOOR:.3g}: the degree-{degree} metric underflows")
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
-                   blockwise_gap, c_constant, creation, factorization_residual,
-                   gauge_block, hermitian_min_eig, id_embedding_norm,
-                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
+from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
+                   c_constant, check_metric_floor, creation, factorization_residual, gauge_block,
+                   hermitian_min_eig, id_embedding_norm, rstar_adjoint_residual,
+                   rstar_deformed_norm, rstar_free_norm, stack_norm)
 from .spaces import BlockSpectrum, _gaussian, _spectral_norm, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -122,18 +122,21 @@ class SweepConfig:
         for q in self.q_values:
             if not -1.0 < q < 1.0:
                 raise ValueError(f"q={q} outside the open interval (-1, 1)")
+            c_constant(q)  # raises where C(q) overflows
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if any(count < 1 for count in self.samples.values()):
             raise ValueError(f"sample counts must be >= 1, got {self.samples!r}")
-        self.spectra = tuple(self.spectra)
-        for text in self.spectra:
-            try:  # fail fast on bad grammar and on values no space realizes
-                build_space(parse_spectrum(text))
-            except ValueError as exc:
-                raise ValueError(f"config field 'spectra': {text!r}: {exc}") from exc
         if not 2 <= self.degree <= 6:
             raise ValueError("truncation degree must be in 2..6")
+        self.spectra = tuple(self.spectra)
+        for text in self.spectra:
+            try:  # fail fast on bad grammar and on values no space or metric realizes
+                spectrum = parse_spectrum(text)
+                check_metric_floor(spectrum.min_metric, self.degree)
+                build_space(spectrum)
+            except ValueError as exc:
+                raise ValueError(f"config field 'spectra': {text!r}: {exc}") from exc
         samples = dict(DEFAULT_SAMPLES)
         samples.update(self.samples)
         self.samples = samples
@@ -252,18 +255,18 @@ def _pairs(degree: int):
 
 
 # ---------------------------------------------------------------------------
-# residual functions of the table rows, each returning one value per check
+# residual functions of the table rows, each yielding one value per check
 # ---------------------------------------------------------------------------
 
 
-def _sym_positivity(pt: _Point) -> float:
-    ctx = pt.ctx
-    return -min(hermitian_min_eig(ctx.stacks("sym", n)) for n in range(ctx.degree + 1))
+def _sym_positivity(pt: _Point):
+    for n in range(pt.ctx.degree + 1):
+        yield -hermitian_min_eig(pt.ctx.stacks("sym", n))
 
 
 def _over_pairs(residual):
-    """Row function: the largest ``residual(ctx, n, k)`` over degree pairs."""
-    return lambda pt: max(residual(pt.ctx, n, k) for n, k in _pairs(pt.config.degree))
+    """Row function: ``residual(ctx, n, k)`` at each degree pair."""
+    return lambda pt: (residual(pt.ctx, n, k) for n, k in _pairs(pt.config.degree))
 
 
 def _deformed_norm_excess(ctx: FockContext, n: int, k: int) -> float:
@@ -271,9 +274,8 @@ def _deformed_norm_excess(ctx: FockContext, n: int, k: int) -> float:
         - np.sqrt(c_constant(ctx.q))
 
 
-def _q_commutation_residual(pt: _Point) -> float:
+def _q_commutation_residual(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
-    res = 0.0
     for _ in range(3):
         v = _gaussian(rng, ctx.dim)
         w = _gaussian(rng, ctx.dim)
@@ -282,41 +284,34 @@ def _q_commutation_residual(pt: _Point) -> float:
         scalar = sp.deformed_inner(ctx.space, v, w)
         for n in range(ctx.degree):  # safe window: below the truncation cut
             diff = comm.block(n, n) - scalar * np.eye(ctx.block_size(n))
-            res = max(res, ctx.block_norm(diff, n, n))
-    return res
+            yield ctx.block_norm(diff, n, n)
 
 
-def _creation_adjoint_residual(pt: _Point) -> float:
+def _creation_adjoint_residual(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
-    res = 0.0
     for _ in range(3):
         v = _gaussian(rng, ctx.dim)
-        res = max(res, creation(ctx, v).adjoint().max_diff(annihilation(ctx, v)))
-    return res
+        yield creation(ctx, v).adjoint().max_diff(annihilation(ctx, v))
 
 
-def _wick_vacuum(pt: _Point) -> float:
+def _wick_vacuum(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
     deg_max = min(3, ctx.degree)
-    res = 0.0
     for _ in range(pt.config.samples["wick_vacuum"]):
         n = int(rng.integers(1, deg_max + 1))
-        res = max(res, wick.vacuum_residual(ctx, _gaussian(rng, ctx.block_size(n)), n))
-    return res
+        yield wick.vacuum_residual(ctx, _gaussian(rng, ctx.block_size(n)), n)
 
 
-def _wick_self_adjoint(pt: _Point) -> float:
+def _wick_self_adjoint(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
     deg_max = min(3, ctx.degree)
-    res = 0.0
     for _ in range(3):
         n = int(rng.integers(1, deg_max + 1))
         xi = _real_wick_tensor(ctx, rng, n)
-        res = max(res, wick.self_adjoint_residual(ctx, wick.wick_word(ctx, xi, n)))
-    return res
+        yield wick.self_adjoint_residual(ctx, wick.wick_word(ctx, xi, n))
 
 
-def _wick_linearity(pt: _Point) -> float:
+def _wick_linearity(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
     n = min(2, ctx.degree)
     xi = _gaussian(rng, ctx.block_size(n))
@@ -324,7 +319,7 @@ def _wick_linearity(pt: _Point) -> float:
     a, b = complex(_gaussian(rng, ())), complex(_gaussian(rng, ()))
     combined = wick.wick_word(ctx, a * xi + b * eta, n).op
     split = a * wick.wick_word(ctx, xi, n).op + b * wick.wick_word(ctx, eta, n).op
-    return combined.max_diff(split)
+    yield combined.max_diff(split)
 
 
 def _vacuum_gap(x: GradedOperator, image: GradedOperator) -> float:
@@ -339,19 +334,17 @@ def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
     return (xi + wick.adjoint_tensor(ctx, xi, n)) / 2.0
 
 
-def _dilation(pt: _Point) -> float:
+def _dilation(pt: _Point):
     space, rng = pt.space, pt.rng
     comb = sp.direct_sum(space, space)
-    res = 0.0
     for _ in range(pt.config.samples["dilate"]):
         T = sp.random_contraction(rng, space, space, norm=0.5)
         U = sp.dilate(T)
         Uadj = sp.deformed_adjoint(comb, comb, U)
         corner = sp.projection_matrix(space, space) @ U @ sp.inclusion_matrix(space, space)
-        res = max(res, _spectral_norm(Uadj @ U - np.eye(comb.dim)),
+        yield max(_spectral_norm(Uadj @ U - np.eye(comb.dim)),
                   _spectral_norm(U @ Uadj - np.eye(comb.dim)),
                   _spectral_norm(corner - T.matrix))
-    return res
 
 
 def _channel_on_words(pt: _Point):
@@ -359,7 +352,6 @@ def _channel_on_words(pt: _Point):
     channels, each on one random Wick word."""
     space, rng = pt.space, pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
-    res_cov = res_unital = res_vac = res_gns = 0.0
     deg_max = max(1, min(2, src_ctx.degree - 1))
     for _ in range(pt.config.samples["covariance"]):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
@@ -367,18 +359,14 @@ def _channel_on_words(pt: _Point):
         n = int(rng.integers(1, deg_max + 1))
         word = wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n)
         image = channel.apply_word(word)
-        res_cov = max(res_cov, channel.covariance_residual(word, image))
-        res_unital = max(res_unital, channel.unitality_residual())
-        res_vac = max(res_vac, _vacuum_gap(word.op, image))
-        res_gns = max(res_gns, quantize.gns_residual(channel, word, image))
-    return res_cov, res_unital, res_vac, res_gns
+        yield (channel.covariance_residual(word, image), channel.unitality_residual(),
+               _vacuum_gap(word.op, image), quantize.gns_residual(channel, word, image))
 
 
-def _functoriality(pt: _Point) -> float:
+def _functoriality(pt: _Point):
     space, rng = pt.space, pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
     n = max(1, min(2, src_ctx.degree - 1))
-    res = 0.0
     for _ in range(pt.config.samples["functoriality"]):
         S = sp.random_jti_contraction(rng, space, space, norm=0.8)
         T = sp.random_jti_contraction(rng, space, space, norm=0.8)
@@ -390,8 +378,7 @@ def _functoriality(pt: _Point) -> float:
         mid = ch_t.apply_word(word).block(n, 0)[:, 0]  # the degree-n part of W Omega
         lhs = ch_s.apply_word(wick.wick_word(src_ctx, mid, n))
         rhs = ch_st.apply_word(word)
-        res = max(res, blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - n + 1)))
-    return res
+        yield blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - n + 1))
 
 
 def _positivity(pt: _Point):
@@ -401,23 +388,19 @@ def _positivity(pt: _Point):
     n_samples = pt.config.samples["kadison_schwarz"]
     n_channels = max(1, n_samples // 20)
     per_channel = max(1, n_samples // n_channels)
-    ks_min, tp_min = np.inf, np.inf
     for _ in range(n_channels):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
         probe = quantize.positivity_probe(T, pt.channel_ctx, rng, per_channel)
-        ks_min = min(ks_min, probe["kadison_schwarz_min"])
-        tp_min = min(tp_min, probe["two_positivity_min"])
-    return -float(ks_min), -float(tp_min)
+        yield -probe["kadison_schwarz_min"], -probe["two_positivity_min"]
 
 
-def _projection_monomial_residual(pt: _Point) -> float:
+def _projection_monomial_residual(pt: _Point):
     """The displayed conjugation identity for the orthogonal projection onto
     the second summand, checked on random monomials."""
     rng = pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
     P = sp.projection_matrix(pt.space, pt.space)
     channel = quantize.conjugation_channel(comb_ctx, src_ctx, P)
-    res = 0.0
     for _ in range(3):
         k = int(rng.integers(0, 2))
         m = int(rng.integers(0 if k else 1, 2))
@@ -425,15 +408,13 @@ def _projection_monomial_residual(pt: _Point) -> float:
         wsv = [_gaussian(rng, comb_ctx.dim) for _ in range(m)]
         lhs = channel(toeplitz.monomial(comb_ctx, vs, wsv).op)
         rhs = toeplitz.monomial(src_ctx, [P @ v for v in vs], [P @ w for w in wsv]).op
-        res = max(res, blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - k + 1)))
-    return res
+        yield blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - k + 1))
 
 
-def _embed_multiplicativity_residual(pt: _Point) -> float:
+def _embed_multiplicativity_residual(pt: _Point):
     rng = pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
     deg = 1 if src_ctx.degree < 4 else 2
-    res = 0.0
     for _ in range(2):
         xi = _gaussian(rng, src_ctx.block_size(deg))
         eta = _gaussian(rng, src_ctx.block_size(deg))
@@ -444,18 +425,17 @@ def _embed_multiplicativity_residual(pt: _Point) -> float:
         # the sub-Fock space over the source coordinates is invariant; the
         # embedded product must restrict to the source product there
         restricted = toeplitz.compression(comb_ctx, src_ctx, range(src_ctx.dim), ex @ ey)
-        res = max(res, blockwise_gap(src_ctx, restricted, wx.op @ wy.op,
-                                     range(comb_ctx.degree - 2 * deg + 1)))
-    return res
+        yield blockwise_gap(src_ctx, restricted, wx.op @ wy.op,
+                            range(comb_ctx.degree - 2 * deg + 1))
 
 
-def _expectation_residual(pt: _Point) -> float:
+def _expectation_residual(pt: _Point):
     ctx = pt.ctx
     op = _random_graded(ctx, pt.rng)
     ex = toeplitz.degree_expectation(op)
-    res = toeplitz.degree_expectation(ex).max_diff(ex)  # idempotent
+    yield toeplitz.degree_expectation(ex).max_diff(ex)  # idempotent
     ident = GradedOperator.identity(ctx)
-    res = max(res, toeplitz.degree_expectation(ident).max_diff(ident))  # unital
+    yield toeplitz.degree_expectation(ident).max_diff(ident)  # unital
     psd = op.adjoint() @ op
     ex_psd = toeplitz.degree_expectation(psd)
     # degree-diagonal: each block is gauged once, for its norm and its
@@ -463,9 +443,8 @@ def _expectation_residual(pt: _Point) -> float:
     gauged = [gauge_block(ctx, ctx, B, m, n)[None] for (m, n), B in ex_psd.blocks.items()]
     scale = max(stack_norm(gauged), 1.0)
     min_eig = hermitian_min_eig(gauged)
-    res = max(res, max(-min_eig, 0.0) / scale)  # positive, relative scale
-    # vacuum-state compatible
-    return max(res, _vacuum_gap(op, ex))
+    yield max(-min_eig, 0.0) / scale  # positive, relative scale
+    yield _vacuum_gap(op, ex)  # vacuum-state compatible
 
 
 def _random_graded(ctx: FockContext, rng) -> GradedOperator:
@@ -481,36 +460,29 @@ def _balanced_corners(pt: _Point):
     """Lowest-corner, compression-identity and negated norm-bound margin of
     random balanced elements."""
     ctx, rng = pt.ctx, pt.rng
-    res_corner = res_identity = 0.0
-    margin_min = np.inf
     for _ in range(pt.config.samples["balanced"]):
         n = int(rng.integers(1, ctx.degree // 2 + 1))  # both legs fit: 2n <= N
         elem = toeplitz.random_balanced(ctx, rng, n)
-        res_corner = max(res_corner, toeplitz.low_degree_residual(ctx, elem))
-        for k in range(ctx.degree - 2 * n + 1):
-            res_identity = max(res_identity,
-                               toeplitz.compression_identity_residual(ctx, elem, k))
-        margin_min = min(margin_min, toeplitz.norm_bound_margin(ctx, elem))
-    return res_corner, res_identity, -float(margin_min)
+        yield (toeplitz.low_degree_residual(ctx, elem),
+               max(toeplitz.compression_identity_residual(ctx, elem, k)
+                   for k in range(ctx.degree - 2 * n + 1)),
+               -toeplitz.norm_bound_margin(ctx, elem))
 
 
-def _flip_pairing(pt: _Point) -> float:
+def _flip_pairing(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
     n = min(2, ctx.degree // 2)  # the realized element has length 2n
-    res = 0.0
     for _ in range(3):
         v = _gaussian(rng, ctx.block_size(n))
         w = _gaussian(rng, ctx.block_size(n))
         e = _gaussian(rng, ctx.block_size(n))
-        res = max(res, toeplitz.flip_pairing_residual(ctx, v, w, e, n))
-    return res
+        yield toeplitz.flip_pairing_residual(ctx, v, w, e, n)
 
 
-def _compression_residual(pt: _Point) -> float:
+def _compression_residual(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
     ctx_small = pt.subspace_ctx
     indices = _subspace_indices(ctx.space)
-    res = 0.0
     for _ in range(2):
         vs = [_embedded_vector(ctx, indices, rng) for _ in range(2)]
         x = toeplitz.monomial(ctx, [vs[0]], [vs[1]]).op
@@ -518,8 +490,7 @@ def _compression_residual(pt: _Point) -> float:
         lhs = toeplitz.compression(ctx, ctx_small, indices, x @ y)
         rhs = toeplitz.compression(ctx, ctx_small, indices, x) @ \
             toeplitz.compression(ctx, ctx_small, indices, y)
-        res = max(res, blockwise_gap(ctx_small, lhs, rhs, range(ctx.degree - 1)))
-    return res
+        yield blockwise_gap(ctx_small, lhs, rhs, range(ctx.degree - 1))
 
 
 def _embedded_vector(ctx: FockContext, indices, rng) -> np.ndarray:
@@ -529,73 +500,62 @@ def _embedded_vector(ctx: FockContext, indices, rng) -> np.ndarray:
     return v
 
 
-def _finkernel_rank(pt: _Point) -> float:
+def _finkernel_rank(pt: _Point):
     ctx = pt.ctx
     rank = toeplitz.finkernel_rank(ctx, _subspace_indices(ctx.space),
                                    max_length=min(2, ctx.degree // 2))
-    return 0.0 if rank["full_rank"] else 1.0
+    yield 0.0 if rank["full_rank"] else 1.0
 
 
-def _majorisation(pt: _Point) -> float:
+def _majorisation(pt: _Point):
     ctx = pt.ctx
-    margin = np.inf
     for n, k in _pairs(ctx.degree):
         check = toeplitz.majorisation_check(
             ctx.stacks("sym", n + k), ctx.stacks("sym", n, k), ctx.stacks("rstar", n, k))
-        if not check["consistent"]:
-            margin = -np.inf
-        margin = min(margin, check["margin"])
-    return -float(margin)
+        yield -check["margin"] if check["consistent"] else np.inf  # inconsistent: red
 
 
-def _admissible(pt: _Point) -> float:
-    return max(max(haagerup.admissible_residuals(T).values()) for T in pt.family.maps.values())
+def _admissible(pt: _Point):
+    for T in pt.family.maps.values():
+        yield from haagerup.admissible_residuals(T).values()
 
 
 def _tail(pt: _Point):
     """Worst excess of the tail norms over their geometric bound, and the
-    q-to-free reduction gap."""
+    q-to-free reduction gap, of each approximant."""
     ctx = pt.ctx
-    margin = -np.inf
-    crosscheck = 0.0
     for k, T in pt.family.maps.items():
         per_degree = pt.profiles[k]
-        for t in pt.family.ts:
-            for n in range(ctx.degree):
-                tail = haagerup.tail_norm(per_degree, t, n)
-                margin = max(margin, tail - float(np.exp(-t * (n + 1))))
-        crosscheck = max(crosscheck,
-                         haagerup.free_reduction_crosscheck(ctx, T.matrix, per_degree, 1.0, 1))
-    return float(margin), crosscheck
+        yield (max(haagerup.tail_norm(per_degree, t, n) - float(np.exp(-t * (n + 1)))
+                   for t in pt.family.ts for n in range(ctx.degree)),
+               haagerup.free_reduction_crosscheck(ctx, T.matrix, per_degree, 1.0, 1))
 
 
-def _strong_convergence(pt: _Point) -> float:
+def _strong_convergence(pt: _Point):
     ctx = pt.ctx
     vectors = [GradedVector.vacuum(ctx)] + \
         [GradedVector.random(ctx, pt.rng) for _ in range(3)]
     sweep = haagerup.strong_convergence_sweep(pt.family, ctx, vectors,
                                               final_tol=pt.config.tolerances["strong"])
-    return 0.0 if (sweep["all_monotone"] and sweep["all_converged"]) else 1.0
+    yield 0.0 if (sweep["all_monotone"] and sweep["all_converged"]) else 1.0
 
 
-def _compactness_profile(pt: _Point) -> float:
+def _compactness_profile(pt: _Point):
     profile = haagerup.compactness_profile(pt.profiles[4], 0.5, pt.ctx.degree - 1)
-    return 0.0 if profile["all_within_bound"] else 1.0
+    yield 0.0 if profile["all_within_bound"] else 1.0
 
 
-def _approximant_state_residual(pt: _Point) -> float:
+def _approximant_state_residual(pt: _Point):
     """Vacuum-state gap of the damped approximant ``Gamma_q(exp(-1/2) T_4)``,
     the intrinsic image on the main context, over random Wick words."""
     space, ctx, rng = pt.space, pt.ctx, pt.rng
     damped = sp.DeformedContraction(space, space, pt.family.damped_matrix(4, 0.5))
     powers = quantize.tensor_powers(damped, ctx, ctx)
-    res = 0.0
     deg_max = max(1, min(2, ctx.degree - 1))
     for _ in range(pt.config.samples["state_preservation"]):
         n = int(rng.integers(0, deg_max + 1))
         word = wick.wick_word(ctx, _gaussian(rng, ctx.block_size(n)), n, inputs=range(1))
-        res = max(res, _vacuum_gap(word.op, quantize.intrinsic_image(powers, word.op, range(1))))
-    return res
+        yield _vacuum_gap(word.op, quantize.intrinsic_image(powers, word.op, range(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +572,11 @@ def _free_reduction_bound(tol: dict, q: float) -> float:
     return tol["norm"] if abs(q) <= 0.5 else 1e-6
 
 
-# Each row is (residual function, (check, bound), ...); the function returns
-# one residual per check.  A bound is a tolerance key, a literal, or a rule
-# of (tolerances, q).  Rows run in order and draw from the point's generator
-# in that order, so reordering rows changes the report.
+# Each row is (residual function, (check, bound), ...).  The function yields
+# one residual per check (a tuple for several) for each draw, degree, pair or
+# map it measures; each check reports the largest.  A bound is a tolerance
+# key, a literal, or a rule of (tolerances, q).  Rows run, and draw from the
+# point's generator, in table order, so reordering rows changes the report.
 _TABLES = {
     "symmetrizer": (
         (_sym_positivity, ("symmetrizer/positivity", 0.0)),
@@ -680,8 +641,8 @@ def run_suite(config: SweepConfig, suite="all") -> list:
     suite runs its table at the point with its own generator, so the point's
     contexts are shared by the suites and freed when the point is done.
     Records are returned suite by suite, in the order named, each suite in
-    grid order.  A row that reports several checks gives each of them the
-    row's wall time."""
+    grid order.  Each check records the largest residual its row yields and
+    the row's wall time."""
     names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
     if not names or len(set(names)) != len(names) or any(n not in SUITES for n in names):
         raise ValueError(f"unknown suite selection {suite!r}; expected one of "
@@ -696,12 +657,12 @@ def run_suite(config: SweepConfig, suite="all") -> list:
             params = {"spectrum": spectrum, "q": q, "degree": degree}
             for residual, *checks in _TABLES[name]:
                 t0 = time.perf_counter()
-                values = residual(pt)
-                if len(checks) == 1:
-                    values = (values,)
-                for (check, rule), value in zip(checks, values):
+                measured = [v if len(checks) > 1 else (v,) for v in residual(pt)]
+                if not measured:
+                    raise ValueError(f"row of {checks[0][0]} measured nothing")
+                for (check, rule), *values in zip(checks, *measured, strict=True):
                     out[name].append(VerificationReport.measure(
-                        check, params, value, _bound(rule, config.tolerances, q), t0))
+                        check, params, max(values), _bound(rule, config.tolerances, q), t0))
     return [report for name in names for report in out[name]]
 
 
@@ -758,14 +719,11 @@ def load_reports(path: str) -> list:
     """Round-trip parse of an emitted JSON report file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    out = []
-    for rec in payload["reports"]:
-        out.append(VerificationReport(
-            check=rec["check"], params=rec["params"],
-            residual=float(rec["residual"]), bound=float(rec["bound"]),
-            passed=bool(rec["passed"]),
-            wall_time=float(rec.get("wall_time", 0.0))))
-    return out
+    return [VerificationReport(check=rec["check"], params=rec["params"],
+                               residual=float(rec["residual"]), bound=float(rec["bound"]),
+                               passed=bool(rec["passed"]),
+                               wall_time=float(rec.get("wall_time", 0.0)))
+            for rec in payload["reports"]]
 
 
 def all_passed(reports) -> bool:

@@ -64,6 +64,13 @@ class BlockSpectrum:
     def dim(self) -> int:
         return self.trivial + 2 * sum(m for _, m in self.blocks)
 
+    @property
+    def min_metric(self) -> float:
+        """Smallest entry of the deformed metric ``2a/(1+a)``: ``2/(lam+1)``
+        at ``a = 1/lam`` for the largest ``lam``, computed without the entry
+        at ``a = lam``, whose ``2 lam`` overflows near the float maximum."""
+        return 2.0 / (1.0 + max((lam for lam, _ in self.blocks), default=1.0))
+
     def __repr__(self):
         return f"BlockSpectrum(blocks={self.blocks!r}, trivial={self.trivial})"
 
@@ -90,7 +97,7 @@ class DeformedSpace:
             raise ValueError("generator must be positive definite")
         if np.any(partner[partner] != np.arange(a.size)):
             raise ValueError("partner map must be an involution")
-        if not np.allclose(a[partner], 1.0 / a, rtol=0, atol=1e-12):
+        if not np.allclose(a[partner] * a, 1.0, rtol=0, atol=1e-12):  # relative: any lam
             raise ValueError("spectrum must be closed under lam <-> 1/lam via the partner map")
         self.a = a
         self.partner = partner

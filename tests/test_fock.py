@@ -538,7 +538,7 @@ def test_second_round_of_residuals_gathers_nothing(monkeypatch):
     assert calls
     calls.clear()
     assert one_round() == first
-    reports._majorisation(pt)
+    assert list(reports._majorisation(pt))  # a generator runs only when consumed
     assert calls == []
 
 
@@ -639,6 +639,16 @@ def test_c_constant_memo_returns_the_computed_value():
     assert c_constant(-0.37) == first and c_constant(0.0) == 1.0
     with pytest.raises(ValueError):
         c_constant(1.0)
+
+
+def test_c_constant_raises_where_it_overflows():
+    # a finite C(q) stops at |q| = 0.997; past it the product once read inf,
+    # so its norm bounds passed vacuously, and q near 1 looped ~1/(1-|q|) times
+    assert np.isfinite(c_constant(0.997))
+    for q in (0.998, 1 - 1e-12):
+        with pytest.raises(ValueError, match="overflows"):
+            c_constant(q)
+        assert q not in fock._C_CONSTANT
 
 
 def test_index_maps_are_cached_and_read_only():

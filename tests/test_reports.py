@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -61,6 +62,14 @@ def test_config_validation(tmp_path):
     for spectrum in ("t0", "b1e400"):  # parse, but realize no space
         with pytest.raises(ValueError, match=repr(spectrum)):
             SweepConfig(spectra=(spectrum,))
+    with pytest.raises(ValueError, match="degree-2 metric"):
+        SweepConfig(spectra=("b1e154",), degree=2)
+    # valid large-lam spectra: closure under lam <-> 1/lam is relative
+    SweepConfig(spectra=("b12345.678", "b1e30", "b1e146"), degree=2)
+    SweepConfig(q_values=(0.997, -0.997))
+    for q in (0.998, -0.999999):
+        with pytest.raises(ValueError, match=f"q={q}"):
+            SweepConfig(q_values=(q,))
     with pytest.raises(ValueError, match="sample counts"):
         SweepConfig(samples={"covariance": 0})  # would pass its checks vacuously
     not_object = tmp_path / "list.json"
@@ -161,7 +170,7 @@ def test_embedding_check_has_teeth(monkeypatch):
     def residual():
         pt = reports._Point(config, "b2", 0.5)
         pt.rng = np.random.default_rng(43)
-        return reports._embed_multiplicativity_residual(pt)
+        return max(reports._embed_multiplicativity_residual(pt))
 
     def second_summand(src_ctx, comb_ctx, xi, degree):
         out = np.zeros(comb_ctx.block_size(degree), dtype=complex)
@@ -173,6 +182,32 @@ def test_embedding_check_has_teeth(monkeypatch):
     assert residual() <= bound
     monkeypatch.setattr(quantize, "embed_tensor", second_summand)
     assert residual() > bound
+
+
+def _one_row_suite(monkeypatch, row, *checks):
+    """Records of the wick suite at one grid point, its table replaced by one
+    row reporting ``checks`` (each bounded by 4.0)."""
+    monkeypatch.setitem(reports._TABLES, "wick", ((row, *((c, 4.0) for c in checks)),))
+    return run_suite(small_config(), "wick")
+
+
+def test_run_suite_keeps_each_checks_worst_measurement(monkeypatch):
+    def row(pt):
+        yield 1.0, 5.0
+        yield 3.0, 2.0
+
+    recs = _one_row_suite(monkeypatch, row, "a", "b")
+    assert [(r.check, r.residual, r.passed) for r in recs] == [("a", 3.0, True),
+                                                               ("b", 5.0, False)]
+
+
+@pytest.mark.parametrize("checks, yields", [
+    (("a",), []), (("a", "b"), []), (("a", "b"), [(1.0,)]), (("a", "b"), [(1.0, 2.0, 3.0)]),
+    (("a", "b"), [(1.0, 2.0), (1.0,)])])
+def test_run_suite_rejects_a_row_that_measures_the_wrong_count(monkeypatch, checks, yields):
+    # a row yielding too few values used to drop a check from the report
+    with pytest.raises(ValueError):
+        _one_row_suite(monkeypatch, lambda pt: iter(yields), *checks)
 
 
 def test_all_suites_equal_single_suite_runs():
@@ -261,6 +296,9 @@ def test_cli_exit_codes(tmp_path):
     assert red.returncode == 1
     bad = run_cli(["--q", "2.0", "--out", str(tmp_path / "x.json")])
     assert bad.returncode == 2
+    bad = run_cli(["--q", "0.998", "--out", str(tmp_path / "x.json")])  # C(q) overflows
+    assert bad.returncode == 2
+    assert bad.stderr.count("\n") == 1 and "q=0.998" in bad.stderr
     # config and IO errors exit 2 with one line on stderr, before any check runs
     for name, config in (("degree", {"degree": "x"}), ("spectra", {"spectra": "b2"}),
                          ("samples", {"samples": {"kadison_shwarz": 5}})):
@@ -269,8 +307,12 @@ def test_cli_exit_codes(tmp_path):
         bad = run_cli(["--config", str(path), "--out", str(tmp_path / "x.json")])
         assert bad.returncode == 2
         assert bad.stderr.count("\n") == 1 and repr(name) in bad.stderr
-    for spectrum in ("t0", "b1e400"):
-        bad = run_cli(["--dim-spec", spectrum, "--out", str(tmp_path / "x.json")])
+    # b1e308 overflows the metric, and at degree 2 the inverse metric of
+    # b1e154 does: an uncaught warning or error there used to exit 1
+    strict = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    for spectrum, degree in (("t0", "5"), ("b1e400", "5"), ("b1e308", "5"), ("b1e154", "2")):
+        bad = run_cli(["--dim-spec", spectrum, "--degree", degree,
+                       "--out", str(tmp_path / "x.json")], env=strict)
         assert bad.returncode == 2
         assert bad.stderr.count("\n") == 1 and repr(spectrum) in bad.stderr
     missing = tmp_path / "missing" / "x.json"
@@ -282,7 +324,6 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_env_out_dir(tmp_path):
-    import os
     env = dict(os.environ, QFOCK_OUT_DIR=str(tmp_path))
     res = run_cli(["--suite", "symmetrizer", "--q", "0.3", "--dim-spec", "t1",
                    "--degree", "3", "--quiet"], env=env)
