@@ -145,17 +145,17 @@ class FockContext:
         self.q = float(q)
         self.degree = int(degree)
         self.dim = space.dim
-        self._gt = {0: np.ones(1)}
+        gt = {0: np.ones(1)}
         self._sym = {0: np.eye(1)}
         for n in range(1, degree + 1):
-            self._gt[n] = _kron(self._gt[n - 1], space.g)
+            gt[n] = _kron(gt[n - 1], space.g)
             # (1 (x) P_{n-1}) R*_{1,n-1}: P_{n-1} acts on all but the first factor
             size = self.dim ** n
             rstar = _apply_r_star(self.q, self.dim, 1, n - 1, np.eye(size))
             self._sym[n] = (self._sym[n - 1]
                             @ rstar.reshape(self.dim, size // self.dim, size)).reshape(size, size)
-        self._metric = {n: self._gt[n][:, None] * self._sym[n] for n in range(degree + 1)}
-        _read_only([*self._gt.values(), *self._sym.values(), *self._metric.values()])
+        self._metric = {n: gt[n][:, None] * self._sym[n] for n in range(degree + 1)}
+        _read_only([*self._sym.values(), *self._metric.values()])
         self._cache = {}
 
     # -- cached accessors ------------------------------------------------------
@@ -174,10 +174,6 @@ class FockContext:
         if not 0 <= n <= self.degree:
             raise ValueError("degree out of range")
         return self._metric[n]
-
-    def metric_diag_free(self, n: int) -> np.ndarray:
-        """Diagonal of the free (q = 0) degree-n metric."""
-        return self._gt[n]
 
     # -- digit types ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import spaces
 from .fock import FockContext, first_quantization
-from .spaces import DeformedContraction, DeformedSpace, _gauge, _spectral_norm
+from .spaces import DeformedContraction, DeformedSpace
 
 
 def admissible_profile(lam: float, k: int) -> float:
@@ -82,21 +82,13 @@ def tail_norm(per_degree, t: float, n: int) -> float:
     return float(np.max(per_degree[n + 1:] * damp[n + 1:]))
 
 
-def free_degree_norms(ctx: FockContext, T) -> np.ndarray:
-    """Same per-degree norms computed with the q = 0 metric over the same
-    deformed base space."""
-    fq = first_quantization(ctx, ctx, T)
-    norms = [1.0]
-    for d in range(1, ctx.degree + 1):
-        gt = ctx.metric_diag_free(d)
-        norms.append(_spectral_norm(_gauge(gt, fq.block(d, d), gt)))
-    return np.array(norms)
-
-
-def free_reduction_crosscheck(ctx: FockContext, T, per_degree, t: float, n: int) -> float:
-    """Gap between the tail norm in the q-metric, from the degree profile
-    ``per_degree = degree_norms(ctx, T)``, and in the free metric."""
-    return abs(tail_norm(per_degree, t, n) - tail_norm(free_degree_norms(ctx, T), t, n))
+def free_reduction_crosscheck(T: DeformedContraction, per_degree) -> float:
+    """Largest relative gap, over d = 0..N, between the degree profile
+    ``per_degree = degree_norms(ctx, T)`` and its closed form ``||T||_G^d``:
+    ``T^{(x)d}`` commutes with ``P_q``, so its q-norm is its free norm
+    (Bozejko-Speicher 1991).  A zero closed form is compared absolutely."""
+    ref = T.norm ** np.arange(len(per_degree))
+    return float(np.max(np.abs(per_degree - ref) / np.where(ref > 0, ref, 1.0)))
 
 
 def compactness_profile(per_degree, t: float, n_max: int) -> dict:

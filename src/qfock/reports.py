@@ -522,13 +522,14 @@ def _admissible(pt: _Point):
 
 def _tail(pt: _Point):
     """Worst excess of the tail norms over their geometric bound, and the
-    q-to-free reduction gap, of each approximant."""
+    relative gap of the degree profile to its closed form ``||T||^d``, of
+    each approximant."""
     ctx = pt.ctx
     for k, T in pt.family.maps.items():
         per_degree = pt.profiles[k]
         yield (max(haagerup.tail_norm(per_degree, t, n) - float(np.exp(-t * (n + 1)))
                    for t in pt.family.ts for n in range(ctx.degree)),
-               haagerup.free_reduction_crosscheck(ctx, T.matrix, per_degree, 1.0, 1))
+               haagerup.free_reduction_crosscheck(T, per_degree))
 
 
 def _strong_convergence(pt: _Point):

@@ -95,6 +95,8 @@ class DeformedSpace:
             raise ValueError("eigenvalue and partner arrays must be 1-d of equal length")
         if np.any(a <= 0):
             raise ValueError("generator must be positive definite")
+        if np.any(a > np.finfo(float).max / 2.0):
+            raise ValueError("generator eigenvalues above half the float maximum overflow 2a")
         if np.any(partner[partner] != np.arange(a.size)):
             raise ValueError("partner map must be an involution")
         if not np.allclose(a[partner] * a, 1.0, rtol=0, atol=1e-12):  # relative: any lam

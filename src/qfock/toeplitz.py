@@ -125,7 +125,9 @@ def compression(ctx_big: FockContext, ctx_small: FockContext, indices,
 def finkernel_rank(ctx: FockContext, indices, max_length: int) -> dict:
     """Numerical column rank, relative threshold 1e-8, of the realization map
     on the truncated monomial basis over a subspace; full rank certifies
-    injectivity at this scale."""
+    injectivity at this scale.  Columns are scaled to unit norm first (a zero
+    column stays zero), so the rank does not follow the spread of the metric
+    and the singular values returned are those of the normalised columns."""
     if max_length > ctx.degree // 2:
         raise ValueError("max_length must be at most N/2")
     indices = sorted(set(int(i) for i in indices))
@@ -146,6 +148,8 @@ def finkernel_rank(ctx: FockContext, indices, max_length: int) -> dict:
                                               gauge=False)
                     columns.append(dense.ravel())
     matrix = np.stack(columns, axis=1)
+    scale = np.linalg.norm(matrix, axis=0)
+    matrix /= np.where(scale > 0, scale, 1.0)
     svals = np.linalg.svd(matrix, compute_uv=False)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
     return {

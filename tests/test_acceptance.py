@@ -169,17 +169,17 @@ def test_criterion_10_tail_bound_and_free_crosscheck():
     for spectrum, q, ctx in grid_contexts():
         family = haagerup.ApproximantFamily.default(ctx.space)
         for k in family.ks:
-            T = family.maps[k].matrix
-            per = haagerup.degree_norms(ctx, T)
+            T = family.maps[k]
+            per = haagerup.degree_norms(ctx, T.matrix)
             for t in family.ts:
                 for n in range(DEGREE):
                     tail = haagerup.tail_norm(per, t, n)
                     margin = max(margin, tail - float(np.exp(-t * (n + 1))))
             if abs(q) <= 0.5:
                 cross = max(cross,
-                            haagerup.free_reduction_crosscheck(ctx, T, per, 1.0, 1))
-    announce("criterion 10: tail norms within e^{-t(n+1)} + 1e-10; free "
-             "metric crosscheck <= 1e-8 for |q| <= 0.5",
+                            haagerup.free_reduction_crosscheck(T, per))
+    announce("criterion 10: tail norms within e^{-t(n+1)} + 1e-10; degree "
+             "profile within 1e-8 of ||T||^d for |q| <= 0.5",
              margin <= 1e-10 and cross <= 1e-8,
              f"max bound excess {margin:.3e}, max crosscheck gap {cross:.3e}")
 

@@ -72,25 +72,70 @@ def test_tail_bound_across_grid():
 
 
 def test_free_reduction_crosscheck_zero_at_q0():
+    # at q = 0 the profile is the SVD of a Kronecker power, ||T||^d up to ulps
     ctx = make_ctx("b2", 0.0, 4)
-    T = haagerup.generate_admissible(ctx.space, 4).matrix
-    per = haagerup.degree_norms(ctx, T)
-    assert haagerup.free_reduction_crosscheck(ctx, T, per, 1.0, 1) == 0.0
+    T = haagerup.generate_admissible(ctx.space, 4)
+    per = haagerup.degree_norms(ctx, T.matrix)
+    assert haagerup.free_reduction_crosscheck(T, per) <= 1e-14
 
 
 def test_free_reduction_crosscheck_small_q():
     for q in (-0.5, 0.5):
         ctx = make_ctx("t2", q, 4)
-        T = haagerup.generate_admissible(ctx.space, 8).matrix
-        per = haagerup.degree_norms(ctx, T)
-        assert haagerup.free_reduction_crosscheck(ctx, T, per, 0.5, 1) < 1e-8
+        T = haagerup.generate_admissible(ctx.space, 8)
+        per = haagerup.degree_norms(ctx, T.matrix)
+        assert haagerup.free_reduction_crosscheck(T, per) < 1e-8
 
 
 def test_free_reduction_crosscheck_large_q_loose():
     ctx = make_ctx("t2", 0.9, 4)
-    T = haagerup.generate_admissible(ctx.space, 8).matrix
-    per = haagerup.degree_norms(ctx, T)
-    assert haagerup.free_reduction_crosscheck(ctx, T, per, 0.5, 1) < 1e-6
+    T = haagerup.generate_admissible(ctx.space, 8)
+    per = haagerup.degree_norms(ctx, T.matrix)
+    assert haagerup.free_reduction_crosscheck(T, per) < 1e-6
+
+
+ORACLE_GRID = [(spectrum, q) for spectrum in ("t2", "b2", "b2+t1")
+               for q in (-0.9, -0.5, 0.3, 0.9, 0.95)]
+
+
+def oracle_maps(space, seed):
+    """A random contraction that is not J-real, a random J-real one, and the
+    diagonal T_4 of the approximant family."""
+    gen = np.random.default_rng(seed)
+    return {"plain": sp.random_contraction(gen, space, space, norm=0.8),
+            "j_real": sp.random_jti_contraction(gen, space, space, norm=0.8),
+            "T_4": haagerup.generate_admissible(space, 4)}
+
+
+@pytest.mark.parametrize("spectrum,q", ORACLE_GRID)
+def test_degree_profile_is_the_closed_form_power(spectrum, q):
+    # T^{(x)d} commutes with P_q, so its q-norm is ||T||_G^d (Bozejko-Speicher)
+    ctx = make_ctx(spectrum, q, 4)
+    for T in oracle_maps(ctx.space, 19).values():
+        closed = T.norm ** np.arange(ctx.degree + 1)
+        per = haagerup.degree_norms(ctx, T.matrix)
+        assert np.max(np.abs(per - closed) / closed) <= 1e-12
+
+
+def half_gauged_profile(ctx, T):
+    """A defective profile: the degree blocks gauged on the left only,
+    ``metric_sqrt(d) @ B``, without ``metric_invsqrt(d)`` on the right."""
+    fq = first_quantization(ctx, ctx, np.asarray(T, dtype=complex))
+    return np.array([np.linalg.norm(ctx.metric_sqrt(d) @ fq.block(d, d), 2)
+                     for d in range(ctx.degree + 1)])
+
+
+@pytest.mark.parametrize("spectrum,q", ORACLE_GRID)
+def test_closed_form_crosscheck_sees_a_half_gauged_profile(spectrum, q):
+    # on the diagonal T_k a gauge defect moves the profile by ulps only, so
+    # the non-diagonal maps carry the teeth: the smallest gap over this grid
+    # is 9.5e-2 (b2+t1, q = 0.3)
+    ctx = make_ctx(spectrum, q, 4)
+    maps = oracle_maps(ctx.space, 19)
+    for name in ("plain", "j_real"):
+        T = maps[name]
+        assert haagerup.free_reduction_crosscheck(T, haagerup.degree_norms(ctx, T.matrix)) <= 1e-12
+        assert haagerup.free_reduction_crosscheck(T, half_gauged_profile(ctx, T.matrix)) > 1e-2
 
 
 def test_compactness_profile_structure():

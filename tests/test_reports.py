@@ -148,6 +148,24 @@ def test_haagerup_suite_takes_each_degree_profile_once(monkeypatch):
     assert [r.check for r in reps].count("haagerup/compactness_profile") == 6
 
 
+def test_free_reduction_row_is_red_when_one_degree_is_off(monkeypatch):
+    # a relative error of 1e-5 at degree 3 exceeds both bounds of the row
+    degree_norms = haagerup.degree_norms
+
+    def off_at_degree_3(ctx, T):
+        per = degree_norms(ctx, T).copy()
+        per[3] *= 1.0 + 1e-5
+        return per
+
+    monkeypatch.setattr(haagerup, "degree_norms", off_at_degree_3)
+    config = small_config(q_values=reports.DEFAULT_Q_VALUES, spectra=("t2", "b2"), degree=4)
+    reps = run_suite(config, "haagerup")
+    rows = [r for r in reps if r.check == "haagerup/free_reduction"]
+    assert sorted({r.params["q"] for r in rows}) == sorted(reports.DEFAULT_Q_VALUES)
+    assert len(rows) == 2 * len(reports.DEFAULT_Q_VALUES)
+    assert not any(r.passed for r in rows)
+
+
 def test_haagerup_suite_generates_each_map_once(monkeypatch):
     levels = len(haagerup.ApproximantFamily.default(sp.build_space(parse_spectrum("t1"))).ks)
     calls = []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ def test_metric_eigenvalues_lambda2():
 def test_metric_eigenvalues_lambda4_with_trivial():
     space = sp.build_space(sp.BlockSpectrum([(4.0, 1)], trivial=1))
     assert np.allclose(sorted(space.g), [0.4, 1.0, 1.6])
+
+
+def test_space_rejects_eigenvalues_whose_metric_overflows():
+    # 2a overflows above half the float maximum; the check runs before g
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for build in (lambda: sp.build_space(sp.BlockSpectrum([(1e308, 1)])),
+                      lambda: sp.DeformedSpace([1e308, 1e-308], [1, 0])):
+            with pytest.raises(ValueError, match="overflow"):
+                build()
+        space = sp.build_space(sp.BlockSpectrum([(1e300, 1)]))
+    assert np.all(np.isfinite(space.g)) and space.g[0] == 2.0 * 1e300 / (1.0 + 1e300)
 
 
 def test_conjugation_is_antilinear_involution(space_b2t1, rng):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qfock import toeplitz
+from qfock import reports, toeplitz
 from qfock import spaces as sp
 from qfock.fock import (FockContext, GradedOperator, GradedVector, annihilation, c_constant,
                         creation, first_quantization, r_star)
@@ -126,6 +128,34 @@ def test_finkernel_full_rank_examples():
         report = toeplitz.finkernel_rank(ctx, [0, 1], max_length=2)
         assert report["full_rank"]
         assert report["n_columns"] == 1 + 2 + 2 + 4 + 4 + 4  # lengths 0..2
+
+
+@pytest.mark.parametrize("spectrum", ["b12345.678", "b1e30"])
+def test_finkernel_full_rank_under_a_wide_metric_spread(spectrum):
+    # the column scales follow the metric, which spans 1e-30..2 on b1e30
+    space = sp.build_space(reports.parse_spectrum(spectrum))
+    ctx = FockContext(space, 0.5, 4)
+    report = toeplitz.finkernel_rank(ctx, reports._subspace_indices(space), max_length=2)
+    assert report["full_rank"]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 0.0])
+def test_finkernel_sees_a_dependent_column_whatever_its_scale(monkeypatch, scale):
+    # the monomial a^*(e_1) is replaced by scale * a^*(e_0): normalising the
+    # columns must not lift a (nearly) parallel or a zero column to full rank
+    ctx = make_ctx("b2", 0.5, 4)
+    monomial = toeplitz.monomial
+
+    def dependent(ctx, vs, ws):
+        if len(vs) == 1 and not ws and vs[0][1] == 1.0:
+            elem = monomial(ctx, [np.eye(ctx.dim)[0]], [])
+            return dataclasses.replace(elem, op=scale * elem.op)
+        return monomial(ctx, vs, ws)
+
+    monkeypatch.setattr(toeplitz, "monomial", dependent)
+    report = toeplitz.finkernel_rank(ctx, [0, 1], max_length=2)
+    assert report["rank"] == report["n_columns"] - 1
+    assert not report["full_rank"]
 
 
 def test_finkernel_rejects_deep_lengths(ctx_half):
