@@ -18,6 +18,11 @@ context by ``FockContext.stacks``; a degree-6 block 729 wide on a
 3-dimensional base space splits into 28 type blocks, the widest 90 wide.  So
 do the products of wide blocks by the metric and its functions, in the gauge
 (``gauge_block``) and the q-adjoint (``GradedOperator.adjoint``).
+
+The block algebra under ``GradedOperator`` (product, sum, scaling, q-adjoint,
+gauged assembly) is written once, on blocks that may carry a leading draw
+axis: an ``OperatorStack`` evaluates many random draws in one pass, each
+draw bit for bit as it comes out alone.
 """
 
 from __future__ import annotations
@@ -323,10 +328,12 @@ class FockContext:
 
     def mixed_word_block(self, Z, k: int, m: int, p: int) -> np.ndarray:
         """Block (degree p -> degree p-m+k) of ``sum_{s,t} Z[s,t] a*_q(e_s) a_q(e_t)``
-        with ``e_s``/``e_t`` running over degree-k/degree-m basis tensors."""
-        Z = np.asarray(Z).reshape(self.dim ** k, self.dim ** m)
+        with ``e_s``/``e_t`` running over degree-k/degree-m basis tensors, for
+        ``Z`` of shape (dim**k, dim**m), or the stack of blocks of a stack of
+        such ``Z`` along leading axes."""
+        Z = np.asarray(Z)
         arr = Z @ self.ann_words(m, p).reshape(self.dim ** m, -1)
-        return arr.reshape(self.dim ** (k + p - m), self.dim ** p)
+        return arr.reshape(Z.shape[:-2] + (self.dim ** (k + p - m), self.dim ** p))
 
     def mixed_word_operator(self, Z, k: int, m: int) -> "GradedOperator":
         blocks = {}
@@ -389,35 +396,113 @@ _TYPED_MIN_WIDTH = 64
 
 def _metric_product(ctx: FockContext, name: str, n: int, M, right: bool = False) -> np.ndarray:
     """``X(n) @ M``, or ``M @ X(n)`` when ``right``, for X the method
-    ``name`` of ``ctx`` (``metric`` or a metric function).
+    ``name`` of ``ctx`` (``metric`` or a metric function) and ``M`` a matrix
+    or a stack of them along leading axes.
 
     Below ``_TYPED_MIN_WIDTH`` this is the dense product.  From it on, the
     rows of ``M`` (the columns when ``right``) are gathered in type order and
     each real stack of ``ctx.stacks(name, n)`` multiplies its rows as one real
-    GEMM, a complex row read as (real, imaginary) float64 pairs."""
+    GEMM per matrix, a complex row read as (real, imaginary) float64 pairs."""
     if ctx.block_size(n) < _TYPED_MIN_WIDTH:
         X = getattr(ctx, name)(n)
         return M @ X if right else X @ M
     M = np.asarray(M)
     perm, inverse, spans = ctx._type_layout(n)
-    rows = (M.T if right else M)[perm]
+    rows = (M.swapaxes(-1, -2) if right else M)[..., perm, :]
     rows = np.ascontiguousarray(rows, dtype=np.result_type(rows.dtype, np.float64))
     pairs = rows.view(np.float64)
     out = np.empty_like(pairs)
-    width = pairs.shape[1]
+    lead, width = pairs.shape[:-2], pairs.shape[-1]
     for S, (start, stop, count, b) in zip(ctx.stacks(name, n), spans):
-        np.matmul(S.swapaxes(1, 2) if right else S, pairs[start:stop].reshape(count, b, width),
-                  out=out[start:stop].reshape(count, b, width))
-    out = out.view(rows.dtype)[inverse]
-    return out.T if right else out
+        # splitting the row axis keeps these views, so matmul writes into out
+        np.matmul(S.swapaxes(1, 2) if right else S,
+                  pairs[..., start:stop, :].reshape(lead + (count, b, width)),
+                  out=out[..., start:stop, :].reshape(lead + (count, b, width)))
+    out = out.view(rows.dtype)[..., inverse, :]
+    return out.swapaxes(-1, -2) if right else out
 
 
 def gauge_block(ctx_out: FockContext, ctx_in: FockContext, B, m: int, n: int) -> np.ndarray:
     """A degree-n -> degree-m block in coordinates orthonormal for the
     q-inner products, ``metric_sqrt(m) @ B @ metric_invsqrt(n)``: its plain
-    spectral norm and eigenvalues are the q-geometric ones."""
+    spectral norm and eigenvalues are the q-geometric ones.  ``B`` may be a
+    stack of blocks along leading axes."""
     return _metric_product(ctx_in, "metric_invsqrt", n,
                            _metric_product(ctx_out, "metric_sqrt", m, B), right=True)
+
+
+# -- block algebra ---------------------------------------------------------------
+# An operator is a dict of blocks keyed (out degree, in degree).  The helpers
+# below act on blocks of shape (..., rows, cols), every block of one dict with
+# the same leading axes: ``GradedOperator`` holds 2-D blocks, an
+# ``OperatorStack`` one leading draw axis.  Each slice of a stack goes through
+# the same BLAS and LAPACK calls as a lone block, so it comes out bit for bit
+# the same.
+
+
+def _compose(left: dict, right: dict) -> dict:
+    """Blocks of the product of two operators."""
+    blocks = {}
+    for (m, p), A in left.items():
+        for (p2, n), B in right.items():
+            if p != p2:
+                continue
+            key = (m, n)
+            C = A @ B
+            blocks[key] = blocks[key] + C if key in blocks else C
+    return blocks
+
+
+def _add(left: dict, right: dict) -> dict:
+    """Blocks of the sum of two operators."""
+    blocks = dict(left)
+    for key, B in right.items():
+        blocks[key] = blocks[key] + B if key in blocks else B
+    return blocks
+
+
+def _scale(scalar, blocks: dict) -> dict:
+    """Blocks times a complex scalar, or times a stack of them shaped to
+    broadcast against the blocks."""
+    return {key: scalar * B for key, B in blocks.items()}
+
+
+def _on_inputs(blocks: dict, degrees) -> dict:
+    """The blocks whose input degree is in ``degrees``."""
+    return {key: B for key, B in blocks.items() if key[1] in degrees}
+
+
+def _adjoint(ctx_out: FockContext, ctx_in: FockContext, blocks: dict) -> dict:
+    """Blocks of the adjoint w.r.t. the q-inner products of both contexts,
+    ``metric_inv(n) @ B^H @ metric(m)`` for the block (m, n)."""
+    adjoint = {}
+    for (m, n), B in blocks.items():
+        left = _metric_product(ctx_in, "metric_inv", n, np.conj(B).swapaxes(-1, -2))
+        adjoint[(n, m)] = _metric_product(ctx_out, "metric", m, left, right=True)
+    return adjoint
+
+
+def _assemble(ctx_out: FockContext, ctx_in: FockContext, blocks: dict, out_degrees,
+              in_degrees, gauge: bool) -> np.ndarray:
+    """Matrix over the direct sums of the listed out and in degrees, gauged
+    block by block (``gauge_block``) when ``gauge``."""
+    rows, n_rows = _degree_slices(ctx_out, out_degrees)
+    cols, n_cols = _degree_slices(ctx_in, in_degrees)
+    lead = next(iter(blocks.values())).shape[:-2] if blocks else ()
+    full = np.zeros(lead + (n_rows, n_cols), dtype=complex)
+    for (m, n), B in blocks.items():
+        if m not in rows or n not in cols:
+            continue
+        if gauge:
+            B = gauge_block(ctx_out, ctx_in, B, m, n)
+        full[..., rows[m], cols[n]] = B
+    return full
+
+
+def _min_eigs(M) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of a matrix, one per matrix
+    of a stack along leading axes."""
+    return np.linalg.eigvalsh((M + np.conj(M).swapaxes(-1, -2)) / 2.0)[..., 0]
 
 
 def _degree_slices(ctx: FockContext, degrees):
@@ -480,40 +565,25 @@ class GradedOperator:
     def __matmul__(self, other: "GradedOperator") -> "GradedOperator":
         if other.ctx_out is not self.ctx_in:
             raise ValueError("context mismatch in operator composition")
-        blocks = {}
-        for (m, p), A in self.blocks.items():
-            for (p2, n), B in other.blocks.items():
-                if p != p2:
-                    continue
-                key = (m, n)
-                C = A @ B
-                blocks[key] = blocks[key] + C if key in blocks else C
-        return GradedOperator._trusted(self.ctx_out, other.ctx_in, blocks)
+        return GradedOperator._trusted(self.ctx_out, other.ctx_in,
+                                       _compose(self.blocks, other.blocks))
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         if other.ctx_out.dim != self.ctx_out.dim or other.ctx_in.dim != self.ctx_in.dim:
             raise ValueError("base dimension mismatch in operator sum")
-        blocks = dict(self.blocks)
-        for key, B in other.blocks.items():
-            blocks[key] = blocks[key] + B if key in blocks else B
-        return GradedOperator._trusted(self.ctx_out, self.ctx_in, blocks)
+        return GradedOperator._trusted(self.ctx_out, self.ctx_in, _add(self.blocks, other.blocks))
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "GradedOperator":
         scalar = complex(scalar)  # a complex128 product, as numpy casts it anyway
-        return GradedOperator._trusted(self.ctx_out, self.ctx_in,
-                                       {key: scalar * B for key, B in self.blocks.items()})
+        return GradedOperator._trusted(self.ctx_out, self.ctx_in, _scale(scalar, self.blocks))
 
     def adjoint(self) -> "GradedOperator":
         """Adjoint w.r.t. the q-inner products of both contexts."""
-        blocks = {}
-        for (m, n), B in self.blocks.items():
-            # metric_inv(n) @ B^H @ metric(m)
-            left = _metric_product(self.ctx_in, "metric_inv", n, np.conj(B).T)
-            blocks[(n, m)] = _metric_product(self.ctx_out, "metric", m, left, right=True)
-        return GradedOperator._trusted(self.ctx_in, self.ctx_out, blocks)
+        return GradedOperator._trusted(self.ctx_in, self.ctx_out,
+                                       _adjoint(self.ctx_out, self.ctx_in, self.blocks))
 
     def apply(self, vec: GradedVector) -> GradedVector:
         out = [np.zeros(self.ctx_out.block_size(n), dtype=complex)
@@ -543,16 +613,7 @@ class GradedOperator:
 
     def _assemble(self, out_degrees, in_degrees, gauge: bool) -> np.ndarray:
         """Matrix over the direct sums of the listed out and in degrees."""
-        rows, n_rows = _degree_slices(self.ctx_out, out_degrees)
-        cols, n_cols = _degree_slices(self.ctx_in, in_degrees)
-        full = np.zeros((n_rows, n_cols), dtype=complex)
-        for (m, n), B in self.blocks.items():
-            if m not in rows or n not in cols:
-                continue
-            if gauge:
-                B = gauge_block(self.ctx_out, self.ctx_in, B, m, n)
-            full[rows[m], cols[n]] = B
-        return full
+        return _assemble(self.ctx_out, self.ctx_in, self.blocks, out_degrees, in_degrees, gauge)
 
     def op_norm(self) -> float:
         """Operator norm w.r.t. the q-inner products of the truncated spaces.
@@ -573,6 +634,18 @@ class GradedOperator:
 
     def max_diff(self, other: "GradedOperator") -> float:
         return (self - other).op_norm()
+
+
+class OperatorStack:
+    """Operators between two contexts stacked along a leading draw axis: each
+    block is the (draws, rows, cols) stack of the operators' blocks.  It has
+    no algebra of its own, so a stack never reaches the public ``@`` or
+    ``adjoint``; the block helpers of this module act on its blocks."""
+
+    def __init__(self, ctx_out: FockContext, ctx_in: FockContext, blocks: dict):
+        self.ctx_out = ctx_out
+        self.ctx_in = ctx_in
+        self.blocks = blocks
 
 
 def blockwise_gap(ctx: FockContext, A: GradedOperator, B: GradedOperator, inputs) -> float:
@@ -697,8 +770,7 @@ def stack_norm(stacks) -> float:
 def hermitian_min_eig(stacks) -> float:
     """Smallest eigenvalue of the Hermitian part of a block-diagonal matrix
     given as a list of (count, b, b) stacks; ``[M[None]]`` is a dense ``M``."""
-    return min(float(np.linalg.eigvalsh((S + np.conj(S).swapaxes(1, 2)) / 2.0)[:, 0].min())
-               for S in stacks)
+    return min(float(_min_eigs(S).min()) for S in stacks)
 
 
 def factorization_residual(ctx: FockContext, n: int, k: int) -> float:

@@ -10,6 +10,8 @@ The positivity margins use the intrinsic image instead: on the Wick algebra
 of one context, ``Gamma_q(T): W(xi) -> W(T^{(x)n} xi)`` (``intrinsic_image``)
 needs neither the combined space nor the dilation, only the tensor powers of
 ``T`` (``tensor_powers``, which also holds the one guard: ``J T I = T``).
+A sweep of random draws (``positivity_margins``) evaluates all draws that
+share their word degrees as one stack, on the block algebra of ``fock``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from functools import partial
 import numpy as np
 
 from . import spaces
-from .fock import (FockContext, GradedOperator, GradedVector, blockwise_gap,
-                   coordinate_index, first_quantization, hermitian_min_eig)
+from .fock import (FockContext, GradedOperator, GradedVector, OperatorStack, _add, _adjoint,
+                   _assemble, _compose, _min_eigs, _on_inputs, _scale, blockwise_gap,
+                   coordinate_index, first_quantization)
 from .spaces import DeformedContraction, _gaussian
-from .wick import WickWord, wick_word
+from .wick import WickWord, _word_blocks, wick_word
 
 ITI_TOL = 1e-10
 
@@ -158,24 +161,28 @@ def gns_residual(channel: QuantizationChannel, word: WickWord,
     return (vector - expected).norm()
 
 
-def _positivity_window(ctx: FockContext, words) -> range:
-    """Degrees ``0..N-2 dmax`` on which ``x# x`` is exact for words of degree
-    at most ``dmax``."""
-    dmax = max(w.degree for w in words)
-    return range(max(ctx.degree - 2 * dmax, 0) + 1)
+def _positivity_window(ctx: FockContext, degrees) -> range:
+    """Degrees ``0..N-2 dmax`` on which ``x# x`` is exact for words of the
+    given degrees, ``dmax`` the largest."""
+    return range(max(ctx.degree - 2 * max(degrees), 0) + 1)
 
 
-def _on_inputs(op: GradedOperator, degrees) -> GradedOperator:
-    """The blocks of ``op`` whose input degree is in ``degrees``."""
-    return GradedOperator(op.ctx_out, op.ctx_in,
-                          {key: B for key, B in op.blocks.items() if key[1] in degrees})
+def _span(ctx: FockContext, degrees) -> range:
+    """Input degrees ``0..2 dmax`` that ``x# x`` needs of ``x`` to have an
+    exact vacuum column, for words of the given degrees."""
+    return range(min(2 * max(degrees), ctx.degree) + 1)
 
 
-def _element(coeffs, words, degrees) -> GradedOperator:
-    """``x = sum_i c_i W(xi_i)`` on the input degrees ``degrees``."""
-    total = GradedOperator(words[0].ctx, words[0].ctx, {})
-    for c, w in zip(coeffs, words):
-        total = total + c * _on_inputs(w.op, degrees)
+def _image_blocks(ctx: FockContext, powers: dict, y: dict, window) -> dict:
+    """Blocks of ``Gamma_q(T) y`` on the input degrees of ``window``
+    (``intrinsic_image``), for the blocks ``powers`` of the tensor powers of
+    ``T`` and ``y`` of one operator, or of stacks of both."""
+    total = {}
+    for d in sorted(m for (m, p) in y if p == 0):
+        # the vacuum column kept as a one-column matrix: the product is then
+        # the same matrix-vector product for one operator and for a stack
+        xi = (powers[(d, d)] @ y[(d, 0)][..., :1])[..., 0]
+        total = _add(total, _word_blocks(ctx, xi, d, window))
     return total
 
 
@@ -189,88 +196,153 @@ def intrinsic_image(powers: GradedOperator, y: GradedOperator, window) -> Graded
     ``powers``, the first quantisation of ``T``.  No dilation and no
     combined space are involved."""
     ctx = powers.ctx_out
-    total = GradedOperator(ctx, ctx, {})
-    for d in sorted(m for (m, p) in y.blocks if p == 0):
-        xi = powers.block(d, d) @ y.blocks[(d, 0)][:, 0]
-        total = total + wick_word(ctx, xi, d, inputs=window).op
-    return total
+    return GradedOperator._trusted(ctx, ctx, _image_blocks(ctx, powers.blocks, y.blocks, window))
 
 
-def _span(ctx: FockContext, words) -> range:
-    """Input degrees ``0..2 dmax`` that ``x# x`` needs of ``x`` to have an
-    exact vacuum column, for words of degree at most ``dmax``."""
-    return range(min(2 * max(w.degree for w in words), ctx.degree) + 1)
+def _coefficient(c) -> np.ndarray:
+    """A coefficient, or a (draws,) array of them, shaped to scale blocks."""
+    c = np.asarray(c, dtype=complex)
+    return c.reshape(c.shape + (1, 1))
 
 
-def kadison_schwarz_margin(powers: GradedOperator, coeffs, words) -> float:
+def _per_draw(margins: np.ndarray):
+    """A float for one draw, the array of margins for a stack of draws."""
+    return float(margins) if margins.ndim == 0 else margins
+
+
+def kadison_schwarz_margin(powers, coeffs, words):
     """Smallest eigenvalue of ``Gamma(x# x) - Gamma(x)# Gamma(x)`` compressed
     to the safe window, for ``x = sum_i c_i W(xi_i)`` and ``Gamma`` the
     intrinsic image ``Gamma_q(T)`` of a base-space matrix ``T``, given by its
     tensor powers ``powers = first_quantization(ctx, ctx, T)`` on the words'
     context; nonnegative up to numerics when ``T`` is a contraction with
-    ``J T I = T``."""
+    ``J T I = T``.
+
+    Draws that share their word degrees are evaluated as one stack:
+    ``powers`` and each word's ``op`` are then ``OperatorStack``s, each
+    coefficient a (draws,) array, and the result one margin per draw."""
     ctx = powers.ctx_out
-    window = _positivity_window(ctx, words)
-    x = _element(coeffs, words, _span(ctx, words))
+    degrees = [w.degree for w in words]
+    window, span = _positivity_window(ctx, degrees), _span(ctx, degrees)
+    x = {}
+    for c, w in zip(coeffs, words):
+        x = _add(x, _scale(_coefficient(c), _on_inputs(w.op.blocks, span)))
     # the vacuum column of x# x, exact since x holds the inputs 0..2 dmax
-    lhs = intrinsic_image(powers, x.adjoint() @ _on_inputs(x, (0,)), window)
-    img = intrinsic_image(powers, x, window)
-    rhs = img.adjoint() @ img
-    return hermitian_min_eig([(lhs - rhs).to_dense(gauge=True, window=window)[None]])
+    lhs = _image_blocks(ctx, powers.blocks,
+                        _compose(_adjoint(ctx, ctx, x), _on_inputs(x, (0,))), window)
+    img = _image_blocks(ctx, powers.blocks, x, window)
+    rhs = _compose(_adjoint(ctx, ctx, img), img)
+    gap = _add(lhs, _scale(complex(-1.0), rhs))
+    return _per_draw(_min_eigs(_assemble(ctx, ctx, gap, window, window, gauge=True)))
 
 
-def two_positivity_margin(powers: GradedOperator, samples) -> float:
+def two_positivity_margin(powers, samples):
     """Min eigenvalue of the entrywise image ``Gamma_q(T)`` of a PSD 2x2
-    operator matrix ``X# X`` with Wick-word entries, compressed to the safe
-    window; ``powers`` is ``first_quantization(ctx, ctx, T)``."""
+    operator matrix ``X# X`` with entries ``X_rj = c W(xi)`` given as the
+    (c, word) pairs of two rows ``samples``, compressed to the safe window;
+    ``powers`` is ``first_quantization(ctx, ctx, T)``.  Stacks of draws as
+    in ``kadison_schwarz_margin``."""
     ctx = powers.ctx_out
-    words = [w for row in samples for (_, w) in row]
-    window = _positivity_window(ctx, words)
-    span = _span(ctx, words)
-    entries = [[_element([c], [w], span) for (c, w) in row] for row in samples]
-    adjoints = [[x.adjoint() for x in row] for row in entries]
+    degrees = [w.degree for row in samples for (_, w) in row]
+    window, span = _positivity_window(ctx, degrees), _span(ctx, degrees)
+    entries = [[_scale(_coefficient(c), _on_inputs(w.op.blocks, span)) for (c, w) in row]
+               for row in samples]
+    adjoints = [[_adjoint(ctx, ctx, x) for x in row] for row in entries]
     columns = [[_on_inputs(x, (0,)) for x in row] for row in entries]
     # (X# X)_{ij} = sum_r X_{ri}# X_{rj}, needed on its vacuum column only
-    images = [[intrinsic_image(powers, adjoints[0][i] @ columns[0][j]
-                               + adjoints[1][i] @ columns[1][j], window)
+    images = [[_image_blocks(ctx, powers.blocks,
+                             _add(_compose(adjoints[0][i], columns[0][j]),
+                                  _compose(adjoints[1][i], columns[1][j])), window)
                for j in range(2)] for i in range(2)]
-    return hermitian_min_eig([np.block(
-        [[images[i][j].to_dense(gauge=True, window=window) for j in range(2)]
-         for i in range(2)])[None]])
+    return _per_draw(_min_eigs(np.block(
+        [[_assemble(ctx, ctx, images[i][j], window, window, gauge=True) for j in range(2)]
+         for i in range(2)])))
+
+
+def positivity_draws(ctx: FockContext, rng, n_samples: int) -> tuple:
+    """The random words of a probe with ``n_samples`` Kadison-Schwarz draws,
+    in the order they are drawn: a list of Kadison-Schwarz draws of two words
+    each, and a list of 2-positivity draws, one at every fourth
+    Kadison-Schwarz draw, of four words (two rows of two, row by row).  A
+    word is a (coefficient, degree, tensor) triple of degree 0 or 1."""
+    ks_draws, two_pos_draws = [], []
+    for s in range(n_samples):
+        ks_draws.append(_random_words(ctx, rng))
+        if s % 4 == 0:
+            two_pos_draws.append(_random_words(ctx, rng) + _random_words(ctx, rng))
+    return ks_draws, two_pos_draws
+
+
+def _random_words(ctx: FockContext, rng) -> list:
+    """Two random words of degree 0 or 1, each drawn as its degree, its
+    tensor and its coefficient."""
+    words = []
+    for _ in range(2):
+        deg = int(rng.integers(0, 2))
+        xi = _gaussian(rng, ctx.block_size(deg))
+        words.append((complex(_gaussian(rng, ())), deg, xi))
+    return words
+
+
+def _two_positivity_of_words(powers, coeffs, words):
+    """``two_positivity_margin`` of four words given row by row."""
+    return two_positivity_margin(powers, [list(zip(coeffs[:2], words[:2])),
+                                          list(zip(coeffs[2:], words[2:]))])
+
+
+def positivity_margins(probes) -> list:
+    """Margins of probes on one context, each probe a pair of the tensor
+    powers ``tensor_powers(T, ctx, ctx)`` and the ``positivity_draws`` made
+    for it: per probe, the arrays of its Kadison-Schwarz and 2-positivity
+    margins in draw order.
+
+    The word degrees of a draw fix its blocks and its window, so the draws
+    of all probes that share them are evaluated as one stack, each with the
+    tensor powers of its own probe."""
+    powers = [p for p, _ in probes]
+    return list(zip(
+        _stacked_margins(powers, [ks for _, (ks, _) in probes], kadison_schwarz_margin),
+        _stacked_margins(powers, [two for _, (_, two) in probes], _two_positivity_of_words)))
+
+
+def _stacked_margins(powers: list, draws: list, margin) -> list:
+    """``margin(powers, coeffs, words)`` of each draw in ``draws[i]``, with
+    the tensor powers ``powers[i]``: one array per i, in draw order.  The
+    draws of one pattern of word degrees are evaluated as one stack."""
+    ctx = powers[0].ctx_out
+    flat = [(owner, words) for owner, found in enumerate(draws) for words in found]
+    groups = {}
+    for index, (_, words) in enumerate(flat):
+        groups.setdefault(tuple(deg for _, deg, _ in words), []).append(index)
+    margins = np.empty(len(flat))
+    for degrees, members in groups.items():
+        span = _span(ctx, degrees)
+        owners = [flat[i][0] for i in members]
+        stacked_powers = OperatorStack(ctx, ctx, {
+            (d, d): np.stack([powers[o].block(d, d) for o in owners]) for d in span})
+        coeffs, words = [], []
+        # the j-th words of the member draws, as one stack per j
+        for deg, column in zip(degrees, zip(*(flat[i][1] for i in members))):
+            coeffs.append(np.array([c for c, _, _ in column]))
+            tensors = np.stack([xi for _, _, xi in column])
+            words.append(WickWord(ctx, deg, tensors, OperatorStack(
+                ctx, ctx, _word_blocks(ctx, tensors, deg, span))))
+        margins[members] = margin(stacked_powers, coeffs, words)
+    return np.split(margins, np.cumsum([len(found) for found in draws])[:-1])
 
 
 def positivity_probe(contraction: DeformedContraction, ctx: FockContext, rng,
                      n_samples: int) -> dict:
     """Random sweep of the Kadison-Schwarz and 2-positivity margins of
     ``Gamma_q(T)`` on ``ctx``, on combinations of two Wick words of degree at
-    most 1."""
+    most 1.  A nan margin makes its minimum nan."""
     if n_samples < 1:
         raise ValueError("sample budget must be >= 1")
     powers = tensor_powers(contraction, ctx, ctx)
-    ks_margins, two_pos_margins = [], []
-    for s in range(n_samples):
-        coeffs, words = _random_words(ctx, rng)
-        ks_margins.append(kadison_schwarz_margin(powers, coeffs, words))
-        if s % 4 == 0:
-            rows = []
-            for _ in range(2):
-                cs, ws = _random_words(ctx, rng)
-                rows.append(list(zip(cs, ws)))
-            two_pos_margins.append(two_positivity_margin(powers, rows))
+    [(ks_margins, two_pos_margins)] = positivity_margins(
+        [(powers, positivity_draws(ctx, rng, n_samples))])
     return {
         "samples": n_samples,
-        "kadison_schwarz_min": min(ks_margins),
-        "two_positivity_min": min(two_pos_margins),
+        "kadison_schwarz_min": float(np.min(ks_margins)),
+        "two_positivity_min": float(np.min(two_pos_margins)),
     }
-
-
-def _random_words(ctx: FockContext, rng):
-    """Two random Wick words of degree 0 or 1 and their coefficients, built
-    on the input degrees ``0..2``: all that the margins read of them."""
-    coeffs, words = [], []
-    for _ in range(2):
-        deg = int(rng.integers(0, 2))
-        xi = _gaussian(rng, ctx.block_size(deg))
-        coeffs.append(complex(_gaussian(rng, ())))
-        words.append(wick_word(ctx, xi, deg, inputs=range(min(2, ctx.degree) + 1)))
-    return coeffs, words

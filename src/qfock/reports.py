@@ -383,15 +383,22 @@ def _functoriality(pt: _Point):
 
 def _positivity(pt: _Point):
     """Negated Kadison-Schwarz and 2-positivity minima of ``Gamma_q(T)`` over
-    random contractions, on the source context at the channel degree."""
-    space, rng = pt.space, pt.rng
+    random contractions, on the source context at the channel degree.  The
+    configured number of Kadison-Schwarz draws is spread over the
+    contractions; every contraction and word is drawn first, in probe order,
+    and the margins of all of them are evaluated together, by pattern of
+    word degrees (``quantize.positivity_margins``)."""
+    space, ctx, rng = pt.space, pt.channel_ctx, pt.rng
     n_samples = pt.config.samples["kadison_schwarz"]
     n_channels = max(1, n_samples // 20)
-    per_channel = max(1, n_samples // n_channels)
-    for _ in range(n_channels):
+    probes = []
+    for i in range(n_channels):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
-        probe = quantize.positivity_probe(T, pt.channel_ctx, rng, per_channel)
-        yield -probe["kadison_schwarz_min"], -probe["two_positivity_min"]
+        count = n_samples // n_channels + (i < n_samples % n_channels)
+        probes.append((quantize.tensor_powers(T, ctx, ctx),
+                       quantize.positivity_draws(ctx, rng, count)))
+    for ks_margins, two_pos_margins in quantize.positivity_margins(probes):
+        yield -np.min(ks_margins), -np.min(two_pos_margins)
 
 
 def _projection_monomial_residual(pt: _Point):
@@ -575,8 +582,9 @@ def _free_reduction_bound(tol: dict, q: float) -> float:
 
 # Each row is (residual function, (check, bound), ...).  The function yields
 # one residual per check (a tuple for several) for each draw, degree, pair or
-# map it measures; each check reports the largest.  A bound is a tolerance
-# key, a literal, or a rule of (tolerances, q).  Rows run, and draw from the
+# map it measures; each check reports the largest, or nan when any is nan
+# (``_worst``).  A bound is a tolerance key, a literal, or a rule of
+# (tolerances, q).  Rows run, and draw from the
 # point's generator, in table order, so reordering rows changes the report.
 _TABLES = {
     "symmetrizer": (
@@ -634,6 +642,13 @@ def _bound(rule, tol: dict, q: float) -> float:
     return tol[rule] if isinstance(rule, str) else rule
 
 
+def _worst(values) -> float:
+    """The largest of a check's residuals, or nan when any is nan: ``max``
+    keeps a nan only when it comes first, and a nan residual fails its
+    check."""
+    return float(np.max(values))
+
+
 def run_suite(config: SweepConfig, suite="all") -> list:
     """Execute the selected suites over the configured grid.
 
@@ -642,8 +657,8 @@ def run_suite(config: SweepConfig, suite="all") -> list:
     suite runs its table at the point with its own generator, so the point's
     contexts are shared by the suites and freed when the point is done.
     Records are returned suite by suite, in the order named, each suite in
-    grid order.  Each check records the largest residual its row yields and
-    the row's wall time."""
+    grid order.  Each check records the largest residual its row yields (nan
+    when any is nan) and the row's wall time."""
     names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
     if not names or len(set(names)) != len(names) or any(n not in SUITES for n in names):
         raise ValueError(f"unknown suite selection {suite!r}; expected one of "
@@ -663,7 +678,7 @@ def run_suite(config: SweepConfig, suite="all") -> list:
                     raise ValueError(f"row of {checks[0][0]} measured nothing")
                 for (check, rule), *values in zip(checks, *measured, strict=True):
                     out[name].append(VerificationReport.measure(
-                        check, params, max(values), _bound(rule, config.tolerances, q), t0))
+                        check, params, _worst(values), _bound(rule, config.tolerances, q), t0))
     return [report for name in names for report in out[name]]
 
 

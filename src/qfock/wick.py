@@ -19,7 +19,9 @@ from .fock import FockContext, GradedOperator, _apply_r_star
 
 @dataclass
 class WickWord:
-    """A degree-n tensor together with its realized graded operator."""
+    """A degree-n tensor together with its realized graded operator; for a
+    stack of draws (``quantize.positivity_margins``), a (draws, dim**n)
+    stack of tensors and the ``OperatorStack`` of their words."""
 
     ctx: FockContext
     degree: int
@@ -46,13 +48,22 @@ def wick_word(ctx: FockContext, xi, degree: int, inputs=None) -> WickWord:
         raise ValueError("degree overflow")
     if xi.size != ctx.block_size(degree):
         raise ValueError("coefficient block has wrong length")
+    degrees = range(ctx.degree + 1) if inputs is None else set(inputs)
+    return WickWord(ctx, degree, xi.copy(),
+                    GradedOperator(ctx, ctx, _word_blocks(ctx, xi, degree, degrees)))
+
+
+def _word_blocks(ctx: FockContext, xi, degree: int, degrees) -> dict:
+    """Blocks, on the input degrees ``degrees``, of the Wick word of a
+    degree-n tensor ``xi`` (``wick_word``), or the (draws, rows, cols) stacks
+    of the blocks of the words of a (draws, dim**n) stack of tensors."""
     n = degree
     dim = ctx.dim
-    degrees = range(ctx.degree + 1) if inputs is None else set(inputs)
+    lead, tensor_first = xi.shape[:-1], xi.T
     if n == 0:  # a scalar: no annihilation-word tensors to build and cache
-        op = GradedOperator(ctx, ctx, {(p, p): xi[0] * np.eye(ctx.block_size(p), dtype=complex)
-                                       for p in range(ctx.degree + 1) if p in degrees})
-        return WickWord(ctx, 0, xi.copy(), op)
+        scalar = xi[..., :1, None]
+        return {(p, p): scalar * np.eye(ctx.block_size(p), dtype=complex)
+                for p in range(ctx.degree + 1) if p in degrees}
     blocks = {}
     for k in range(n + 1):
         m = n - k
@@ -60,12 +71,13 @@ def wick_word(ctx: FockContext, xi, degree: int, inputs=None) -> WickWord:
                        if p - m + k <= ctx.degree and p in degrees]
         if not inputs_kept:
             continue
-        # the crossing-weighted sum over partitions is R*_{k,m} xi; the
-        # annihilation arguments are conjugated basis vectors
-        Z = _apply_r_star(ctx.q, dim, k, m, xi).reshape(dim ** k, dim ** m)[:, ctx.partner_map(m)]
+        # the crossing-weighted sum over partitions is R*_{k,m} xi, the tensor
+        # axis first; the annihilation arguments are conjugated basis vectors
+        Z = _apply_r_star(ctx.q, dim, k, m, tensor_first).T.reshape(
+            lead + (dim ** k, dim ** m))[..., ctx.partner_map(m)]
         for p in inputs_kept:
             blocks[(p - m + k, p)] = ctx.mixed_word_block(Z, k, m, p)
-    return WickWord(ctx, n, xi.copy(), GradedOperator(ctx, ctx, blocks))
+    return blocks
 
 
 def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:

@@ -748,6 +748,29 @@ def test_typed_gauge_and_adjoint_match_the_dense_products(q):
     assert _typed_against_dense_gap(make_ctx("b2+t1", q, 6), gen) <= TYPED_PRODUCT_BOUND
 
 
+@pytest.mark.parametrize("spectrum, degree", [("t2", 3), ("b2+t1", 4)])
+def test_block_algebra_on_a_stack_equals_it_slice_by_slice(spectrum, degree):
+    # exact: each slice goes through the BLAS and LAPACK calls of a lone
+    # block.  b2+t1 at N = 4 is 81 wide, so the top degree takes the typed
+    # metric products with a draw axis
+    gen = np.random.default_rng(925)
+    ctx = make_ctx(spectrum, 0.5, degree)
+    keys = [(m, n) for m in range(degree + 1) for n in range(degree + 1) if abs(m - n) <= 1]
+    draws = [_random_operator(ctx, gen, keys) for _ in range(3)]
+    stack = {key: np.stack([op.blocks[key] for op in draws]) for key in keys}
+    scale = gen.standard_normal(3) + 1j * gen.standard_normal(3)
+    degrees = range(degree + 1)
+    stacked = [fock._adjoint(ctx, ctx, stack), fock._compose(stack, stack),
+               fock._add(stack, fock._scale(scale[:, None, None], stack)),
+               {"dense": fock._assemble(ctx, ctx, stack, degrees, degrees, gauge=True)}]
+    for i, op in enumerate(draws):
+        alone = [op.adjoint().blocks, (op @ op).blocks, (op + complex(scale[i]) * op).blocks,
+                 {"dense": op.to_dense(gauge=True)}]
+        for blocks, slices in zip(alone, stacked):
+            assert list(blocks) == list(slices)
+            assert all(np.array_equal(blocks[key], slices[key][i]) for key in blocks)
+
+
 def test_typed_products_fail_with_a_misaligned_type_layout(monkeypatch):
     layout = FockContext._type_layout
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfock import quantize, toeplitz, wick
+from qfock import fock, quantize, reports, toeplitz, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedOperator, GradedVector, first_quantization
 from conftest import Q_GRID, make_ctx
@@ -261,6 +261,76 @@ def test_intrinsic_kadison_schwarz_margin_has_teeth(spectrum):
     word = wick.wick_word(ctx, _top_singular_vector(space, M), 1)
     assert quantize.kadison_schwarz_margin(first_quantization(ctx, ctx, M),
                                            [1.0], [word]) < -1e-8
+
+
+def _one_draw_margins(ctx, powers, draws):
+    """Margins of each draw evaluated alone, through the one-draw margins on
+    Wick words built on the input degrees 0..2."""
+    def word(deg, xi):
+        return wick.wick_word(ctx, xi, deg, inputs=range(min(2, ctx.degree) + 1))
+
+    ks_draws, two_pos_draws = draws
+    ks = [quantize.kadison_schwarz_margin(powers, [c for c, _, _ in d],
+                                          [word(deg, xi) for _, deg, xi in d])
+          for d in ks_draws]
+    two_pos = []
+    for d in two_pos_draws:
+        pairs = [(c, word(deg, xi)) for c, deg, xi in d]
+        two_pos.append(quantize.two_positivity_margin(powers, [pairs[:2], pairs[2:]]))
+    return ks, two_pos
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1", "b2x2"])
+def test_stacked_margins_equal_one_draw_margins(spectrum):
+    # exact: each slice of a stack goes through the same BLAS and LAPACK
+    # calls as a lone draw.  At its channel degree 3 b2x2 reaches width 64,
+    # so the adjoint of x takes the typed metric products on a stack; the
+    # margins read none of its degree-3 blocks, which
+    # test_fock.py::test_block_algebra_on_a_stack_equals_it_slice_by_slice checks
+    gen = np.random.default_rng(56)
+    space = sp.build_space(reports.parse_spectrum(spectrum))
+    ctx = FockContext(space, 0.5, reports.channel_degree(2 * space.dim, 5))
+    if spectrum == "b2x2":
+        assert ctx.block_size(ctx.degree) >= fock._TYPED_MIN_WIDTH
+    probes = []
+    for _ in range(3):
+        T = sp.random_jti_contraction(gen, space, space, norm=0.7)
+        probes.append((quantize.tensor_powers(T, ctx, ctx),
+                       quantize.positivity_draws(ctx, gen, 16)))
+    margins = quantize.positivity_margins(probes)
+    for (powers, draws), (ks, two_pos) in zip(probes, margins):
+        one_ks, one_two_pos = _one_draw_margins(ctx, powers, draws)
+        assert ks.tolist() == one_ks and two_pos.tolist() == one_two_pos
+        assert min(one_ks + one_two_pos) >= -1e-8
+
+
+def test_stacked_margin_has_teeth_and_keeps_its_neighbours():
+    # the plain contraction of the teeth test above, on x = 10 + W(e), sits
+    # between two J T I = T probes with draws of the same word degrees, so
+    # all six share one stack; its margin goes negative and theirs do not move
+    gen = np.random.default_rng(57)
+    ctx = make_ctx("b2+t1", 0.5, 3)
+    space = ctx.space
+    plain = sp.random_contraction(gen, space, space, norm=0.7)
+    residual = sp.jti_map(space, space, plain.matrix) - plain.matrix
+    e = space.conjugate(_top_singular_vector(space, residual))
+
+    def probe(powers, tensors):
+        return powers, ([[(10.0, 0, np.ones(1)), (1.0, 1, xi)] for xi in tensors], [])
+
+    def jti_probe():
+        T = sp.random_jti_contraction(gen, space, space, norm=0.7)
+        return probe(quantize.tensor_powers(T, ctx, ctx),
+                     [sp._gaussian(gen, ctx.dim) for _ in range(2)])
+
+    good = [jti_probe(), jti_probe()]
+    bad = probe(first_quantization(ctx, ctx, plain.matrix), [e, e])
+    alone = quantize.positivity_margins(good)
+    together = quantize.positivity_margins([good[0], bad, good[1]])
+    assert together[1][0].max() < -1e-8
+    for (ks, _), (ks_alone, _), (powers, draws) in zip(together[::2], alone, good):
+        assert ks.tolist() == ks_alone.tolist() == _one_draw_margins(ctx, powers, draws)[0]
+        assert ks.min() >= -1e-8
 
 
 def test_conjugation_channel_projection_monomials(rng):

@@ -219,6 +219,59 @@ def test_run_suite_keeps_each_checks_worst_measurement(monkeypatch):
                                                                ("b", 5.0, False)]
 
 
+@pytest.mark.parametrize("yields", [(1e-20, np.nan), (np.nan, 1e-20), (np.inf, np.nan),
+                                    ((0.0, 1.0), (np.nan, 2.0))])
+def test_run_suite_records_nan_when_any_measurement_is_nan(monkeypatch, yields):
+    # max() kept a nan only when it came first: (1e-20, nan) recorded 1e-20
+    # and passed
+    checks = ("a", "b") if isinstance(yields[0], tuple) else ("a",)
+    recs = _one_row_suite(monkeypatch, lambda pt: iter(yields), *checks)
+    assert np.isnan(recs[0].residual) and not recs[0].passed
+    if len(recs) > 1:
+        assert (recs[1].residual, recs[1].passed) == (2.0, True)
+
+
+@pytest.mark.parametrize("n, counts", [(45, [23, 22]), (100, [20] * 5), (4, [4]),
+                                       (61, [21, 20, 20])])
+def test_positivity_runs_the_configured_number_of_draws(monkeypatch, n, counts):
+    # n // n_channels draws per contraction ran 44 of 45
+    drawn, evaluated = [], []
+    draws, margins = quantize.positivity_draws, quantize.positivity_margins
+
+    def counted_draws(ctx, rng, n_samples):
+        drawn.append(n_samples)
+        return draws(ctx, rng, n_samples)
+
+    def counted_margins(probes):
+        result = margins(probes)
+        evaluated.extend(len(ks) for ks, _ in result)
+        return result
+
+    monkeypatch.setattr(quantize, "positivity_draws", counted_draws)
+    monkeypatch.setattr(quantize, "positivity_margins", counted_margins)
+    pt = reports._Point(small_config(spectra=("t1",), samples={"kadison_schwarz": n}), "t1", 0.5)
+    pt.rng = np.random.default_rng(0)
+    assert len(list(reports._positivity(pt))) == len(counts)
+    assert drawn == evaluated == counts
+
+
+def test_positivity_probe_minimum_is_nan_when_any_margin_is(monkeypatch):
+    # min() over the margins depended on where a nan sat
+    ctx = FockContext(sp.build_space(parse_spectrum("t2")), 0.5, 3)
+    T = sp.random_jti_contraction(np.random.default_rng(3), ctx.space, ctx.space, norm=0.7)
+    margins = quantize.positivity_margins
+    for spoiled in (0, -1):
+        def with_nan(probes):
+            result = margins(probes)
+            for ks, two_pos in result:
+                ks[spoiled] = two_pos[spoiled] = np.nan
+            return result
+
+        monkeypatch.setattr(quantize, "positivity_margins", with_nan)
+        probe = quantize.positivity_probe(T, ctx, np.random.default_rng(4), 8)
+        assert np.isnan(probe["kadison_schwarz_min"]) and np.isnan(probe["two_positivity_min"])
+
+
 @pytest.mark.parametrize("checks, yields", [
     (("a",), []), (("a", "b"), []), (("a", "b"), [(1.0,)]), (("a", "b"), [(1.0, 2.0, 3.0)]),
     (("a", "b"), [(1.0, 2.0), (1.0,)])])
