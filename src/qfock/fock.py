@@ -20,9 +20,10 @@ do the products of wide blocks by the metric and its functions, in the gauge
 (``gauge_block``) and the q-adjoint (``GradedOperator.adjoint``).
 
 The block algebra under ``GradedOperator`` (product, sum, scaling, q-adjoint,
-gauged assembly) is written once, on blocks that may carry a leading draw
-axis: an ``OperatorStack`` evaluates many random draws in one pass, each
-draw bit for bit as it comes out alone.
+gauged assembly, application to a vector, block gaps, tensor powers) is
+written once, on blocks that may carry a leading draw axis: ``quantize``
+evaluates many random draws in one pass, each bit for bit as it comes out
+alone.  An ``OperatorStack`` carries such blocks and has no algebra of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ import warnings
 import numpy as np
 
 from .spaces import DeformedSpace, _gaussian, _spectral_norm
+
+def _per_draw(values):
+    """A float for one draw (a scalar), the array itself for a stack of draws."""
+    values = np.asarray(values)
+    return float(values) if values.ndim == 0 else values
+
 
 # c_constant by q, and the partition orders of R*_{n,k} by (n + k, n): plain
 # numbers and index tuples, so no cache here holds a context or an array
@@ -87,11 +94,12 @@ def check_metric_floor(g_min: float, degree: int) -> None:
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two 1-D or two 2-D arrays: the same broadcast product
-    and reshape, without its generic axis handling."""
+    and reshape, without its generic axis handling; matrices may carry
+    leading axes, which broadcast."""
     if a.ndim == 1:
         return (a[:, None] * b[None, :]).reshape(a.size * b.size)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _read_only(value):
@@ -283,11 +291,13 @@ class FockContext:
     # -- inner products and norms ----------------------------------------------
 
     def q_inner(self, x, y, n: int) -> complex:
+        """Degree-n q-inner product, or one per pair of stacked tensors."""
         x = np.asarray(x)
         y = np.asarray(y)
-        if x.shape != (self.block_size(n),) or y.shape != (self.block_size(n),):
+        if x.shape[-1:] != (self.block_size(n),) or y.shape[-1:] != (self.block_size(n),):
             raise ValueError("degree-n block length mismatch")
-        return complex(np.conj(x) @ self.metric(n) @ y)
+        inner = np.conj(x)[..., None, :] @ self.metric(n) @ y[..., :, None]
+        return complex(inner[0, 0]) if inner.ndim == 2 else inner[..., 0, 0]
 
     def q_norm(self, x, n: int) -> float:
         return float(np.sqrt(max(self.q_inner(x, x, n).real, 0.0)))
@@ -382,8 +392,13 @@ class GradedVector:
         return GradedVector(self.ctx, [scalar * b for b in self.blocks])
 
     def norm(self) -> float:
-        total = sum(self.ctx.q_inner(b, b, n).real for n, b in enumerate(self.blocks))
-        return float(np.sqrt(max(total, 0.0)))
+        return _graded_norm(self.ctx, self.blocks)
+
+
+def _graded_norm(ctx: FockContext, blocks):
+    """q-norm of a vector's degree blocks 0..N, one per draw of stacked blocks."""
+    total = sum(ctx.q_inner(b, b, n).real for n, b in enumerate(blocks))
+    return _per_draw(np.sqrt(np.maximum(total, 0.0)))
 
 
 # Width from which a metric function multiplies a block stack by stack
@@ -411,14 +426,14 @@ def _metric_product(ctx: FockContext, name: str, n: int, M, right: bool = False)
     rows = (M.swapaxes(-1, -2) if right else M)[..., perm, :]
     rows = np.ascontiguousarray(rows, dtype=np.result_type(rows.dtype, np.float64))
     pairs = rows.view(np.float64)
-    out = np.empty_like(pairs)
     lead, width = pairs.shape[:-2], pairs.shape[-1]
     for S, (start, stop, count, b) in zip(ctx.stacks(name, n), spans):
-        # splitting the row axis keeps these views, so matmul writes into out
-        np.matmul(S.swapaxes(1, 2) if right else S,
-                  pairs[..., start:stop, :].reshape(lead + (count, b, width)),
-                  out=out[..., start:stop, :].reshape(lead + (count, b, width)))
-    out = out.view(rows.dtype)[..., inverse, :]
+        # the gathered rows are a copy, and splitting their row axis keeps a
+        # view, so matmul writes each product over the rows it reads (numpy
+        # copies an overlapping input first); no second full-size buffer
+        view = pairs[..., start:stop, :].reshape(lead + (count, b, width))
+        np.matmul(S.swapaxes(1, 2) if right else S, view, out=view)
+    out = rows[..., inverse, :]
     return out.swapaxes(-1, -2) if right else out
 
 
@@ -497,6 +512,23 @@ def _assemble(ctx_out: FockContext, ctx_in: FockContext, blocks: dict, out_degre
             B = gauge_block(ctx_out, ctx_in, B, m, n)
         full[..., rows[m], cols[n]] = B
     return full
+
+
+def _apply(ctx_out: FockContext, blocks: dict, vector) -> list:
+    """Degree blocks of an operator's blocks applied to a vector's blocks."""
+    out = [np.zeros(ctx_out.block_size(n), dtype=complex) for n in range(ctx_out.degree + 1)]
+    for (m, n), B in blocks.items():
+        out[m] = out[m] + B @ vector[n]
+    return out
+
+
+def _block_gaps(ctx: FockContext, A: dict, B: dict, inputs):
+    """``blockwise_gap`` of two operators' blocks, one per draw of stacks."""
+    res = 0.0
+    for p, m in itertools.product(inputs, range(ctx.degree + 1)):
+        if (m, p) in A or (m, p) in B:
+            res = np.maximum(res, ctx.block_norm(A.get((m, p), 0) - B.get((m, p), 0), m, p))
+    return _per_draw(res)
 
 
 def _min_eigs(M) -> np.ndarray:
@@ -586,11 +618,7 @@ class GradedOperator:
                                        _adjoint(self.ctx_out, self.ctx_in, self.blocks))
 
     def apply(self, vec: GradedVector) -> GradedVector:
-        out = [np.zeros(self.ctx_out.block_size(n), dtype=complex)
-               for n in range(self.ctx_out.degree + 1)]
-        for (m, n), B in self.blocks.items():
-            out[m] = out[m] + B @ vec.blocks[n]
-        return GradedVector(self.ctx_out, out)
+        return GradedVector(self.ctx_out, _apply(self.ctx_out, self.blocks, vec.blocks))
 
     def vacuum_expectation(self) -> complex:
         """``<Omega, x Omega>``: the degree-0 metric is 1, so it is the
@@ -651,13 +679,9 @@ class OperatorStack:
 def blockwise_gap(ctx: FockContext, A: GradedOperator, B: GradedOperator, inputs) -> float:
     """Largest q-norm of the block gaps ``A_{m,p} - B_{m,p}`` over the input
     degrees ``inputs`` and every output degree of ``ctx``.  A pair where
-    neither operator has a block has gap exactly 0 and is skipped."""
-    res = 0.0
-    for p in inputs:
-        for m in range(ctx.degree + 1):
-            if (m, p) in A.blocks or (m, p) in B.blocks:
-                res = max(res, ctx.block_norm(A.block(m, p) - B.block(m, p), m, p))
-    return res
+    neither operator has a block has gap exactly 0 and is skipped; a nan
+    gap makes it nan."""
+    return _block_gaps(ctx, A.blocks, B.blocks, inputs)
 
 
 # -- canonical operators -------------------------------------------------------
@@ -695,12 +719,18 @@ def first_quantization(ctx_src: FockContext, ctx_tgt: FockContext, T) -> GradedO
     T = np.asarray(T, dtype=complex)
     if T.shape != (ctx_tgt.dim, ctx_src.dim):
         raise ValueError("matrix shape does not match the base spaces")
-    blocks = {(0, 0): np.eye(1, dtype=complex)}
-    power = np.eye(1, dtype=complex)
-    for n in range(1, ctx_src.degree + 1):
+    return GradedOperator(ctx_tgt, ctx_src, _tensor_powers(T, ctx_src.degree))
+
+
+def _tensor_powers(T, degree: int) -> dict:
+    """Blocks ``T^{(x)n}``, n = 0..degree, of a matrix or of a stack of them."""
+    T = np.asarray(T, dtype=complex)
+    power = np.ones(T.shape[:-2] + (1, 1), dtype=complex)
+    blocks = {(0, 0): power}
+    for n in range(1, degree + 1):
         power = _kron(T, power)
         blocks[(n, n)] = power
-    return GradedOperator(ctx_tgt, ctx_src, blocks)
+    return blocks
 
 
 def coordinate_index(dim: int, indices, n: int) -> np.ndarray:

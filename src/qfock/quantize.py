@@ -10,8 +10,12 @@ The positivity margins use the intrinsic image instead: on the Wick algebra
 of one context, ``Gamma_q(T): W(xi) -> W(T^{(x)n} xi)`` (``intrinsic_image``)
 needs neither the combined space nor the dilation, only the tensor powers of
 ``T`` (``tensor_powers``, which also holds the one guard: ``J T I = T``).
-A sweep of random draws (``positivity_margins``) evaluates all draws that
-share their word degrees as one stack, on the block algebra of ``fock``.
+
+Random draws are evaluated as stacks on the block algebra of ``fock``, all
+draws that share their word degrees at once, bit for bit as one at a time:
+the margins by ``positivity_margins``, the channel's Wick covariance,
+unitality, vacuum state and GNS residuals by ``channel_residuals``, whose
+one-draw case is ``QuantizationChannel``.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 
 from . import spaces
 from .fock import (FockContext, GradedOperator, GradedVector, OperatorStack, _add, _adjoint,
-                   _assemble, _compose, _min_eigs, _on_inputs, _scale, blockwise_gap,
-                   coordinate_index, first_quantization)
+                   _apply, _assemble, _block_gaps, _compose, _graded_norm, _min_eigs, _on_inputs,
+                   _per_draw, _scale, _tensor_powers, coordinate_index, first_quantization)
 from .spaces import DeformedContraction, _gaussian
 from .wick import WickWord, _word_blocks, wick_word
 
@@ -41,14 +45,14 @@ def conjugation_channel(ctx_in: FockContext, ctx_out: FockContext, V):
 
 
 def embed_tensor(src_ctx: FockContext, comb_ctx: FockContext, xi, degree: int) -> np.ndarray:
-    """Push a degree-n coefficient tensor along the inclusion of base spaces.
+    """Push a flat degree-n coefficient tensor, or a stack, along the inclusion of base spaces.
 
     Assumes the source space sits as the leading coordinates of the combined
     space, which is how ``spaces.direct_sum`` lays it out.
     """
-    out = np.zeros(comb_ctx.block_size(degree), dtype=complex)
-    out[coordinate_index(comb_ctx.dim, range(src_ctx.dim), degree)] = \
-        np.asarray(xi, dtype=complex).reshape(src_ctx.block_size(degree))
+    xi = np.asarray(xi, dtype=complex)
+    out = np.zeros(xi.shape[:-1] + (comb_ctx.block_size(degree),), dtype=complex)
+    out[..., coordinate_index(comb_ctx.dim, range(src_ctx.dim), degree)] = xi
     return out
 
 
@@ -62,16 +66,39 @@ def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord,
                      word.degree, inputs=inputs)
 
 
+def _guard(contractions, matrix, src_ctx: FockContext, tgt_ctx: FockContext) -> None:
+    """The one guard of second quantisation on contractions whose matrix (or
+    stack) is ``matrix``: each maps between the contexts' spaces, J T I = T."""
+    if any(T.source is not src_ctx.space or T.target is not tgt_ctx.space for T in contractions):
+        raise ValueError("contexts do not match the contraction's spaces")
+    if np.max(spaces.iti_residual(src_ctx.space, tgt_ctx.space, matrix)) > ITI_TOL:
+        raise ValueError("contraction does not satisfy J T I = T; "
+                         "second quantisation is undefined")
+
+
 def tensor_powers(contraction: DeformedContraction, src_ctx: FockContext,
                   tgt_ctx: FockContext) -> GradedOperator:
     """``first_quantization(src_ctx, tgt_ctx, T)`` of a contraction ``T`` between
     the contexts' spaces, behind the one guard of second quantisation."""
-    if contraction.iti_residual() > ITI_TOL:
-        raise ValueError("contraction does not satisfy J T I = T; "
-                         "second quantisation is undefined")
-    if src_ctx.space is not contraction.source or tgt_ctx.space is not contraction.target:
-        raise ValueError("contexts do not match the contraction's spaces")
+    _guard([contraction], contraction.matrix, src_ctx, tgt_ctx)
     return first_quantization(src_ctx, tgt_ctx, contraction.matrix)
+
+
+def _dilation_powers(matrix, src_ctx, tgt_ctx, comb_ctx) -> dict:
+    """Blocks of ``F = F_q(P U)``, ``U`` the unitary dilation of a contraction
+    matrix between the contexts' spaces, or of each matrix of a stack."""
+    if comb_ctx.dim != src_ctx.dim + tgt_ctx.dim:
+        raise ValueError("combined context has wrong base dimension")
+    if comb_ctx.degree != tgt_ctx.degree or comb_ctx.q != tgt_ctx.q:
+        raise ValueError("combined and target contexts must share q and degree")
+    U = spaces._dilate(src_ctx.space, tgt_ctx.space, matrix)
+    return _tensor_powers(spaces.projection_matrix(src_ctx.space, tgt_ctx.space) @ U,
+                          tgt_ctx.degree)
+
+
+def _safe_window(ctx: FockContext, degree: int) -> range:
+    """Input degrees ``0..N-degree`` on which a degree-n image is exact."""
+    return range(ctx.degree - degree + 1)
 
 
 class QuantizationChannel:
@@ -80,24 +107,20 @@ class QuantizationChannel:
     Acts on source Wick words by embedding them in the combined space and
     conjugating with ``F = F_q(P U_T)``; ``conjugate`` is that last step
     alone.  The channel holds ``F``, ``F#`` and the tensor powers of ``T``
-    (``tensor_powers``) for ``image_tensor``.
+    (``tensor_powers``) for ``image_tensor``.  It is the one-draw case of
+    the helpers ``channel_residuals`` runs on stacks of draws.
     """
 
     def __init__(self, contraction: DeformedContraction,
                  src_ctx: FockContext, tgt_ctx: FockContext,
                  comb_ctx: FockContext):
         self._powers = tensor_powers(contraction, src_ctx, tgt_ctx)
-        if comb_ctx.dim != src_ctx.dim + tgt_ctx.dim:
-            raise ValueError("combined context has wrong base dimension")
-        if comb_ctx.degree != tgt_ctx.degree or comb_ctx.q != tgt_ctx.q:
-            raise ValueError("combined and target contexts must share q and degree")
+        F = _dilation_powers(contraction.matrix, src_ctx, tgt_ctx, comb_ctx)
         self.contraction = contraction
         self.src_ctx = src_ctx
         self.tgt_ctx = tgt_ctx
         self.comb_ctx = comb_ctx
-        U = spaces.dilate(contraction)
-        PU = spaces.projection_matrix(contraction.source, contraction.target) @ U
-        self._F = first_quantization(comb_ctx, tgt_ctx, PU)
+        self._F = GradedOperator._trusted(tgt_ctx, comb_ctx, F)
         self._F_adj = self._F.adjoint()
 
     @property
@@ -108,10 +131,6 @@ class QuantizationChannel:
         """The channel's conjugation step on an operator over the combined space."""
         return _conjugate(self._F, self._F_adj, x)
 
-    def _safe_window(self, degree: int) -> range:
-        """Input degrees ``0..N-degree`` on which a degree-n image is exact."""
-        return range(self.tgt_ctx.degree - degree + 1)
-
     def apply_word(self, word: WickWord) -> GradedOperator:
         """Channel image of a source Wick word on its safe window only.
 
@@ -121,25 +140,21 @@ class QuantizationChannel:
         the full image itself.
         """
         return self.conjugate(embed_wick(self.src_ctx, self.comb_ctx, word,
-                                         inputs=self._safe_window(word.degree)).op)
+                                         inputs=_safe_window(self.tgt_ctx, word.degree)).op)
 
     def image_tensor(self, word: WickWord) -> np.ndarray:
         """Coefficient tensor of the expected image word ``T^{(x)n} xi``."""
-        return self._powers.block(word.degree, word.degree) @ word.tensor
+        return _image_tensor(self._powers.blocks, word.tensor, word.degree)
 
     def covariance_residual(self, word: WickWord, image: GradedOperator) -> float:
         """Deformed-norm gap between ``image``, the channel image of a Wick
         word from ``apply_word``, and the Wick word of the image tensor, on
         the safe window."""
-        window = self._safe_window(word.degree)
-        expected = wick_word(self.tgt_ctx, self.image_tensor(word), word.degree,
-                             inputs=window).op
-        return blockwise_gap(self.tgt_ctx, image, expected, window)
+        return _covariance_gaps(self.tgt_ctx, image.blocks, self.image_tensor(word), word.degree)
 
     def unitality_residual(self) -> float:
-        """Gap between the image ``F 1 F# = F F#`` of the identity and the
-        identity."""
-        return (self._F @ self._F_adj).max_diff(GradedOperator.identity(self.tgt_ctx))
+        """Gap between ``F 1 F# = F F#``, the image of the identity, and 1."""
+        return _unitality_gaps(self.tgt_ctx, self._F.blocks, self._F_adj.blocks)
 
 
 def second_quantization(contraction: DeformedContraction,
@@ -153,12 +168,76 @@ def second_quantization(contraction: DeformedContraction,
 def gns_residual(channel: QuantizationChannel, word: WickWord,
                  image: GradedOperator) -> float:
     """Gap between the GNS action of ``image``, the channel image of ``word``
-    from ``apply_word``, on the vacuum and the first quantisation of the
-    contraction."""
-    vector = image.apply(GradedVector.vacuum(channel.tgt_ctx))
-    expected = GradedVector.from_degree(channel.tgt_ctx, word.degree,
-                                        channel.image_tensor(word))
-    return (vector - expected).norm()
+    from ``apply_word``, on the vacuum and ``T^{(x)n} xi``."""
+    return _gns_gaps(channel.tgt_ctx, image.blocks, channel.image_tensor(word), word.degree)
+
+
+# The channel's formulas on dicts of blocks, one value per draw of stacks.
+
+def _image_tensor(powers: dict, xi, degree: int) -> np.ndarray:
+    """``T^{(x)n} xi`` for the blocks ``powers`` of the tensor powers of ``T``."""
+    return (powers[(degree, degree)] @ xi[..., None])[..., 0]
+
+
+def _covariance_gaps(ctx: FockContext, image: dict, image_tensor, degree: int):
+    window = _safe_window(ctx, degree)
+    return _block_gaps(ctx, image, _word_blocks(ctx, image_tensor, degree, window), window)
+
+
+def _unitality_gaps(ctx: FockContext, F: dict, F_adj: dict):
+    """Norm of ``F F# - 1``, one SVD per block: ``F`` keeps degrees, so the
+    gap has diagonal blocks only, which is checked."""
+    gap = _add(_compose(F, F_adj), _scale(complex(-1.0), GradedOperator.identity(ctx).blocks))
+    if any(m != n for m, n in gap):
+        raise ValueError("F F# has blocks off the degree diagonal")
+    return _per_draw(np.max([ctx.block_norm(B, n, n) for (n, _), B in gap.items()], axis=0))
+
+
+def _vacuum_gaps(x: dict, image: dict):
+    """``|<Omega, image Omega> - <Omega, x Omega>|`` for an image of ``x``."""
+    entries = [b[(0, 0)][..., 0, 0] if (0, 0) in b else 0j for b in (image, x)]
+    return _per_draw(np.abs(entries[0] - entries[1]))
+
+
+def _gns_gaps(ctx: FockContext, image: dict, image_tensor, degree: int):
+    """q-norm of ``image Omega - T^{(x)n} xi``."""
+    vector = _apply(ctx, image, GradedVector.vacuum(ctx).blocks)
+    vector[degree] = vector[degree] - image_tensor
+    return _graded_norm(ctx, vector)
+
+
+def channel_residuals(draws, src_ctx: FockContext, tgt_ctx: FockContext,
+                      comb_ctx: FockContext) -> np.ndarray:
+    """Wick covariance, unitality, vacuum-state and GNS residuals of the channel
+    of each (contraction, degree, tensor) draw on the Wick word of its tensor:
+    one row per draw, in draw order, bit for bit as a lone ``QuantizationChannel``
+    measures it.  The draws of one degree are evaluated as one stack at a time."""
+    groups = {}
+    for index, (_, n, _) in enumerate(draws):
+        groups.setdefault(n, []).append(index)
+    residuals = np.empty((len(draws), 4))
+    for members in groups.values():
+        residuals[members] = _stacked_residuals([draws[i] for i in members],
+                                                src_ctx, tgt_ctx, comb_ctx)
+    return residuals
+
+
+def _stacked_residuals(draws, src_ctx, tgt_ctx, comb_ctx) -> np.ndarray:
+    """``channel_residuals`` of draws of one word degree n, as one stack."""
+    contractions, (n, *_), tensors = zip(*draws)
+    matrices, tensors = np.stack([T.matrix for T in contractions]), np.stack(tensors)
+    _guard(contractions, matrices, src_ctx, tgt_ctx)
+    F = _dilation_powers(matrices, src_ctx, tgt_ctx, comb_ctx)
+    embedded = embed_tensor(src_ctx, comb_ctx, tensors, n)
+    # F x is formed before F# is built, so the word's wide blocks are freed first
+    Fx = _compose(F, _word_blocks(comb_ctx, embedded, n, _safe_window(tgt_ctx, n)))
+    F_adj = _adjoint(tgt_ctx, comb_ctx, F)
+    image = _compose(Fx, F_adj)
+    image_tensor = _image_tensor(_tensor_powers(matrices, n), tensors, n)
+    return np.stack(np.broadcast_arrays(
+        _covariance_gaps(tgt_ctx, image, image_tensor, n), _unitality_gaps(tgt_ctx, F, F_adj),
+        _vacuum_gaps(_word_blocks(src_ctx, tensors, n, (0,)), image),
+        _gns_gaps(tgt_ctx, image, image_tensor, n)), axis=-1)
 
 
 def _positivity_window(ctx: FockContext, degrees) -> range:
@@ -205,9 +284,10 @@ def _coefficient(c) -> np.ndarray:
     return c.reshape(c.shape + (1, 1))
 
 
-def _per_draw(margins: np.ndarray):
-    """A float for one draw, the array of margins for a stack of draws."""
-    return float(margins) if margins.ndim == 0 else margins
+def _meeting(x: dict, column: dict) -> dict:
+    """The blocks of ``x`` whose adjoints meet ``column``, a vacuum column:
+    those whose output degree is an output degree of ``column``."""
+    return {(m, n): B for (m, n), B in x.items() if (m, 0) in column}
 
 
 def kadison_schwarz_margin(powers, coeffs, words):
@@ -228,8 +308,9 @@ def kadison_schwarz_margin(powers, coeffs, words):
     for c, w in zip(coeffs, words):
         x = _add(x, _scale(_coefficient(c), _on_inputs(w.op.blocks, span)))
     # the vacuum column of x# x, exact since x holds the inputs 0..2 dmax
+    column = _on_inputs(x, (0,))
     lhs = _image_blocks(ctx, powers.blocks,
-                        _compose(_adjoint(ctx, ctx, x), _on_inputs(x, (0,))), window)
+                        _compose(_adjoint(ctx, ctx, _meeting(x, column)), column), window)
     img = _image_blocks(ctx, powers.blocks, x, window)
     rhs = _compose(_adjoint(ctx, ctx, img), img)
     gap = _add(lhs, _scale(complex(-1.0), rhs))
@@ -247,8 +328,9 @@ def two_positivity_margin(powers, samples):
     window, span = _positivity_window(ctx, degrees), _span(ctx, degrees)
     entries = [[_scale(_coefficient(c), _on_inputs(w.op.blocks, span)) for (c, w) in row]
                for row in samples]
-    adjoints = [[_adjoint(ctx, ctx, x) for x in row] for row in entries]
     columns = [[_on_inputs(x, (0,)) for x in row] for row in entries]
+    adjoints = [[_adjoint(ctx, ctx, _meeting(x, {**columns[r][0], **columns[r][1]})) for x in row]
+                for r, row in enumerate(entries)]
     # (X# X)_{ij} = sum_r X_{ri}# X_{rj}, needed on its vacuum column only
     images = [[_image_blocks(ctx, powers.blocks,
                              _add(_compose(adjoints[0][i], columns[0][j]),

@@ -324,7 +324,7 @@ def _wick_linearity(pt: _Point):
 
 def _vacuum_gap(x: GradedOperator, image: GradedOperator) -> float:
     """``|<Omega, image Omega> - <Omega, x Omega>|`` for an image of ``x``."""
-    return abs(image.vacuum_expectation() - x.vacuum_expectation())
+    return quantize._vacuum_gaps(x.blocks, image.blocks)
 
 
 def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
@@ -349,18 +349,18 @@ def _dilation(pt: _Point):
 
 def _channel_on_words(pt: _Point):
     """Wick covariance, unitality, vacuum state and GNS residuals of random
-    channels, each on one random Wick word."""
+    channels, each on one random Wick word.  The point's contractions, word
+    degrees and tensors are all drawn first; the draws of one word degree are
+    then one stack (``quantize.channel_residuals``), bit for bit as alone."""
     space, rng = pt.space, pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
     deg_max = max(1, min(2, src_ctx.degree - 1))
+    draws = []
     for _ in range(pt.config.samples["covariance"]):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
-        channel = quantize.QuantizationChannel(T, src_ctx, src_ctx, comb_ctx)
         n = int(rng.integers(1, deg_max + 1))
-        word = wick.wick_word(src_ctx, _gaussian(rng, src_ctx.block_size(n)), n)
-        image = channel.apply_word(word)
-        yield (channel.covariance_residual(word, image), channel.unitality_residual(),
-               _vacuum_gap(word.op, image), quantize.gns_residual(channel, word, image))
+        draws.append((T, n, _gaussian(rng, src_ctx.block_size(n))))
+    yield from map(tuple, quantize.channel_residuals(draws, src_ctx, src_ctx, comb_ctx).tolist())
 
 
 def _functoriality(pt: _Point):

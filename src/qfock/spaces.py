@@ -17,10 +17,11 @@ import numpy as np
 NORM_TOL = 1e-10
 
 
-def _spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of a 2-D array: ``np.linalg.norm(M, ord=2)``
-    without its axis handling."""
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+def _spectral_norm(M: np.ndarray):
+    """Largest singular value of a 2-D array, ``np.linalg.norm(M, ord=2)``
+    without its axis handling, or one per matrix of a stack along leading axes."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return float(s[0]) if s.ndim == 1 else s[..., 0]
 
 
 def _gauge(g_out, M, g_in) -> np.ndarray:
@@ -172,16 +173,16 @@ def deformed_adjoint(src: DeformedSpace, tgt: DeformedSpace, M) -> np.ndarray:
 
 
 def jti_map(src: DeformedSpace, tgt: DeformedSpace, M) -> np.ndarray:
-    """The linear map ``J M I`` (both conjugations applied antilinearly)."""
+    """The map ``J M I`` (conjugations applied antilinearly), per matrix of a stack."""
     M = np.asarray(M)
-    return np.conj(M)[np.ix_(tgt.partner, src.partner)]
+    return np.conj(M)[..., tgt.partner[:, None], src.partner]
 
 
-def iti_residual(src: DeformedSpace, tgt: DeformedSpace, M) -> float:
+def iti_residual(src: DeformedSpace, tgt: DeformedSpace, M):
     """Deformed operator norm of ``J M I - M``; zero iff M admits second
-    quantisation between these spaces."""
+    quantisation between these spaces.  One per matrix of a stack."""
     M = np.asarray(M)
-    if M.shape != (tgt.dim, src.dim):
+    if M.shape[-2:] != (tgt.dim, src.dim):
         raise ValueError("matrix shape does not match the spaces")
     return deformed_op_norm(src, tgt, jti_map(src, tgt, M) - M)
 
@@ -238,24 +239,31 @@ def dilate(contraction: DeformedContraction) -> np.ndarray:
     -(1-TT#)^{1/2}`` where ``#`` is the deformed adjoint; it is unitary for
     the direct-sum deformed metric and satisfies ``P U iota = T``.
     """
-    src, tgt = contraction.source, contraction.target
+    return _dilate(contraction.source, contraction.target, contraction.matrix)
+
+
+def _dilate(src: DeformedSpace, tgt: DeformedSpace, T) -> np.ndarray:
+    """``dilate`` of a matrix ``T: src -> tgt``, or of each matrix of a stack,
+    bit for bit as alone; a matrix of norm above 1 raises."""
     # work in the orthonormal gauge, where adjoints are conjugate transposes
-    Tg = _gauge(tgt.g, contraction.matrix, src.g)
-    if _spectral_norm(Tg) > 1.0 + NORM_TOL:
+    Tg = _gauge(tgt.g, T, src.g)
+    if np.max(_spectral_norm(Tg)) > 1.0 + NORM_TOL:
         raise ValueError("cannot dilate: norm exceeds 1")
-    dk = _psd_sqrt(np.eye(src.dim) - np.conj(Tg).T @ Tg)
-    dh = _psd_sqrt(np.eye(tgt.dim) - Tg @ np.conj(Tg).T)
-    Ug = np.block([[dk, np.conj(Tg).T], [Tg, -dh]])
+    Tg_adj = np.conj(Tg).swapaxes(-1, -2)
+    dk = _psd_sqrt(np.eye(src.dim) - Tg_adj @ Tg)
+    dh = _psd_sqrt(np.eye(tgt.dim) - Tg @ Tg_adj)
+    Ug = np.block([[dk, Tg_adj], [Tg, -dh]])
     scale_out = np.concatenate([1.0 / np.sqrt(src.g), 1.0 / np.sqrt(tgt.g)])
     scale_in = np.concatenate([np.sqrt(src.g), np.sqrt(tgt.g)])
     return scale_out[:, None] * Ug * scale_in[None, :]
 
 
 def _psd_sqrt(M) -> np.ndarray:
-    w, v = np.linalg.eigh((M + np.conj(M).T) / 2.0)
+    """Square root of a PSD matrix, or of each of a stack (raises below -1e-8)."""
+    w, v = np.linalg.eigh((M + np.conj(M).swapaxes(-1, -2)) / 2.0)
     if w.min() < -1e-8:
         raise ValueError("operator is not positive semidefinite")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ np.conj(v).T
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(v).swapaxes(-1, -2)
 
 
 def random_contraction(rng, src: DeformedSpace, tgt: DeformedSpace,

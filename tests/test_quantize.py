@@ -416,3 +416,130 @@ def test_channel_shortcuts_equal_the_old_routes_bit_for_bit(spectrum):
                 old = powers.block(n, n) @ word.tensor
                 for _ in range(2):
                     assert channel.image_tensor(word).tobytes() == old.tobytes()
+
+
+def _lone_channel_residuals(ctx, comb_ctx, contraction, n, xi):
+    """The channel row's four residuals of one draw, through a lone channel."""
+    channel = quantize.QuantizationChannel(contraction, ctx, ctx, comb_ctx)
+    word = wick.wick_word(ctx, xi, n)
+    image = channel.apply_word(word)
+    return (channel.covariance_residual(word, image), channel.unitality_residual(),
+            reports._vacuum_gap(word.op, image), quantize.gns_residual(channel, word, image))
+
+
+def _one_draw_channel_row(pt):
+    """(word degree, residuals) of each draw of the channel row, evaluated one
+    channel at a time in the row's draw order."""
+    space, rng = pt.space, pt.rng
+    src_ctx, comb_ctx = pt.channel_ctxs
+    deg_max = max(1, min(2, src_ctx.degree - 1))
+    for _ in range(pt.config.samples["covariance"]):
+        T = sp.random_jti_contraction(rng, space, space, norm=0.7)
+        n = int(rng.integers(1, deg_max + 1))
+        xi = sp._gaussian(rng, src_ctx.block_size(n))
+        yield n, _lone_channel_residuals(src_ctx, comb_ctx, T, n, xi)
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1", "b2x2"])
+def test_stacked_channel_row_equals_one_draw_channels(spectrum):
+    # exact: each slice of a stack goes through the same BLAS and LAPACK calls
+    # as a lone channel.  Past t1, F# takes the typed metric products on a
+    # stack (the combined space's top degree is at least 64 wide), and on
+    # b2x2 the covariance and unitality gaps gauge 64-wide stacks the typed way
+    for q in (0.5, -0.9, 0.9):
+        config = reports.SweepConfig(q_values=(q,), spectra=(spectrum,), degree=5,
+                                     samples={"covariance": 8})
+        pt = reports._Point(config, spectrum, q)
+        assert pt.channel_ctx.degree == reports.channel_degree(2 * pt.space.dim, 5)
+        pt.rng = np.random.default_rng(58)
+        stacked = list(reports._channel_on_words(pt))
+        pt.rng = np.random.default_rng(58)
+        degrees, reference = zip(*_one_draw_channel_row(pt))
+        assert stacked == list(reference)
+        assert set(degrees) == {1, 2}
+        assert all(cov <= 1e-8 and unit <= 1e-10 and vac <= 1e-10 and gns <= 1e-8
+                   for cov, unit, vac, gns in stacked)
+
+
+def _planted_in(draw_stack, planted) -> np.ndarray:
+    """Indices of the slices of a stack equal to ``planted``."""
+    return np.flatnonzero([np.array_equal(item, planted) for item in draw_stack])
+
+
+@pytest.mark.parametrize("defect", ["dilation_block", "image_tensor"])
+def test_stacked_channel_defect_stays_in_its_draw(monkeypatch, defect):
+    # one draw of each degree group carries a planted defect: its residual
+    # goes red, and the residuals of its neighbours in the stack keep the
+    # values of their lone channels
+    gen = np.random.default_rng(59)
+    ctx = make_ctx("b2", 0.5, 4)
+    comb_ctx = FockContext(sp.direct_sum(ctx.space, ctx.space), 0.5, 4)
+    draws = [(sp.random_jti_contraction(gen, ctx.space, ctx.space, norm=0.7), n,
+              sp._gaussian(gen, ctx.block_size(n))) for n in (1, 2, 1, 1, 2, 2)]
+    lone = [_lone_channel_residuals(ctx, comb_ctx, *draw) for draw in draws]
+    planted = (2, 4)
+    if defect == "dilation_block":
+        # -(1 - T T#)^{1/2}, the dilation's target corner, scaled: F is no
+        # longer a co-isometry, so F F# - 1 is no longer 0
+        dilate, red = sp._dilate, (1,)
+
+        def faulty(src, tgt, T):
+            U = dilate(src, tgt, T)
+            for k in planted:
+                for i in _planted_in(T, draws[k][0].matrix):
+                    U[i, src.dim:, src.dim:] *= 1.5
+            return U
+
+        monkeypatch.setattr(sp, "_dilate", faulty)
+    else:
+        # the image tensor of conj(T), J T I without the conjugation's partner
+        # permutation: Wick covariance and the GNS action go red
+        image_tensor, red = quantize._image_tensor, (0, 3)
+
+        def faulty(powers, xi, degree):
+            out = image_tensor(powers, xi, degree)
+            for k in planted:
+                for i in _planted_in(xi, draws[k][2]):
+                    out[i] = np.conj(powers[(degree, degree)][i]) @ xi[i]
+            return out
+
+        monkeypatch.setattr(quantize, "_image_tensor", faulty)
+    residuals = quantize.channel_residuals(draws, ctx, ctx, comb_ctx)
+    bounds = (1e-8, 1e-10, 1e-10, 1e-8)
+    for k, (row, alone) in enumerate(zip(residuals.tolist(), lone)):
+        if k in planted:
+            assert all(row[j] > bounds[j] for j in red)
+        else:
+            assert tuple(row) == alone
+
+
+def test_stacked_channel_guards_raise_as_alone():
+    gen = np.random.default_rng(60)
+    ctx = make_ctx("b2+t1", 0.5, 3)
+    space = ctx.space
+    comb_ctx = FockContext(sp.direct_sum(space, space), 0.5, 3)
+    plain = sp.random_contraction(gen, space, space, norm=0.7)
+    M = sp._gaussian(gen, (ctx.dim, ctx.dim))
+    M = (M + sp.jti_map(space, space, M)) / 2.0
+    M *= 1.2 / sp.deformed_op_norm(space, space, M)
+    # a J T I = T map past norm 1, set after the contraction's own check
+    large = sp.DeformedContraction(space, space, M / 2.0)
+    object.__setattr__(large, "matrix", M)
+    good = [sp.random_jti_contraction(gen, space, space, norm=0.7) for _ in range(2)]
+    for bad, message in ((plain, "J T I = T"), (large, "cannot dilate")):
+        with pytest.raises(ValueError, match=message) as alone:
+            quantize.QuantizationChannel(bad, ctx, ctx, comb_ctx)
+        draws = [(T, 1, sp._gaussian(gen, ctx.dim)) for T in (good[0], bad, good[1])]
+        with pytest.raises(ValueError) as stacked:
+            quantize.channel_residuals(draws, ctx, ctx, comb_ctx)
+        assert str(stacked.value) == str(alone.value)
+
+
+def test_unitality_gap_checks_its_block_graph():
+    # F keeps degrees, so F F# - 1 is read block by diagonal block; a block
+    # off the diagonal is refused rather than left out of the norm
+    channel, ctx = build_channel("t2", 0.5, 3, np.random.default_rng(61))
+    F = dict(channel._F.blocks)
+    F[(1, 0)] = np.ones((ctx.block_size(1), channel.comb_ctx.block_size(0)), dtype=complex)
+    with pytest.raises(ValueError, match="off the degree diagonal"):
+        quantize._unitality_gaps(ctx, F, channel._F_adj.blocks)
