@@ -23,7 +23,8 @@ The block algebra under ``GradedOperator`` (product, sum, scaling, q-adjoint,
 gauged assembly, application to a vector, block gaps, tensor powers) is
 written once, on blocks that may carry a leading draw axis: ``quantize``
 evaluates many random draws in one pass, each bit for bit as it comes out
-alone.  An ``OperatorStack`` carries such blocks and has no algebra of its own.
+alone.  Such stacks stay dicts of blocks; every ``GradedOperator`` holds one
+draw.
 """
 
 from __future__ import annotations
@@ -449,10 +450,9 @@ def gauge_block(ctx_out: FockContext, ctx_in: FockContext, B, m: int, n: int) ->
 # -- block algebra ---------------------------------------------------------------
 # An operator is a dict of blocks keyed (out degree, in degree).  The helpers
 # below act on blocks of shape (..., rows, cols), every block of one dict with
-# the same leading axes: ``GradedOperator`` holds 2-D blocks, an
-# ``OperatorStack`` one leading draw axis.  Each slice of a stack goes through
-# the same BLAS and LAPACK calls as a lone block, so it comes out bit for bit
-# the same.
+# the same leading axes: ``GradedOperator`` holds 2-D blocks, a stack of draws
+# one leading draw axis.  Each slice of a stack goes through the same BLAS and
+# LAPACK calls as a lone block, so it comes out bit for bit the same.
 
 
 def _compose(left: dict, right: dict) -> dict:
@@ -601,8 +601,8 @@ class GradedOperator:
                                        _compose(self.blocks, other.blocks))
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        if other.ctx_out.dim != self.ctx_out.dim or other.ctx_in.dim != self.ctx_in.dim:
-            raise ValueError("base dimension mismatch in operator sum")
+        if other.ctx_out is not self.ctx_out or other.ctx_in is not self.ctx_in:
+            raise ValueError("context mismatch in operator sum (base dimension, q or degree)")
         return GradedOperator._trusted(self.ctx_out, self.ctx_in, _add(self.blocks, other.blocks))
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
@@ -634,14 +634,9 @@ class GradedOperator:
         degrees, on both sides and in increasing order; blocks outside it are
         ignored.
         """
-        if window is None:
-            return self._assemble(range(self.ctx_out.degree + 1),
-                                  range(self.ctx_in.degree + 1), gauge)
-        return self._assemble(sorted(window), sorted(window), gauge)
-
-    def _assemble(self, out_degrees, in_degrees, gauge: bool) -> np.ndarray:
-        """Matrix over the direct sums of the listed out and in degrees."""
-        return _assemble(self.ctx_out, self.ctx_in, self.blocks, out_degrees, in_degrees, gauge)
+        degrees = ((range(self.ctx_out.degree + 1), range(self.ctx_in.degree + 1))
+                   if window is None else (sorted(window),) * 2)
+        return _assemble(self.ctx_out, self.ctx_in, self.blocks, *degrees, gauge)
 
     def op_norm(self) -> float:
         """Operator norm w.r.t. the q-inner products of the truncated spaces.
@@ -656,24 +651,13 @@ class GradedOperator:
         norm = 0.0
         for out_degrees, in_degrees in _block_components(
                 [key for key, B in self.blocks.items() if B.any()]):
-            dense = self._assemble(sorted(out_degrees), sorted(in_degrees), gauge=True)
+            dense = _assemble(self.ctx_out, self.ctx_in, self.blocks, sorted(out_degrees),
+                              sorted(in_degrees), gauge=True)
             norm = max(norm, _spectral_norm(dense))
         return norm
 
     def max_diff(self, other: "GradedOperator") -> float:
         return (self - other).op_norm()
-
-
-class OperatorStack:
-    """Operators between two contexts stacked along a leading draw axis: each
-    block is the (draws, rows, cols) stack of the operators' blocks.  It has
-    no algebra of its own, so a stack never reaches the public ``@`` or
-    ``adjoint``; the block helpers of this module act on its blocks."""
-
-    def __init__(self, ctx_out: FockContext, ctx_in: FockContext, blocks: dict):
-        self.ctx_out = ctx_out
-        self.ctx_in = ctx_in
-        self.blocks = blocks
 
 
 def blockwise_gap(ctx: FockContext, A: GradedOperator, B: GradedOperator, inputs) -> float:

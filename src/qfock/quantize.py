@@ -9,24 +9,27 @@ simple-tensor Wick words map to Wick words of the image tensors.
 The positivity margins use the intrinsic image instead: on the Wick algebra
 of one context, ``Gamma_q(T): W(xi) -> W(T^{(x)n} xi)`` (``intrinsic_image``)
 needs neither the combined space nor the dilation, only the tensor powers of
-``T`` (``tensor_powers``, which also holds the one guard: ``J T I = T``).
+``T``, which the margins build from ``T`` and their (c, degree, xi) words.
 
 Random draws are evaluated as stacks on the block algebra of ``fock``, all
 draws that share their word degrees at once, bit for bit as one at a time:
 the margins by ``positivity_margins``, the channel's Wick covariance,
 unitality, vacuum state and GNS residuals by ``channel_residuals``, whose
-one-draw case is ``QuantizationChannel``.
+one-draw case is ``QuantizationChannel``.  A stack is a leading draw axis on
+matrices, tensors and dicts of blocks, never an operator object; each driver
+runs the one guard (``_guard``: spaces, then ``J T I = T``) once, on its
+stacked matrices.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from . import spaces
-from .fock import (FockContext, GradedOperator, GradedVector, OperatorStack, _add, _adjoint,
-                   _apply, _assemble, _block_gaps, _compose, _graded_norm, _min_eigs, _on_inputs,
+from .fock import (FockContext, GradedOperator, GradedVector, _add, _adjoint, _apply,
+                   _assemble, _block_gaps, _compose, _graded_norm, _min_eigs, _on_inputs,
                    _per_draw, _scale, _tensor_powers, coordinate_index, first_quantization)
 from .spaces import DeformedContraction, _gaussian
 from .wick import WickWord, _word_blocks, wick_word
@@ -278,61 +281,58 @@ def intrinsic_image(powers: GradedOperator, y: GradedOperator, window) -> Graded
     return GradedOperator._trusted(ctx, ctx, _image_blocks(ctx, powers.blocks, y.blocks, window))
 
 
-def _coefficient(c) -> np.ndarray:
-    """A coefficient, or a (draws,) array of them, shaped to scale blocks."""
-    c = np.asarray(c, dtype=complex)
-    return c.reshape(c.shape + (1, 1))
-
-
 def _meeting(x: dict, column: dict) -> dict:
     """The blocks of ``x`` whose adjoints meet ``column``, a vacuum column:
     those whose output degree is an output degree of ``column``."""
     return {(m, n): B for (m, n), B in x.items() if (m, 0) in column}
 
 
-def kadison_schwarz_margin(powers, coeffs, words):
-    """Smallest eigenvalue of ``Gamma(x# x) - Gamma(x)# Gamma(x)`` compressed
-    to the safe window, for ``x = sum_i c_i W(xi_i)`` and ``Gamma`` the
-    intrinsic image ``Gamma_q(T)`` of a base-space matrix ``T``, given by its
-    tensor powers ``powers = first_quantization(ctx, ctx, T)`` on the words'
-    context; nonnegative up to numerics when ``T`` is a contraction with
-    ``J T I = T``.
+def _entry(ctx: FockContext, word, span) -> dict:
+    """Blocks of ``c W(xi)`` on the input degrees ``span``, for a word given as
+    its (c, degree, xi) triple."""
+    c, degree, xi = word
+    return _scale(c, _word_blocks(ctx, np.asarray(xi, dtype=complex), degree, span))
 
-    Draws that share their word degrees are evaluated as one stack:
-    ``powers`` and each word's ``op`` are then ``OperatorStack``s, each
-    coefficient a (draws,) array, and the result one margin per draw."""
-    ctx = powers.ctx_out
-    degrees = [w.degree for w in words]
+
+def kadison_schwarz_margin(ctx: FockContext, T, words):
+    """Smallest eigenvalue of ``Gamma(x# x) - Gamma(x)# Gamma(x)`` compressed
+    to the safe window, for ``x = sum_i c_i W(xi_i)`` over the (c, degree, xi)
+    triples ``words`` and ``Gamma`` the intrinsic image ``Gamma_q(T)`` on
+    ``ctx`` of a base-space matrix ``T``; nonnegative up to numerics when
+    ``T`` is a contraction with ``J T I = T``, which is not checked here.
+
+    Draws that share their word degrees are evaluated as one stack: ``T``,
+    each tensor and each coefficient then carry a leading draw axis (the
+    coefficients shaped (draws, 1, 1)), and the result is one margin per
+    draw."""
+    degrees = [degree for _, degree, _ in words]
     window, span = _positivity_window(ctx, degrees), _span(ctx, degrees)
-    x = {}
-    for c, w in zip(coeffs, words):
-        x = _add(x, _scale(_coefficient(c), _on_inputs(w.op.blocks, span)))
+    powers = _tensor_powers(T, span[-1])
+    x = reduce(_add, (_entry(ctx, word, span) for word in words), {})
     # the vacuum column of x# x, exact since x holds the inputs 0..2 dmax
     column = _on_inputs(x, (0,))
-    lhs = _image_blocks(ctx, powers.blocks,
-                        _compose(_adjoint(ctx, ctx, _meeting(x, column)), column), window)
-    img = _image_blocks(ctx, powers.blocks, x, window)
+    lhs = _image_blocks(ctx, powers, _compose(_adjoint(ctx, ctx, _meeting(x, column)), column),
+                        window)
+    img = _image_blocks(ctx, powers, x, window)
     rhs = _compose(_adjoint(ctx, ctx, img), img)
     gap = _add(lhs, _scale(complex(-1.0), rhs))
     return _per_draw(_min_eigs(_assemble(ctx, ctx, gap, window, window, gauge=True)))
 
 
-def two_positivity_margin(powers, samples):
+def two_positivity_margin(ctx: FockContext, T, words):
     """Min eigenvalue of the entrywise image ``Gamma_q(T)`` of a PSD 2x2
-    operator matrix ``X# X`` with entries ``X_rj = c W(xi)`` given as the
-    (c, word) pairs of two rows ``samples``, compressed to the safe window;
-    ``powers`` is ``first_quantization(ctx, ctx, T)``.  Stacks of draws as
-    in ``kadison_schwarz_margin``."""
-    ctx = powers.ctx_out
-    degrees = [w.degree for row in samples for (_, w) in row]
+    operator matrix ``X# X`` with entries ``X_rj = c W(xi)``, given as four
+    (c, degree, xi) triples ``words`` row by row, compressed to the safe
+    window.  Unchecked and stacked as ``kadison_schwarz_margin``."""
+    degrees = [degree for _, degree, _ in words]
     window, span = _positivity_window(ctx, degrees), _span(ctx, degrees)
-    entries = [[_scale(_coefficient(c), _on_inputs(w.op.blocks, span)) for (c, w) in row]
-               for row in samples]
+    powers = _tensor_powers(T, span[-1])
+    entries = [[_entry(ctx, word, span) for word in row] for row in (words[:2], words[2:])]
     columns = [[_on_inputs(x, (0,)) for x in row] for row in entries]
     adjoints = [[_adjoint(ctx, ctx, _meeting(x, {**columns[r][0], **columns[r][1]})) for x in row]
                 for r, row in enumerate(entries)]
     # (X# X)_{ij} = sum_r X_{ri}# X_{rj}, needed on its vacuum column only
-    images = [[_image_blocks(ctx, powers.blocks,
+    images = [[_image_blocks(ctx, powers,
                              _add(_compose(adjoints[0][i], columns[0][j]),
                                   _compose(adjoints[1][i], columns[1][j])), window)
                for j in range(2)] for i in range(2)]
@@ -366,50 +366,38 @@ def _random_words(ctx: FockContext, rng) -> list:
     return words
 
 
-def _two_positivity_of_words(powers, coeffs, words):
-    """``two_positivity_margin`` of four words given row by row."""
-    return two_positivity_margin(powers, [list(zip(coeffs[:2], words[:2])),
-                                          list(zip(coeffs[2:], words[2:]))])
+def positivity_margins(ctx: FockContext, probes) -> list:
+    """Margins of probes on ``ctx``, each probe a pair of a contraction and
+    the ``positivity_draws`` made for it: per probe, the arrays of its
+    Kadison-Schwarz and 2-positivity margins in draw order.
+
+    The one guard of second quantisation runs once, on the stack of all the
+    probes' matrices.  The word degrees of a draw fix its blocks and its
+    window, so the draws of all probes that share them are evaluated as one
+    stack, each with the matrix of its own probe."""
+    contractions, draws = zip(*probes)
+    matrices = np.stack([T.matrix for T in contractions])
+    _guard(contractions, matrices, ctx, ctx)
+    ks_draws, two_pos_draws = zip(*draws)
+    return list(zip(_stacked_margins(ctx, matrices, ks_draws, kadison_schwarz_margin),
+                    _stacked_margins(ctx, matrices, two_pos_draws, two_positivity_margin)))
 
 
-def positivity_margins(probes) -> list:
-    """Margins of probes on one context, each probe a pair of the tensor
-    powers ``tensor_powers(T, ctx, ctx)`` and the ``positivity_draws`` made
-    for it: per probe, the arrays of its Kadison-Schwarz and 2-positivity
-    margins in draw order.
-
-    The word degrees of a draw fix its blocks and its window, so the draws
-    of all probes that share them are evaluated as one stack, each with the
-    tensor powers of its own probe."""
-    powers = [p for p, _ in probes]
-    return list(zip(
-        _stacked_margins(powers, [ks for _, (ks, _) in probes], kadison_schwarz_margin),
-        _stacked_margins(powers, [two for _, (_, two) in probes], _two_positivity_of_words)))
-
-
-def _stacked_margins(powers: list, draws: list, margin) -> list:
-    """``margin(powers, coeffs, words)`` of each draw in ``draws[i]``, with
-    the tensor powers ``powers[i]``: one array per i, in draw order.  The
-    draws of one pattern of word degrees are evaluated as one stack."""
-    ctx = powers[0].ctx_out
+def _stacked_margins(ctx: FockContext, matrices, draws: list, margin) -> list:
+    """``margin(ctx, matrices[i], words)`` of each draw ``words`` in
+    ``draws[i]``: one array per i, in draw order.  The draws of one pattern
+    of word degrees are evaluated as one stack."""
     flat = [(owner, words) for owner, found in enumerate(draws) for words in found]
     groups = {}
     for index, (_, words) in enumerate(flat):
         groups.setdefault(tuple(deg for _, deg, _ in words), []).append(index)
     margins = np.empty(len(flat))
     for degrees, members in groups.items():
-        span = _span(ctx, degrees)
-        owners = [flat[i][0] for i in members]
-        stacked_powers = OperatorStack(ctx, ctx, {
-            (d, d): np.stack([powers[o].block(d, d) for o in owners]) for d in span})
-        coeffs, words = [], []
         # the j-th words of the member draws, as one stack per j
-        for deg, column in zip(degrees, zip(*(flat[i][1] for i in members))):
-            coeffs.append(np.array([c for c, _, _ in column]))
-            tensors = np.stack([xi for _, _, xi in column])
-            words.append(WickWord(ctx, deg, tensors, OperatorStack(
-                ctx, ctx, _word_blocks(ctx, tensors, deg, span))))
-        margins[members] = margin(stacked_powers, coeffs, words)
+        words = [(np.array([c for c, _, _ in column])[:, None, None], deg,
+                  np.stack([xi for _, _, xi in column]))
+                 for deg, column in zip(degrees, zip(*(flat[i][1] for i in members)))]
+        margins[members] = margin(ctx, matrices[[flat[i][0] for i in members]], words)
     return np.split(margins, np.cumsum([len(found) for found in draws])[:-1])
 
 
@@ -420,9 +408,8 @@ def positivity_probe(contraction: DeformedContraction, ctx: FockContext, rng,
     most 1.  A nan margin makes its minimum nan."""
     if n_samples < 1:
         raise ValueError("sample budget must be >= 1")
-    powers = tensor_powers(contraction, ctx, ctx)
     [(ks_margins, two_pos_margins)] = positivity_margins(
-        [(powers, positivity_draws(ctx, rng, n_samples))])
+        ctx, [(contraction, positivity_draws(ctx, rng, n_samples))])
     return {
         "samples": n_samples,
         "kadison_schwarz_min": float(np.min(ks_margins)),

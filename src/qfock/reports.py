@@ -324,7 +324,7 @@ def _wick_linearity(pt: _Point):
 
 def _vacuum_gap(x: GradedOperator, image: GradedOperator) -> float:
     """``|<Omega, image Omega> - <Omega, x Omega>|`` for an image of ``x``."""
-    return quantize._vacuum_gaps(x.blocks, image.blocks)
+    return abs(image.vacuum_expectation() - x.vacuum_expectation())
 
 
 def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
@@ -395,9 +395,8 @@ def _positivity(pt: _Point):
     for i in range(n_channels):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
         count = n_samples // n_channels + (i < n_samples % n_channels)
-        probes.append((quantize.tensor_powers(T, ctx, ctx),
-                       quantize.positivity_draws(ctx, rng, count)))
-    for ks_margins, two_pos_margins in quantize.positivity_margins(probes):
+        probes.append((T, quantize.positivity_draws(ctx, rng, count)))
+    for ks_margins, two_pos_margins in quantize.positivity_margins(ctx, probes):
         yield -np.min(ks_margins), -np.min(two_pos_margins)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockContext, GradedOperator, _kron, c_constant, coordinate_index, r_star
+from .fock import (FockContext, GradedOperator, _assemble, _kron, c_constant, coordinate_index,
+                   r_star)
 from .spaces import DeformedSpace, _gaussian
 
 
@@ -144,8 +145,8 @@ def finkernel_rank(ctx: FockContext, indices, max_length: int) -> dict:
                 for ws in itertools.product(basis_vecs, repeat=m):
                     elem = monomial(ctx, list(vs), list(ws))
                     # every output degree, the input degrees 0..p_max only
-                    dense = elem.op._assemble(range(ctx.degree + 1), range(p_max + 1),
-                                              gauge=False)
+                    dense = _assemble(ctx, ctx, elem.op.blocks, range(ctx.degree + 1),
+                                      range(p_max + 1), gauge=False)
                     columns.append(dense.ravel())
     matrix = np.stack(columns, axis=1)
     scale = np.linalg.norm(matrix, axis=0)

@@ -5,7 +5,8 @@ is that tensor: a sum over ordered partitions of the index set into a
 creation part and an annihilation part, each partition weighted by
 ``q**crossings``, with the conjugation applied to annihilation arguments.
 For a fixed split that partition sum is the coproduct ``R*`` of ``fock``
-applied to the tensor.
+applied to the tensor.  A ``WickWord`` holds one draw; ``quantize`` builds
+the blocks of a stack of tensors as one dict (``_word_blocks``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .fock import FockContext, GradedOperator, _apply_r_star
 
 @dataclass
 class WickWord:
-    """A degree-n tensor together with its realized graded operator; for a
-    stack of draws (``quantize.positivity_margins``), a (draws, dim**n)
-    stack of tensors and the ``OperatorStack`` of their words."""
+    """A degree-n tensor together with its realized graded operator."""
 
     ctx: FockContext
     degree: int

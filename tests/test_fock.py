@@ -701,6 +701,20 @@ def test_operator_algebra_keeps_complex_blocks_of_the_right_shapes(spectrum):
         A @ _random_operator(small, gen, [(1, 1)])
 
 
+@pytest.mark.parametrize("q, degree", [(0.9, 3), (0.5, 4)])
+def test_operator_sum_refuses_another_context_of_the_same_dimension(q, degree):
+    # another q or degree is another metric: a sum would mix the two, and its
+    # adjoint would read the first operator's metric only
+    ctx = make_ctx("b2", 0.5, 3)
+    other = make_ctx("b2", q, degree)
+    assert other.dim == ctx.dim
+    v = np.array([1.0, 0.5j])
+    A, B = fock.creation(ctx, v), fock.creation(other, v)
+    for combine in (lambda: A + B, lambda: A - B, lambda: A.max_diff(B), lambda: B + A):
+        with pytest.raises(ValueError, match="context"):
+            combine()
+
+
 def test_blockwise_gap_equals_the_gap_over_every_block_pair():
     gen = np.random.default_rng(917)
     ctx = make_ctx("b2+t1", 0.5, 3)

@@ -117,9 +117,7 @@ def test_kadison_schwarz_on_squared_field(rng):
     T = sp.random_jti_contraction(rng, ctx.space, ctx.space, norm=0.7)
     x = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     h = (x + ctx.space.conjugate(x)) / 2  # fixed by I
-    word = wick.wick_word(ctx, h, 1)
-    powers = first_quantization(ctx, ctx, T.matrix)
-    margin = quantize.kadison_schwarz_margin(powers, [1.0], [word])
+    margin = quantize.kadison_schwarz_margin(ctx, T.matrix, [(1.0, 1, h)])
     assert margin >= -1e-10
 
 
@@ -169,24 +167,27 @@ def _dilation_route(ctx, matrix):
                                                   sp.projection_matrix(space, space) @ U)
 
 
-def _full_embedding(ctx, comb_ctx, coeffs, words):
+def _full_embedding(ctx, comb_ctx, words):
+    """``sum_i c_i W(xi_i)`` over the (c, degree, xi) triples ``words``,
+    embedded in the combined space."""
     total = None
-    for c, w in zip(coeffs, words):
-        term = c * quantize.embed_wick(ctx, comb_ctx, w).op
+    for c, n, xi in words:
+        term = c * quantize.embed_wick(ctx, comb_ctx, wick.wick_word(ctx, xi, n)).op
         total = term if total is None else total + term
     return total
 
 
-def _full_route_ks(ctx, comb_ctx, conjugate, coeffs, words, window):
-    emb = _full_embedding(ctx, comb_ctx, coeffs, words)
+def _full_route_ks(ctx, comb_ctx, conjugate, words, window):
+    emb = _full_embedding(ctx, comb_ctx, words)
     lhs = conjugate(emb.adjoint() @ emb)
     img = conjugate(emb)
     rhs = img.adjoint() @ img
     return _hermitian_min_eig((lhs - rhs).to_dense(gauge=True, window=window))
 
 
-def _full_route_two_positivity(ctx, comb_ctx, conjugate, rows, window):
-    embedded = [[_full_embedding(ctx, comb_ctx, [c], [w]) for (c, w) in row] for row in rows]
+def _full_route_two_positivity(ctx, comb_ctx, conjugate, words, window):
+    embedded = [[_full_embedding(ctx, comb_ctx, [w]) for w in row]
+                for row in (words[:2], words[2:])]
     images = {}
     for i in range(2):
         for j in range(2):
@@ -212,16 +213,16 @@ def test_intrinsic_margins_match_the_dilation_oracle():
         for q in (0.5, -0.9):
             channel, ctx = build_channel(spectrum, q, 3, rng)
             oracle = (ctx, channel.comb_ctx, channel.conjugate)
-            powers = first_quantization(ctx, ctx, channel.matrix)
             for degrees in ((1, 0), (0, 0), (1, 1)):
-                words = [_gaussian_word(ctx, rng, n) for n in degrees]
+                tensors = [_gaussian_word(ctx, rng, n).tensor for n in degrees]
                 coeffs = [complex(rng.standard_normal(), rng.standard_normal())
-                          for _ in words]
+                          for _ in degrees]
+                words = list(zip(coeffs, degrees, tensors))
                 window = _window(ctx, degrees)
-                assert abs(quantize.kadison_schwarz_margin(powers, coeffs, words)
-                           - _full_route_ks(*oracle, coeffs, words, window)) <= 1e-10
-                rows = [list(zip(coeffs, words)), list(zip(coeffs[::-1], words))]
-                assert abs(quantize.two_positivity_margin(powers, rows)
+                assert abs(quantize.kadison_schwarz_margin(ctx, channel.matrix, words)
+                           - _full_route_ks(*oracle, words, window)) <= 1e-10
+                rows = words + list(zip(coeffs[::-1], degrees, tensors))
+                assert abs(quantize.two_positivity_margin(ctx, channel.matrix, rows)
                            - _full_route_two_positivity(*oracle, rows, window)) <= 1e-10
 
 
@@ -232,12 +233,21 @@ def _top_singular_vector(space, M):
     return np.conj(vh[0]) / root_g
 
 
+def _jti_map_of_norm(gen, space, norm):
+    """A random matrix with ``J M I = M`` of deformed norm ``norm``."""
+    M = gen.standard_normal((space.dim, space.dim)) + 1j * gen.standard_normal((space.dim,
+                                                                                space.dim))
+    M = (M + sp.jti_map(space, space, M)) / 2.0
+    M *= norm / sp.deformed_op_norm(space, space, M)
+    assert sp.iti_residual(space, space, M) < quantize.ITI_TOL
+    return M
+
+
 @pytest.mark.parametrize("spectrum", ("t2", "b2", "b2+t1"))
 def test_intrinsic_kadison_schwarz_margin_has_teeth(spectrum):
     gen = np.random.default_rng(54)
     ctx = make_ctx(spectrum, 0.5, 4)
     space = ctx.space
-    one = wick.wick_word(ctx, np.ones(1), 0)
 
     # a plain contraction on x = 10 + W(e), e = I v for v the top singular
     # vector of J T I - T: the part of the margin linear in the scalar is
@@ -246,48 +256,29 @@ def test_intrinsic_kadison_schwarz_margin_has_teeth(spectrum):
     plain = sp.random_contraction(gen, space, space, norm=0.7)
     residual = sp.jti_map(space, space, plain.matrix) - plain.matrix
     e = space.conjugate(_top_singular_vector(space, residual))
-    coeffs, words = [10.0, 1.0], [one, wick.wick_word(ctx, e, 1)]
-    assert quantize.kadison_schwarz_margin(first_quantization(ctx, ctx, plain.matrix),
-                                           coeffs, words) < -1e-8
-    assert _full_route_ks(ctx, *_dilation_route(ctx, plain.matrix), coeffs, words,
+    words = [(10.0, 0, np.ones(1)), (1.0, 1, e)]
+    assert quantize.kadison_schwarz_margin(ctx, plain.matrix, words) < -1e-8
+    assert _full_route_ks(ctx, *_dilation_route(ctx, plain.matrix), words,
                           _window(ctx, (0, 1))) >= -1e-8
 
     # a J T I = T map of norm 1.2 on x = W(e), e its top singular vector: the
     # vacuum entry of the margin is ||e||^2 - ||T e||^2 = 1 - 1.44
-    M = gen.standard_normal((ctx.dim, ctx.dim)) + 1j * gen.standard_normal((ctx.dim, ctx.dim))
-    M = (M + sp.jti_map(space, space, M)) / 2.0
-    M *= 1.2 / sp.deformed_op_norm(space, space, M)
-    assert sp.iti_residual(space, space, M) < quantize.ITI_TOL
-    word = wick.wick_word(ctx, _top_singular_vector(space, M), 1)
-    assert quantize.kadison_schwarz_margin(first_quantization(ctx, ctx, M),
-                                           [1.0], [word]) < -1e-8
+    M = _jti_map_of_norm(gen, space, 1.2)
+    e = _top_singular_vector(space, M)
+    assert quantize.kadison_schwarz_margin(ctx, M, [(1.0, 1, e)]) < -1e-8
 
 
-def _one_draw_margins(ctx, powers, draws):
-    """Margins of each draw evaluated alone, through the one-draw margins on
-    Wick words built on the input degrees 0..2."""
-    def word(deg, xi):
-        return wick.wick_word(ctx, xi, deg, inputs=range(min(2, ctx.degree) + 1))
-
+def _one_draw_margins(ctx, T, draws):
+    """Margins of each draw of a probe on the contraction ``T``, evaluated alone."""
     ks_draws, two_pos_draws = draws
-    ks = [quantize.kadison_schwarz_margin(powers, [c for c, _, _ in d],
-                                          [word(deg, xi) for _, deg, xi in d])
-          for d in ks_draws]
-    two_pos = []
-    for d in two_pos_draws:
-        pairs = [(c, word(deg, xi)) for c, deg, xi in d]
-        two_pos.append(quantize.two_positivity_margin(powers, [pairs[:2], pairs[2:]]))
-    return ks, two_pos
+    return ([quantize.kadison_schwarz_margin(ctx, T.matrix, d) for d in ks_draws],
+            [quantize.two_positivity_margin(ctx, T.matrix, d) for d in two_pos_draws])
 
 
-@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1", "b2x2"])
-def test_stacked_margins_equal_one_draw_margins(spectrum):
-    # exact: each slice of a stack goes through the same BLAS and LAPACK
-    # calls as a lone draw.  At its channel degree 3 b2x2 reaches width 64,
-    # so the adjoint of x takes the typed metric products on a stack; the
-    # margins read none of its degree-3 blocks, which
-    # test_fock.py::test_block_algebra_on_a_stack_equals_it_slice_by_slice checks
-    gen = np.random.default_rng(56)
+def _random_probes(spectrum, seed):
+    """(context at the channel degree, three probes of 16 draws) at q = 0.5.
+    At its channel degree 3 b2x2 reaches width 64."""
+    gen = np.random.default_rng(seed)
     space = sp.build_space(reports.parse_spectrum(spectrum))
     ctx = FockContext(space, 0.5, reports.channel_degree(2 * space.dim, 5))
     if spectrum == "b2x2":
@@ -295,13 +286,56 @@ def test_stacked_margins_equal_one_draw_margins(spectrum):
     probes = []
     for _ in range(3):
         T = sp.random_jti_contraction(gen, space, space, norm=0.7)
-        probes.append((quantize.tensor_powers(T, ctx, ctx),
-                       quantize.positivity_draws(ctx, gen, 16)))
-    margins = quantize.positivity_margins(probes)
-    for (powers, draws), (ks, two_pos) in zip(probes, margins):
-        one_ks, one_two_pos = _one_draw_margins(ctx, powers, draws)
+        probes.append((T, quantize.positivity_draws(ctx, gen, 16)))
+    return ctx, probes
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1", "b2x2"])
+def test_stacked_margins_equal_one_draw_margins(spectrum):
+    # exact: each slice of a stack goes through the same BLAS and LAPACK
+    # calls as a lone draw.  On b2x2 the adjoint of x takes the typed metric
+    # products on a stack; the margins read none of its degree-3 blocks, which
+    # test_fock.py::test_block_algebra_on_a_stack_equals_it_slice_by_slice checks
+    ctx, probes = _random_probes(spectrum, 56)
+    margins = quantize.positivity_margins(ctx, probes)
+    for (T, draws), (ks, two_pos) in zip(probes, margins):
+        one_ks, one_two_pos = _one_draw_margins(ctx, T, draws)
         assert ks.tolist() == one_ks and two_pos.tolist() == one_two_pos
         assert min(one_ks + one_two_pos) >= -1e-8
+
+
+def _public_route_ks(ctx, matrix, words):
+    """Kadison-Schwarz margin of one draw through the public operator algebra:
+    full Wick words, ``first_quantization`` and ``intrinsic_image``."""
+    window = _window(ctx, [n for _, n, _ in words])
+    x = None
+    for c, n, xi in words:
+        term = c * wick.wick_word(ctx, xi, n).op
+        x = term if x is None else x + term
+    powers = first_quantization(ctx, ctx, matrix)
+    lhs = quantize.intrinsic_image(powers, x.adjoint() @ x, window)
+    img = quantize.intrinsic_image(powers, x, window)
+    return _hermitian_min_eig((lhs - img.adjoint() @ img).to_dense(gauge=True, window=window))
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1", "b2x2"])
+def test_kadison_schwarz_margin_equals_the_public_operator_route(spectrum):
+    # the margin builds its own word blocks on 0..2 dmax and its own tensor
+    # powers; the reference builds every block.  Bound fixed before
+    # measuring: the two routes may differ in summation order only
+    ctx, probes = _random_probes(spectrum, 56)
+    for T, (ks_draws, _) in probes:
+        for words in ks_draws:
+            margin = quantize.kadison_schwarz_margin(ctx, T.matrix, words)
+            assert abs(margin - _public_route_ks(ctx, T.matrix, words)) \
+                <= 1e-12 * max(1.0, abs(margin))
+
+
+def _stacked(ctx, probes, margin):
+    """``margin`` of the draws of each (matrix, draws) probe, through the
+    stacking driver of ``positivity_margins`` but without its guard."""
+    return quantize._stacked_margins(ctx, np.stack([M for M, _ in probes]),
+                                     [draws for _, draws in probes], margin)
 
 
 def test_stacked_margin_has_teeth_and_keeps_its_neighbours():
@@ -315,22 +349,72 @@ def test_stacked_margin_has_teeth_and_keeps_its_neighbours():
     residual = sp.jti_map(space, space, plain.matrix) - plain.matrix
     e = space.conjugate(_top_singular_vector(space, residual))
 
-    def probe(powers, tensors):
-        return powers, ([[(10.0, 0, np.ones(1)), (1.0, 1, xi)] for xi in tensors], [])
+    def draws(tensors):
+        return [[(10.0, 0, np.ones(1)), (1.0, 1, xi)] for xi in tensors]
 
     def jti_probe():
         T = sp.random_jti_contraction(gen, space, space, norm=0.7)
-        return probe(quantize.tensor_powers(T, ctx, ctx),
-                     [sp._gaussian(gen, ctx.dim) for _ in range(2)])
+        return T.matrix, draws([sp._gaussian(gen, ctx.dim) for _ in range(2)])
 
     good = [jti_probe(), jti_probe()]
-    bad = probe(first_quantization(ctx, ctx, plain.matrix), [e, e])
-    alone = quantize.positivity_margins(good)
-    together = quantize.positivity_margins([good[0], bad, good[1]])
-    assert together[1][0].max() < -1e-8
-    for (ks, _), (ks_alone, _), (powers, draws) in zip(together[::2], alone, good):
-        assert ks.tolist() == ks_alone.tolist() == _one_draw_margins(ctx, powers, draws)[0]
+    together = _stacked(ctx, [good[0], (plain.matrix, draws([e, e])), good[1]],
+                        quantize.kadison_schwarz_margin)
+    assert together[1].max() < -1e-8
+    for ks, (M, found) in zip(together[::2], good):
+        assert ks.tolist() == [quantize.kadison_schwarz_margin(ctx, M, d) for d in found]
         assert ks.min() >= -1e-8
+
+
+def _two_positivity_teeth_words(space, M):
+    """``X = [[1 W(1), W(e)], [0 W(1), 0 W(e)]]`` row by row, ``e`` the top
+    singular vector of ``M``: the vacuum entry of the image of ``X# X`` is
+    ``||e||^2`` where ``Gamma(X)# Gamma(X)`` reads ``||M e||^2``."""
+    e = _top_singular_vector(space, M)
+    return [(1.0, 0, np.ones(1)), (1.0, 1, e), (0.0, 0, np.ones(1)), (0.0, 1, e)]
+
+
+@pytest.mark.parametrize("spectrum", ("t2", "b2", "b2+t1"))
+def test_two_positivity_margin_has_teeth_alone_and_in_a_stack(spectrum):
+    # a J T I = T map of norm 1.2 turns the margin red, alone and between two
+    # J T I = T contractions of norm 0.7 whose draws share its word degrees;
+    # the neighbours keep their lone margins
+    gen = np.random.default_rng(63)
+    ctx = make_ctx(spectrum, 0.5, 4)
+    space = ctx.space
+    large = _jti_map_of_norm(gen, space, 1.2)
+    words = _two_positivity_teeth_words(space, large)
+    assert quantize.two_positivity_margin(ctx, large, words) < -0.1
+    good = []
+    for _ in range(2):
+        T = sp.random_jti_contraction(gen, space, space, norm=0.7).matrix
+        good.append((T, [_two_positivity_teeth_words(space, T),
+                         [(complex(sp._gaussian(gen, ())), n, sp._gaussian(gen, ctx.block_size(n)))
+                          for n in (0, 1, 0, 1)]]))
+    together = _stacked(ctx, [good[0], (large, [words]), good[1]],
+                        quantize.two_positivity_margin)
+    assert together[1].tolist() == [quantize.two_positivity_margin(ctx, large, words)]
+    for margins, (M, found) in zip(together[::2], good):
+        assert margins.tolist() == [quantize.two_positivity_margin(ctx, M, d) for d in found]
+        assert margins.min() >= -1e-8
+
+
+def test_stacked_bad_contraction_raises_as_alone():
+    # the one guard runs once on the stacked matrices of all probes, and
+    # raises what a lone probe of the bad contraction raises
+    gen = np.random.default_rng(60)
+    ctx = make_ctx("b2+t1", 0.5, 3)
+    space = ctx.space
+    plain = sp.random_contraction(gen, space, space, norm=0.7)
+    other = sp.build_space(reports.parse_spectrum("b2+t1"))
+    elsewhere = sp.random_jti_contraction(gen, other, other, norm=0.7)
+    good = [sp.random_jti_contraction(gen, space, space, norm=0.7) for _ in range(2)]
+    for bad, message in ((plain, "J T I = T"), (elsewhere, "contexts do not match")):
+        with pytest.raises(ValueError, match=message) as alone:
+            quantize.positivity_probe(bad, ctx, gen, 4)
+        probes = [(T, quantize.positivity_draws(ctx, gen, 4)) for T in (good[0], bad, good[1])]
+        with pytest.raises(ValueError) as stacked:
+            quantize.positivity_margins(ctx, probes)
+        assert str(stacked.value) == str(alone.value)
 
 
 def test_conjugation_channel_projection_monomials(rng):

@@ -242,8 +242,8 @@ def test_positivity_runs_the_configured_number_of_draws(monkeypatch, n, counts):
         drawn.append(n_samples)
         return draws(ctx, rng, n_samples)
 
-    def counted_margins(probes):
-        result = margins(probes)
+    def counted_margins(ctx, probes):
+        result = margins(ctx, probes)
         evaluated.extend(len(ks) for ks, _ in result)
         return result
 
@@ -261,8 +261,8 @@ def test_positivity_probe_minimum_is_nan_when_any_margin_is(monkeypatch):
     T = sp.random_jti_contraction(np.random.default_rng(3), ctx.space, ctx.space, norm=0.7)
     margins = quantize.positivity_margins
     for spoiled in (0, -1):
-        def with_nan(probes):
-            result = margins(probes)
+        def with_nan(ctx, probes):
+            result = margins(ctx, probes)
             for ks, two_pos in result:
                 ks[spoiled] = two_pos[spoiled] = np.nan
             return result
