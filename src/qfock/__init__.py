@@ -9,9 +9,8 @@ from .fock import (FockContext, GradedOperator, GradedVector, annihilation,
                    c_constant, creation, factorization_residual,
                    first_quantization, r_star, s_q)
 from .wick import WickWord, wick_word
-from .quantize import (QuantizationChannel, conjugation_channel, gns_residual,
-                       kadison_schwarz_margin, positivity_probe,
-                       second_quantization, two_positivity_margin)
+from .quantize import (QuantizationChannel, conjugation_channel, kadison_schwarz_margin,
+                       positivity_probe, second_quantization, two_positivity_margin)
 from .toeplitz import (LengthElement, compression, compression_identity_residual,
                        degree_expectation, finkernel_rank, majorisation_check,
                        monomial, norm_bound_margin, realize, subspace)
@@ -30,9 +29,8 @@ __all__ = [
     "c_constant", "creation", "factorization_residual", "first_quantization",
     "r_star", "s_q",
     "WickWord", "wick_word",
-    "QuantizationChannel", "conjugation_channel", "gns_residual",
-    "kadison_schwarz_margin", "positivity_probe", "second_quantization",
-    "two_positivity_margin",
+    "QuantizationChannel", "conjugation_channel", "kadison_schwarz_margin",
+    "positivity_probe", "second_quantization", "two_positivity_margin",
     "LengthElement", "compression", "compression_identity_residual",
     "degree_expectation", "finkernel_rank", "majorisation_check",
     "monomial", "norm_bound_margin", "realize", "subspace",

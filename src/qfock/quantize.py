@@ -12,13 +12,13 @@ needs neither the combined space nor the dilation, only the tensor powers of
 ``T``, which the margins build from ``T`` and their (c, degree, xi) words.
 
 Random draws are evaluated as stacks on the block algebra of ``fock``, all
-draws that share their word degrees at once, bit for bit as one at a time:
-the margins by ``positivity_margins``, the channel's Wick covariance,
-unitality, vacuum state and GNS residuals by ``channel_residuals``, whose
-one-draw case is ``QuantizationChannel``.  A stack is a leading draw axis on
-matrices, tensors and dicts of blocks, never an operator object; each driver
-runs the one guard (``_guard``: spaces, then ``J T I = T``) once, on its
-stacked matrices.
+draws that share their word degrees at once (``_grouped``), bit for bit as
+one at a time: the margins by ``positivity_margins`` and the channel's Wick
+covariance, unitality, vacuum state and GNS residuals by
+``channel_residuals``, the one measure of a channel.  A stack is a leading
+draw axis on matrices, tensors and dicts of blocks, never an operator
+object.  Every route runs the one guard ``_guard`` (spaces, ``J T I = T``,
+then shared q and degree) once, on all its matrices.
 """
 
 from __future__ import annotations
@@ -71,12 +71,14 @@ def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord,
 
 def _guard(contractions, matrix, src_ctx: FockContext, tgt_ctx: FockContext) -> None:
     """The one guard of second quantisation on contractions whose matrix (or
-    stack) is ``matrix``: each maps between the contexts' spaces, J T I = T."""
+    stack) is ``matrix``: the contexts' spaces, J T I = T, shared q and degree."""
     if any(T.source is not src_ctx.space or T.target is not tgt_ctx.space for T in contractions):
         raise ValueError("contexts do not match the contraction's spaces")
     if np.max(spaces.iti_residual(src_ctx.space, tgt_ctx.space, matrix)) > ITI_TOL:
         raise ValueError("contraction does not satisfy J T I = T; "
                          "second quantisation is undefined")
+    if src_ctx.degree != tgt_ctx.degree or src_ctx.q != tgt_ctx.q:
+        raise ValueError("contexts must share q and truncation degree")
 
 
 def tensor_powers(contraction: DeformedContraction, src_ctx: FockContext,
@@ -109,15 +111,14 @@ class QuantizationChannel:
 
     Acts on source Wick words by embedding them in the combined space and
     conjugating with ``F = F_q(P U_T)``; ``conjugate`` is that last step
-    alone.  The channel holds ``F``, ``F#`` and the tensor powers of ``T``
-    (``tensor_powers``) for ``image_tensor``.  It is the one-draw case of
-    the helpers ``channel_residuals`` runs on stacks of draws.
+    alone.  The channel holds ``F`` and ``F#``, built once; its residuals
+    are measured by ``channel_residuals``.
     """
 
     def __init__(self, contraction: DeformedContraction,
                  src_ctx: FockContext, tgt_ctx: FockContext,
                  comb_ctx: FockContext):
-        self._powers = tensor_powers(contraction, src_ctx, tgt_ctx)
+        _guard([contraction], contraction.matrix, src_ctx, tgt_ctx)
         F = _dilation_powers(contraction.matrix, src_ctx, tgt_ctx, comb_ctx)
         self.contraction = contraction
         self.src_ctx = src_ctx
@@ -125,10 +126,6 @@ class QuantizationChannel:
         self.comb_ctx = comb_ctx
         self._F = GradedOperator._trusted(tgt_ctx, comb_ctx, F)
         self._F_adj = self._F.adjoint()
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.contraction.matrix
 
     def conjugate(self, x: GradedOperator) -> GradedOperator:
         """The channel's conjugation step on an operator over the combined space."""
@@ -145,20 +142,6 @@ class QuantizationChannel:
         return self.conjugate(embed_wick(self.src_ctx, self.comb_ctx, word,
                                          inputs=_safe_window(self.tgt_ctx, word.degree)).op)
 
-    def image_tensor(self, word: WickWord) -> np.ndarray:
-        """Coefficient tensor of the expected image word ``T^{(x)n} xi``."""
-        return _image_tensor(self._powers.blocks, word.tensor, word.degree)
-
-    def covariance_residual(self, word: WickWord, image: GradedOperator) -> float:
-        """Deformed-norm gap between ``image``, the channel image of a Wick
-        word from ``apply_word``, and the Wick word of the image tensor, on
-        the safe window."""
-        return _covariance_gaps(self.tgt_ctx, image.blocks, self.image_tensor(word), word.degree)
-
-    def unitality_residual(self) -> float:
-        """Gap between ``F 1 F# = F F#``, the image of the identity, and 1."""
-        return _unitality_gaps(self.tgt_ctx, self._F.blocks, self._F_adj.blocks)
-
 
 def second_quantization(contraction: DeformedContraction,
                         src_ctx: FockContext, tgt_ctx: FockContext) -> QuantizationChannel:
@@ -168,14 +151,7 @@ def second_quantization(contraction: DeformedContraction,
     return QuantizationChannel(contraction, src_ctx, tgt_ctx, comb_ctx)
 
 
-def gns_residual(channel: QuantizationChannel, word: WickWord,
-                 image: GradedOperator) -> float:
-    """Gap between the GNS action of ``image``, the channel image of ``word``
-    from ``apply_word``, on the vacuum and ``T^{(x)n} xi``."""
-    return _gns_gaps(channel.tgt_ctx, image.blocks, channel.image_tensor(word), word.degree)
-
-
-# The channel's formulas on dicts of blocks, one value per draw of stacks.
+# The channel's formulas on dicts of blocks, one value per draw of a stack.
 
 def _image_tensor(powers: dict, xi, degree: int) -> np.ndarray:
     """``T^{(x)n} xi`` for the blocks ``powers`` of the tensor powers of ``T``."""
@@ -193,13 +169,13 @@ def _unitality_gaps(ctx: FockContext, F: dict, F_adj: dict):
     gap = _add(_compose(F, F_adj), _scale(complex(-1.0), GradedOperator.identity(ctx).blocks))
     if any(m != n for m, n in gap):
         raise ValueError("F F# has blocks off the degree diagonal")
-    return _per_draw(np.max([ctx.block_norm(B, n, n) for (n, _), B in gap.items()], axis=0))
+    return np.max([ctx.block_norm(B, n, n) for (n, _), B in gap.items()], axis=0)
 
 
 def _vacuum_gaps(x: dict, image: dict):
     """``|<Omega, image Omega> - <Omega, x Omega>|`` for an image of ``x``."""
     entries = [b[(0, 0)][..., 0, 0] if (0, 0) in b else 0j for b in (image, x)]
-    return _per_draw(np.abs(entries[0] - entries[1]))
+    return np.abs(entries[0] - entries[1])
 
 
 def _gns_gaps(ctx: FockContext, image: dict, image_tensor, degree: int):
@@ -209,20 +185,27 @@ def _gns_gaps(ctx: FockContext, image: dict, image_tensor, degree: int):
     return _graded_norm(ctx, vector)
 
 
+def _grouped(draws: list, key, evaluate, shape=()) -> np.ndarray:
+    """``evaluate(group)`` of each group of ``draws`` that share ``key(draw)``,
+    as one stack per group, one at a time, scattered back into draw order:
+    one value of ``shape`` per draw."""
+    groups = {}
+    for index, draw in enumerate(draws):
+        groups.setdefault(key(draw), []).append(index)
+    values = np.empty((len(draws),) + shape)
+    for members in groups.values():
+        values[members] = evaluate([draws[i] for i in members])
+    return values
+
+
 def channel_residuals(draws, src_ctx: FockContext, tgt_ctx: FockContext,
                       comb_ctx: FockContext) -> np.ndarray:
     """Wick covariance, unitality, vacuum-state and GNS residuals of the channel
     of each (contraction, degree, tensor) draw on the Wick word of its tensor:
-    one row per draw, in draw order, bit for bit as a lone ``QuantizationChannel``
-    measures it.  The draws of one degree are evaluated as one stack at a time."""
-    groups = {}
-    for index, (_, n, _) in enumerate(draws):
-        groups.setdefault(n, []).append(index)
-    residuals = np.empty((len(draws), 4))
-    for members in groups.values():
-        residuals[members] = _stacked_residuals([draws[i] for i in members],
-                                                src_ctx, tgt_ctx, comb_ctx)
-    return residuals
+    one row per draw, in draw order.  This is the one measure of a channel;
+    the draws of one degree are evaluated as one stack at a time."""
+    return _grouped(draws, lambda draw: draw[1],
+                    lambda group: _stacked_residuals(group, src_ctx, tgt_ctx, comb_ctx), (4,))
 
 
 def _stacked_residuals(draws, src_ctx, tgt_ctx, comb_ctx) -> np.ndarray:
@@ -384,20 +367,17 @@ def positivity_margins(ctx: FockContext, probes) -> list:
 
 
 def _stacked_margins(ctx: FockContext, matrices, draws: list, margin) -> list:
-    """``margin(ctx, matrices[i], words)`` of each draw ``words`` in
-    ``draws[i]``: one array per i, in draw order.  The draws of one pattern
-    of word degrees are evaluated as one stack."""
+    """``margin(ctx, matrices[i], words)`` of each draw ``words`` in ``draws[i]``,
+    one array per i in draw order; one stack per pattern of word degrees."""
+    def evaluate(group):
+        owners, found = zip(*group)
+        # the j-th words of the group's draws, as one stack per j
+        words = [(np.array([c for c, _, _ in column])[:, None, None], column[0][1],
+                  np.stack([xi for _, _, xi in column])) for column in zip(*found)]
+        return margin(ctx, matrices[list(owners)], words)
+
     flat = [(owner, words) for owner, found in enumerate(draws) for words in found]
-    groups = {}
-    for index, (_, words) in enumerate(flat):
-        groups.setdefault(tuple(deg for _, deg, _ in words), []).append(index)
-    margins = np.empty(len(flat))
-    for degrees, members in groups.items():
-        # the j-th words of the member draws, as one stack per j
-        words = [(np.array([c for c, _, _ in column])[:, None, None], deg,
-                  np.stack([xi for _, _, xi in column]))
-                 for deg, column in zip(degrees, zip(*(flat[i][1] for i in members)))]
-        margins[members] = margin(ctx, matrices[[flat[i][0] for i in members]], words)
+    margins = _grouped(flat, lambda draw: tuple(deg for _, deg, _ in draw[1]), evaluate)
     return np.split(margins, np.cumsum([len(found) for found in draws])[:-1])
 
 

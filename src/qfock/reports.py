@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -127,6 +128,10 @@ class SweepConfig:
             raise ValueError("seed must be >= 0")
         if any(count < 1 for count in self.samples.values()):
             raise ValueError(f"sample counts must be >= 1, got {self.samples!r}")
+        # nan fails, and so does an int too large for a float
+        if not all(0 <= tol <= sys.float_info.max for tol in self.tolerances.values()):
+            raise ValueError(f"config field 'tolerances' must hold finite numbers >= 0, "
+                             f"got {self.tolerances!r}")
         if not 2 <= self.degree <= 6:
             raise ValueError("truncation degree must be in 2..6")
         self.spectra = tuple(self.spectra)
@@ -265,7 +270,9 @@ def _sym_positivity(pt: _Point):
 
 
 def _over_pairs(residual):
-    """Row function: ``residual(ctx, n, k)`` at each degree pair."""
+    """Row function: ``residual(ctx, n, k)`` at each degree pair.  The tables
+    pass a library function in a lambda that names it, so the name is looked
+    up when the row runs and a rebinding of it (a layer trace) is seen."""
     return lambda pt: (residual(pt.ctx, n, k) for n, k in _pairs(pt.config.degree))
 
 
@@ -279,8 +286,8 @@ def _q_commutation_residual(pt: _Point):
     for _ in range(3):
         v = _gaussian(rng, ctx.dim)
         w = _gaussian(rng, ctx.dim)
-        comm = annihilation(ctx, v) @ creation(ctx, w) - ctx.q * (
-            creation(ctx, w) @ annihilation(ctx, v))
+        a, c = annihilation(ctx, v), creation(ctx, w)
+        comm = a @ c - ctx.q * (c @ a)
         scalar = sp.deformed_inner(ctx.space, v, w)
         for n in range(ctx.degree):  # safe window: below the truncation cut
             diff = comm.block(n, n) - scalar * np.eye(ctx.block_size(n))
@@ -588,11 +595,13 @@ def _free_reduction_bound(tol: dict, q: float) -> float:
 _TABLES = {
     "symmetrizer": (
         (_sym_positivity, ("symmetrizer/positivity", 0.0)),
-        (_over_pairs(factorization_residual), ("symmetrizer/factorization", "algebraic")),
+        (_over_pairs(lambda ctx, n, k: factorization_residual(ctx, n, k)),
+         ("symmetrizer/factorization", "algebraic")),
         (_over_pairs(lambda ctx, n, k: rstar_free_norm(ctx, n, k) - c_constant(ctx.q)),
          ("symmetrizer/rstar_free_norm", "norm")),
         (_over_pairs(_deformed_norm_excess), ("symmetrizer/deformed_norm_bounds", "norm")),
-        (_over_pairs(rstar_adjoint_residual), ("symmetrizer/adjoint_pairing", "algebraic")),
+        (_over_pairs(lambda ctx, n, k: rstar_adjoint_residual(ctx, n, k)),
+         ("symmetrizer/adjoint_pairing", "algebraic")),
         (_q_commutation_residual, ("symmetrizer/q_commutation", "algebraic")),
         (_creation_adjoint_residual, ("symmetrizer/creation_adjoint", "algebraic")),
     ),

@@ -3,7 +3,7 @@ import pytest
 
 from qfock import haagerup, quantize, wick
 from qfock import spaces as sp
-from qfock.fock import FockContext, GradedVector, first_quantization
+from qfock.fock import FockContext, GradedOperator, GradedVector, first_quantization
 from conftest import Q_GRID, make_ctx
 
 
@@ -212,7 +212,8 @@ def test_damped_channels_preserve_state(rng):
         space, space, np.exp(-0.5) * haagerup.generate_admissible(space, 4).matrix)
     channel = quantize.QuantizationChannel(damped, ctx, ctx, comb_ctx)
     powers = quantize.tensor_powers(damped, ctx, ctx)
-    assert channel.unitality_residual() < 1e-10
+    assert channel.conjugate(GradedOperator.identity(comb_ctx)).max_diff(
+        GradedOperator.identity(ctx)) < 1e-10
     for n in (0, 1, 2):
         size = ctx.block_size(n)
         xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)

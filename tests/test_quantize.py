@@ -18,6 +18,39 @@ def build_channel(spectrum, q, degree, rng, norm=0.7, matrix=None):
     return quantize.QuantizationChannel(T, ctx, ctx, comb_ctx), ctx
 
 
+def _unitality_gap(channel):
+    """Gap between ``F 1 F#``, the channel's own conjugation of the identity,
+    and 1."""
+    return channel.conjugate(GradedOperator.identity(channel.comb_ctx)).max_diff(
+        GradedOperator.identity(channel.tgt_ctx))
+
+
+def _residuals(channel, n, xi):
+    """Wick covariance, unitality, vacuum-state and GNS residuals of a
+    channel on the Wick word of ``xi``, measured by ``channel_residuals``."""
+    [row] = quantize.channel_residuals([(channel.contraction, n, xi)], channel.src_ctx,
+                                       channel.tgt_ctx, channel.comb_ctx)
+    return row
+
+
+def test_rejects_contexts_of_another_q_or_degree():
+    # the contexts share their space, so only q or the degree can differ
+    ctx = make_ctx("t2", 0.5, 3)
+    space = ctx.space
+    T = sp.random_jti_contraction(np.random.default_rng(62), space, space, norm=0.7)
+    for tgt_ctx in (FockContext(space, 0.9, 3), FockContext(space, 0.5, 4)):
+        comb_ctx = FockContext(sp.direct_sum(space, space), tgt_ctx.q, tgt_ctx.degree)
+        with pytest.raises(ValueError, match="must share q and truncation degree"):
+            quantize.QuantizationChannel(T, ctx, tgt_ctx, comb_ctx)
+        with pytest.raises(ValueError, match="must share q and truncation degree"):
+            quantize.channel_residuals([(T, 1, np.ones(2))], ctx, tgt_ctx, comb_ctx)
+    # a J T I != T contraction is refused for that first, as before
+    plain = sp.DeformedContraction(space, space, 0.5j * np.eye(2))
+    with pytest.raises(ValueError, match="J T I = T"):
+        quantize.QuantizationChannel(plain, ctx, FockContext(space, 0.9, 3),
+                                     FockContext(sp.direct_sum(space, space), 0.9, 3))
+
+
 def test_rejects_non_jti_contraction(rng):
     ctx = make_ctx("t2", 0.5, 3)
     space = ctx.space
@@ -49,7 +82,7 @@ def test_zero_contraction_gives_vacuum_functional(rng):
     for p in range(ctx.degree):
         for m in range(ctx.degree + 1):
             assert ctx.block_norm(image.block(m, p), m, p) < 1e-10
-    assert channel.unitality_residual() < 1e-10
+    assert _unitality_gap(channel) < 1e-10
 
 
 def test_covariance_on_wick_words(rng):
@@ -59,8 +92,7 @@ def test_covariance_on_wick_words(rng):
             for n in (1, 2):
                 size = ctx.block_size(n)
                 xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                word = wick.wick_word(ctx, xi, n)
-                assert channel.covariance_residual(word, channel.apply_word(word)) < 1e-8
+                assert _residuals(channel, n, xi)[0] < 1e-8
 
 
 def test_gns_identity(rng):
@@ -68,15 +100,14 @@ def test_gns_identity(rng):
     for n in (0, 1, 2):
         size = ctx.block_size(n)
         xi = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        word = wick.wick_word(ctx, xi, n)
-        assert quantize.gns_residual(channel, word, channel.apply_word(word)) < 1e-8
+        assert _residuals(channel, n, xi)[3] < 1e-8
 
 
 def test_unitality_and_vacuum_state(rng):
     for q in (-0.5, 0.0, 0.5):
         channel, ctx = build_channel("b2", q, 3, rng)
-        assert channel.unitality_residual() < 1e-10
         xi = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+        assert _unitality_gap(channel) < 1e-10
         word = wick.wick_word(ctx, xi, 1)
         image = channel.apply_word(word)
         assert abs(image.vacuum_expectation() - word.op.vacuum_expectation()) < 1e-10
@@ -213,16 +244,17 @@ def test_intrinsic_margins_match_the_dilation_oracle():
         for q in (0.5, -0.9):
             channel, ctx = build_channel(spectrum, q, 3, rng)
             oracle = (ctx, channel.comb_ctx, channel.conjugate)
+            T = channel.contraction.matrix
             for degrees in ((1, 0), (0, 0), (1, 1)):
                 tensors = [_gaussian_word(ctx, rng, n).tensor for n in degrees]
                 coeffs = [complex(rng.standard_normal(), rng.standard_normal())
                           for _ in degrees]
                 words = list(zip(coeffs, degrees, tensors))
                 window = _window(ctx, degrees)
-                assert abs(quantize.kadison_schwarz_margin(ctx, channel.matrix, words)
+                assert abs(quantize.kadison_schwarz_margin(ctx, T, words)
                            - _full_route_ks(*oracle, words, window)) <= 1e-10
                 rows = words + list(zip(coeffs[::-1], degrees, tensors))
-                assert abs(quantize.two_positivity_margin(ctx, channel.matrix, rows)
+                assert abs(quantize.two_positivity_margin(ctx, T, rows)
                            - _full_route_two_positivity(*oracle, rows, window)) <= 1e-10
 
 
@@ -448,7 +480,7 @@ def test_second_quantization_builds_combined_context(rng):
     T = sp.DeformedContraction(ctx.space, ctx.space, 0.5 * np.eye(1))
     channel = quantize.second_quantization(T, ctx, ctx)
     assert channel.comb_ctx.dim == 2
-    assert channel.unitality_residual() < 1e-10
+    assert _unitality_gap(channel) < 1e-10
 
 
 def test_embed_tensor_is_the_leading_coordinate_scatter():
@@ -465,23 +497,29 @@ def test_embed_tensor_is_the_leading_coordinate_scatter():
 
 
 def test_image_tensor_is_the_tensor_power():
-    # oracle: the n-fold Kronecker power of the contraction, built by hand
+    # oracles: the n-fold Kronecker power of each contraction, built by hand,
+    # and one first_quantization of each, against the image tensors the
+    # channel residuals take on a stack, from tensor powers built to degree n
     gen = np.random.default_rng(905)
-    channel, ctx = build_channel("b2+t1", 0.5, 3, gen)
+    ctx = make_ctx("b2+t1", 0.5, 3)
+    matrices = np.stack([sp.random_jti_contraction(gen, ctx.space, ctx.space, norm=0.7).matrix
+                         for _ in range(2)])
     for n in range(ctx.degree + 1):
-        size = ctx.block_size(n)
-        word = wick.wick_word(ctx, gen.standard_normal(size) + 1j * gen.standard_normal(size), n)
-        power = np.eye(1, dtype=complex)
-        for _ in range(n):
-            power = np.kron(channel.matrix, power)
-        assert np.array_equal(channel.image_tensor(word), power @ word.tensor)
+        xi = sp._gaussian(gen, (2, ctx.block_size(n)))
+        image = quantize._image_tensor(fock._tensor_powers(matrices, n), xi, n)
+        for T, tensor, got in zip(matrices, xi, image):
+            power = np.eye(1, dtype=complex)
+            for _ in range(n):
+                power = np.kron(T, power)
+            assert np.array_equal(got, power @ tensor)
+            old = first_quantization(ctx, ctx, T).block(n, n) @ tensor
+            assert got.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("spectrum", ["t2", "b2+t1"])
 def test_channel_shortcuts_equal_the_old_routes_bit_for_bit(spectrum):
-    # unitality: F F# against the conjugation of a materialized identity,
-    # F 1 F#; image_tensor: the channel's stored tensor powers against one
-    # first_quantization per call
+    # unitality: F F# of channel_residuals against the conjugation of a
+    # materialized identity, F 1 F#
     gen = np.random.default_rng(915)
     for q in (0.5, -0.9):
         for _ in range(3):
@@ -490,25 +528,26 @@ def test_channel_shortcuts_equal_the_old_routes_bit_for_bit(spectrum):
             PU = sp.projection_matrix(ctx.space, ctx.space) @ sp.dilate(channel.contraction)
             old_image = quantize.conjugation_channel(comb_ctx, ctx, PU)(
                 GradedOperator.identity(comb_ctx))
-            assert channel.unitality_residual() \
+            assert _residuals(channel, 1, sp._gaussian(gen, ctx.dim))[1] \
                 == old_image.max_diff(GradedOperator.identity(ctx))
-            for n in range(ctx.degree + 1):
-                size = ctx.block_size(n)
-                word = wick.wick_word(ctx, gen.standard_normal(size)
-                                      + 1j * gen.standard_normal(size), n)
-                powers = first_quantization(ctx, ctx, channel.matrix)
-                old = powers.block(n, n) @ word.tensor
-                for _ in range(2):
-                    assert channel.image_tensor(word).tobytes() == old.tobytes()
 
 
 def _lone_channel_residuals(ctx, comb_ctx, contraction, n, xi):
-    """The channel row's four residuals of one draw, through a lone channel."""
+    """The channel row's four residuals of one draw, each through public
+    routes of a lone channel: the image of the word against the Wick word of
+    ``T^{(x)n} xi`` (the degree-n block of ``first_quantization``), ``F 1 F#``
+    against 1, the vacuum gap, and the GNS vector against ``T^{(x)n} xi``."""
     channel = quantize.QuantizationChannel(contraction, ctx, ctx, comb_ctx)
     word = wick.wick_word(ctx, xi, n)
     image = channel.apply_word(word)
-    return (channel.covariance_residual(word, image), channel.unitality_residual(),
-            reports._vacuum_gap(word.op, image), quantize.gns_residual(channel, word, image))
+    window = range(ctx.degree - n + 1)
+    image_tensor = first_quantization(ctx, ctx, contraction.matrix).block(n, n) @ xi
+    expected = wick.wick_word(ctx, image_tensor, n, inputs=window).op
+    gns = image.apply(GradedVector.vacuum(ctx)) - GradedVector.from_degree(ctx, n, image_tensor)
+    return (fock.blockwise_gap(ctx, image, expected, window),
+            channel.conjugate(GradedOperator.identity(comb_ctx)).max_diff(
+                GradedOperator.identity(ctx)),
+            reports._vacuum_gap(word.op, image), gns.norm())
 
 
 def _one_draw_channel_row(pt):

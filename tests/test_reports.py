@@ -11,7 +11,7 @@ import pytest
 from qfock import cli, fock, haagerup, quantize, reports, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext
-from qfock.reports import SweepConfig, parse_spectrum, run_suite
+from qfock.reports import DEFAULT_TOLERANCES, SweepConfig, parse_spectrum, run_suite
 
 
 def small_config(**kw):
@@ -54,7 +54,13 @@ def test_config_validation(tmp_path):
     for field, value in (("degree", "x"), ("degree", True), ("spectra", "b2"),
                          ("q_values", ["a"]), ("seed", 1.5),
                          ("samples", {"dilate": "x"}), ("tolerances", [1e-9]),
-                         ("samples", {"kadison_shwarz": 5}), ("tolerances", {"strnog": 1e-6})):
+                         ("samples", {"kadison_shwarz": 5}), ("tolerances", {"strnog": 1e-6}),
+                         # an infinite bound passes every residual, a nan or
+                         # negative one fails a residual of 0
+                         ("tolerances", {"norm": float("inf")}),
+                         ("tolerances", {"norm": float("nan")}),
+                         ("tolerances", {"algebraic": -1.0}), ("tolerances", {"exact": -1}),
+                         ("tolerances", {"norm": 10**400})):
         with pytest.raises(ValueError, match=repr(field)):
             SweepConfig(**{field: value})
     with pytest.raises(ValueError, match="kadison_shwarz"):  # a typo used to run the default
@@ -200,6 +206,31 @@ def test_embedding_check_has_teeth(monkeypatch):
     assert residual() <= bound
     monkeypatch.setattr(quantize, "embed_tensor", second_summand)
     assert residual() > bound
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1"])
+def test_functoriality_check_has_teeth(monkeypatch, spectrum):
+    # a dilation whose T corner is scaled by 0.9 quantises 0.9 T, and
+    # Gamma(0.9 S) Gamma(0.9 T) is not Gamma(0.9 ST)
+    def residual(q):
+        config = SweepConfig(q_values=(q,), spectra=(spectrum,))
+        pt = reports._Point(config, spectrum, q)
+        pt.rng = np.random.default_rng(44)
+        return max(reports._functoriality(pt))
+
+    dilate = sp._dilate
+
+    def shrunk_corner(src, tgt, T):
+        U = dilate(src, tgt, T)
+        U[..., src.dim:, :src.dim] *= 0.9
+        return U
+
+    bound = DEFAULT_TOLERANCES["norm"]
+    for q in (0.5, -0.9, 0.9):
+        assert residual(q) <= bound
+    monkeypatch.setattr(sp, "_dilate", shrunk_corner)
+    for q in (0.5, -0.9, 0.9):
+        assert residual(q) > bound
 
 
 def _one_row_suite(monkeypatch, row, *checks):
@@ -372,7 +403,8 @@ def test_cli_exit_codes(tmp_path):
     assert bad.stderr.count("\n") == 1 and "q=0.998" in bad.stderr
     # config and IO errors exit 2 with one line on stderr, before any check runs
     for name, config in (("degree", {"degree": "x"}), ("spectra", {"spectra": "b2"}),
-                         ("samples", {"samples": {"kadison_shwarz": 5}})):
+                         ("samples", {"samples": {"kadison_shwarz": 5}}),
+                         ("tolerances", {"tolerances": {"norm": float("inf")}})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         bad = run_cli(["--config", str(path), "--out", str(tmp_path / "x.json")])
@@ -466,6 +498,35 @@ def test_benchmark_layer_names_resolve():
     assert unresolved == []
 
 
+def _perfbench_module(name: str):
+    """A module of the benchmark harness, loaded from its file without
+    putting the harness on the import path."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_layers_are_called_in_a_traced_pass():
+    # a layer the benchmark names but the sweep reaches around (a function
+    # object bound at import, say) reads 0 in every traced pass
+    from pathlib import Path
+
+    import qfock
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    layers = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+              if m["name"].count(".") == 2}
+    smoke = _perfbench_module("workloads").WORKLOADS["smoke"]
+    with _perfbench_module("layers").LayerTrace(qfock) as tracer:
+        run_suite(smoke.config(12345), smoke.suites)
+    stats = tracer.stats()
+    assert sorted(layer for layer in layers if stats.get(layer, {}).get("calls", 0) == 0) == []
+
+
 def test_no_cache_pins_a_context(monkeypatch):
     # the module-level caches (c_constant by q, R* partition orders) hold
     # numbers and tuples only: every context dies once its users let go
@@ -489,10 +550,10 @@ def test_no_cache_pins_a_context(monkeypatch):
     assert not ctx.partner_map(2).flags.writeable and not ctx.reverse_map(2).flags.writeable
     fock.c_constant(ctx.q)
     word = wick.wick_word(ctx, gen.standard_normal(9) + 1j * gen.standard_normal(9), 2)
-    channel = quantize.QuantizationChannel(sp.random_jti_contraction(gen, space, space),
-                                           ctx, ctx, comb_ctx)
-    channel.covariance_residual(word, channel.apply_word(word))
-    channel.unitality_residual()
+    T = sp.random_jti_contraction(gen, space, space)
+    channel = quantize.QuantizationChannel(T, ctx, ctx, comb_ctx)
+    channel.apply_word(word)
+    quantize.channel_residuals([(T, 2, word.tensor)], ctx, ctx, comb_ctx)
     del ctx, comb_ctx, word, channel
     gc.collect()
     assert all(ref() is None for ref in refs)
