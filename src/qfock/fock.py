@@ -534,7 +534,8 @@ def _block_gaps(ctx: FockContext, A: dict, B: dict, inputs):
 def _min_eigs(M) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of a matrix, one per matrix
     of a stack along leading axes."""
-    return np.linalg.eigvalsh((M + np.conj(M).swapaxes(-1, -2)) / 2.0)[..., 0]
+    H = M + np.conj(M).swapaxes(-1, -2)  # halved in place: the same bits, one copy fewer
+    return np.linalg.eigvalsh(np.divide(H, 2.0, out=H))[..., 0]
 
 
 def _degree_slices(ctx: FockContext, degrees):

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, annihilation, blockwise_gap,
-                   c_constant, check_metric_floor, creation, factorization_residual, gauge_block,
-                   hermitian_min_eig, id_embedding_norm, rstar_adjoint_residual,
+from .fock import (FockContext, GradedOperator, GradedVector, _tensor_powers, annihilation,
+                   blockwise_gap, c_constant, check_metric_floor, creation, factorization_residual,
+                   gauge_block, hermitian_min_eig, id_embedding_norm, rstar_adjoint_residual,
                    rstar_deformed_norm, rstar_free_norm, stack_norm)
 from .spaces import BlockSpectrum, _gaussian, _spectral_norm, build_space
 
@@ -119,11 +119,12 @@ class SweepConfig:
             unknown = sorted(set(given) - set(known))
             if unknown:
                 raise ValueError(f"config field {name!r} has unknown keys {unknown}")
-        self.q_values = tuple(float(q) for q in self.q_values)
-        for q in self.q_values:
+        for q in self.q_values:  # in range first: float(q) overflows on a huge int
             if not -1.0 < q < 1.0:
-                raise ValueError(f"q={q} outside the open interval (-1, 1)")
-            c_constant(q)  # raises where C(q) overflows
+                raise ValueError(f"config field 'q_values': q={q} outside the open "
+                                 f"interval (-1, 1)")
+            c_constant(float(q))  # raises where C(q) overflows
+        self.q_values = tuple(float(q) for q in self.q_values)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if any(count < 1 for count in self.samples.values()):
@@ -287,7 +288,10 @@ def _q_commutation_residual(pt: _Point):
         v = _gaussian(rng, ctx.dim)
         w = _gaussian(rng, ctx.dim)
         a, c = annihilation(ctx, v), creation(ctx, w)
-        comm = a @ c - ctx.q * (c @ a)
+        # the blocks (n, n), n < N, of c a need a on input degrees < N only
+        a_low = GradedOperator(ctx, ctx, {key: B for key, B in a.blocks.items()
+                                          if key[1] < ctx.degree})
+        comm = a @ c - ctx.q * (c @ a_low)
         scalar = sp.deformed_inner(ctx.space, v, w)
         for n in range(ctx.degree):  # safe window: below the truncation cut
             diff = comm.block(n, n) - scalar * np.eye(ctx.block_size(n))
@@ -449,6 +453,7 @@ def _expectation_residual(pt: _Point):
     yield toeplitz.degree_expectation(ex).max_diff(ex)  # idempotent
     ident = GradedOperator.identity(ctx)
     yield toeplitz.degree_expectation(ident).max_diff(ident)  # unital
+    del ident  # not live while the product below builds its blocks
     psd = op.adjoint() @ op
     ex_psd = toeplitz.degree_expectation(psd)
     # degree-diagonal: each block is gauged once, for its norm and its
@@ -564,8 +569,10 @@ def _approximant_state_residual(pt: _Point):
     the intrinsic image on the main context, over random Wick words."""
     space, ctx, rng = pt.space, pt.ctx, pt.rng
     damped = sp.DeformedContraction(space, space, pt.family.damped_matrix(4, 0.5))
-    powers = quantize.tensor_powers(damped, ctx, ctx)
     deg_max = max(1, min(2, ctx.degree - 1))
+    # the image of a degree-n word reads the degree-n power only
+    quantize._guard([damped], damped.matrix, ctx, ctx)
+    powers = GradedOperator(ctx, ctx, _tensor_powers(damped.matrix, deg_max))
     for _ in range(pt.config.samples["state_preservation"]):
         n = int(rng.integers(0, deg_max + 1))
         word = wick.wick_word(ctx, _gaussian(rng, ctx.block_size(n)), n, inputs=range(1))

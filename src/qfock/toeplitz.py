@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (FockContext, GradedOperator, _assemble, _kron, c_constant, coordinate_index,
-                   r_star)
+from .fock import FockContext, GradedOperator, _kron, c_constant, coordinate_index, r_star
 from .spaces import DeformedSpace, _gaussian
 
 
@@ -128,38 +127,51 @@ def finkernel_rank(ctx: FockContext, indices, max_length: int) -> dict:
     on the truncated monomial basis over a subspace; full rank certifies
     injectivity at this scale.  Columns are scaled to unit norm first (a zero
     column stays zero), so the rank does not follow the spread of the metric
-    and the singular values returned are those of the normalised columns."""
+    and the singular values returned are those of the normalised columns.
+
+    A column holds a monomial's blocks on the input degrees up to
+    ``N - max_length``.  A monomial with k creations and m annihilations has
+    the blocks ``(p + k - m, p)`` only, so the matrix is block diagonal over
+    the shifts ``k - m``: its singular values are those of the shift groups
+    together, each group built and decomposed alone."""
     if max_length > ctx.degree // 2:
         raise ValueError("max_length must be at most N/2")
-    indices = sorted(set(int(i) for i in indices))
-    p_max = ctx.degree - max_length
-    basis_vecs = []
-    for i in indices:
-        e = np.zeros(ctx.dim, dtype=complex)
-        e[i] = 1.0
-        basis_vecs.append(e)
-    columns = []
-    for k in range(max_length + 1):
-        for m in range(max_length + 1 - k):
-            for vs in itertools.product(basis_vecs, repeat=k):
-                for ws in itertools.product(basis_vecs, repeat=m):
-                    elem = monomial(ctx, list(vs), list(ws))
-                    # every output degree, the input degrees 0..p_max only
-                    dense = _assemble(ctx, ctx, elem.op.blocks, range(ctx.degree + 1),
-                                      range(p_max + 1), gauge=False)
-                    columns.append(dense.ravel())
-    matrix = np.stack(columns, axis=1)
-    scale = np.linalg.norm(matrix, axis=0)
-    matrix /= np.where(scale > 0, scale, 1.0)
-    svals = np.linalg.svd(matrix, compute_uv=False)
+    svals = _realization_singular_values(ctx, indices, max_length)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
     return {
-        "n_columns": matrix.shape[1],
+        "n_columns": len(svals),
         "rank": rank,
-        "full_rank": rank == matrix.shape[1],
+        "full_rank": rank == len(svals),
         "smallest_singular_value": float(svals[-1]),
         "largest_singular_value": float(svals[0]),
     }
+
+
+def _realization_singular_values(ctx: FockContext, indices, max_length: int) -> np.ndarray:
+    """Singular values, largest first, of ``finkernel_rank``'s normalised
+    matrix: one row per monomial of a shift group, over the group's blocks,
+    and zeros where a group has fewer entries than monomials."""
+    basis_vecs = [np.eye(ctx.dim, dtype=complex)[i] for i in sorted(set(int(i) for i in indices))]
+    p_max = ctx.degree - max_length
+    svals = []
+    for shift in range(-max_length, max_length + 1):
+        words = [(vs, ws) for k in range(max(shift, 0), max_length + 1)
+                 if 2 * k - shift <= max_length
+                 for vs in itertools.product(basis_vecs, repeat=k)
+                 for ws in itertools.product(basis_vecs, repeat=k - shift)]
+        keys = [(p + shift, p) for p in range(max(-shift, 0), p_max + 1)]
+        offsets = list(itertools.accumulate(
+            (ctx.block_size(m) * ctx.block_size(p) for m, p in keys), initial=0))
+        matrix = np.zeros((len(words), offsets[-1]), dtype=complex)
+        for row, (vs, ws) in zip(matrix, words):
+            blocks = monomial(ctx, list(vs), list(ws)).op.blocks
+            for key, start, stop in zip(keys, offsets, offsets[1:]):
+                if key in blocks:
+                    row[start:stop] = blocks[key].ravel()
+            row /= np.linalg.norm(row) or 1.0  # a zero column stays zero
+        group = np.linalg.svd(matrix, compute_uv=False)
+        svals.append(np.pad(group, (0, len(words) - len(group))))
+    return np.sort(np.concatenate(svals))[::-1]
 
 
 def compression_identity_residual(ctx: FockContext, elem: LengthElement, k: int) -> float:

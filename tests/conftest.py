@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,3 +45,13 @@ def ctx_free(space_t2):
 
 def make_ctx(spectrum, q, degree):
     return FockContext(build_space(parse_spectrum(spectrum)), q, degree)
+
+
+def allocation_peak(call) -> float:
+    """Peak of the memory traced while ``call()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

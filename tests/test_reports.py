@@ -12,6 +12,7 @@ from qfock import cli, fock, haagerup, quantize, reports, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext
 from qfock.reports import DEFAULT_TOLERANCES, SweepConfig, parse_spectrum, run_suite
+from conftest import allocation_peak
 
 
 def small_config(**kw):
@@ -60,7 +61,9 @@ def test_config_validation(tmp_path):
                          ("tolerances", {"norm": float("inf")}),
                          ("tolerances", {"norm": float("nan")}),
                          ("tolerances", {"algebraic": -1.0}), ("tolerances", {"exact": -1}),
-                         ("tolerances", {"norm": 10**400})):
+                         ("tolerances", {"norm": 10**400}),
+                         # float(q) overflows on an int too large for a float
+                         ("q_values", [10**400]), ("q_values", [-10**400])):
         with pytest.raises(ValueError, match=repr(field)):
             SweepConfig(**{field: value})
     with pytest.raises(ValueError, match="kadison_shwarz"):  # a typo used to run the default
@@ -240,6 +243,17 @@ def _one_row_suite(monkeypatch, row, *checks):
     return run_suite(small_config(), "wick")
 
 
+def test_q_commutation_row_skips_the_top_block():
+    # the row reads the blocks (n, n), n < N, of a c - q c a; c a composed
+    # with the whole a adds (N, N) blocks it never reads, and its peak at
+    # (b2+t1, 0.9, N = 5) is then 4.1 MiB
+    config = SweepConfig(q_values=(0.9,), spectra=("b2+t1",), degree=5)
+    pt = reports._Point(config, "b2+t1", 0.9)
+    pt.rng = np.random.default_rng(0)
+    list(reports._q_commutation_residual(pt))  # warm the context's caches
+    assert allocation_peak(lambda: list(reports._q_commutation_residual(pt))) < 3.0
+
+
 def test_run_suite_keeps_each_checks_worst_measurement(monkeypatch):
     def row(pt):
         yield 1.0, 5.0
@@ -404,7 +418,8 @@ def test_cli_exit_codes(tmp_path):
     # config and IO errors exit 2 with one line on stderr, before any check runs
     for name, config in (("degree", {"degree": "x"}), ("spectra", {"spectra": "b2"}),
                          ("samples", {"samples": {"kadison_shwarz": 5}}),
-                         ("tolerances", {"tolerances": {"norm": float("inf")}})):
+                         ("tolerances", {"tolerances": {"norm": float("inf")}}),
+                         ("q_values", {"q_values": [10**400]})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         bad = run_cli(["--config", str(path), "--out", str(tmp_path / "x.json")])

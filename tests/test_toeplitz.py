@@ -1,13 +1,14 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from qfock import reports, toeplitz
+from qfock import fock, reports, toeplitz
 from qfock import spaces as sp
 from qfock.fock import (FockContext, GradedOperator, GradedVector, annihilation, c_constant,
                         creation, first_quantization, r_star)
-from conftest import Q_GRID, make_ctx
+from conftest import Q_GRID, allocation_peak, make_ctx
 
 
 def test_monomial_free_action_on_vacuum(ctx_free, rng):
@@ -156,6 +157,56 @@ def test_finkernel_sees_a_dependent_column_whatever_its_scale(monkeypatch, scale
     report = toeplitz.finkernel_rank(ctx, [0, 1], max_length=2)
     assert report["rank"] == report["n_columns"] - 1
     assert not report["full_rank"]
+
+
+def _dense_singular_values(ctx, indices, max_length):
+    """Singular values, largest first, of the realization matrix assembled
+    whole: one unit-norm column per monomial, over every output degree and
+    the input degrees 0..N - max_length."""
+    basis = [np.eye(ctx.dim)[i] for i in indices]
+    columns = []
+    for k in range(max_length + 1):
+        for m in range(max_length + 1 - k):
+            for vs in itertools.product(basis, repeat=k):
+                for ws in itertools.product(basis, repeat=m):
+                    blocks = toeplitz.monomial(ctx, list(vs), list(ws)).op.blocks
+                    columns.append(fock._assemble(
+                        ctx, ctx, blocks, range(ctx.degree + 1),
+                        range(ctx.degree - max_length + 1), gauge=False).ravel())
+    matrix = np.stack(columns, axis=1)
+    matrix /= np.linalg.norm(matrix, axis=0)
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+@pytest.mark.parametrize("spectrum, degree, q", [
+    *itertools.product(["t1", "t2", "b2", "b2+t1", "b2x2"], [4, 5], [0.5, -0.9, 0.9]),
+    ("b2+t1", 6, 0.9)])
+def test_finkernel_shift_groups_match_the_whole_matrix(spectrum, degree, q):
+    # the matrix is block diagonal over the shifts k - m, so the groups'
+    # singular values together are the whole matrix's
+    ctx = make_ctx(spectrum, q, degree)
+    index_sets = [reports._subspace_indices(ctx.space)]
+    if ctx.dim <= 3 and degree < 6:
+        index_sets.append(list(range(ctx.dim)))
+    for indices in index_sets:
+        dense = _dense_singular_values(ctx, indices, 2)
+        grouped = toeplitz._realization_singular_values(ctx, indices, 2)
+        report = toeplitz.finkernel_rank(ctx, indices, max_length=2)
+        assert report["n_columns"] == len(dense)
+        assert report["rank"] == np.sum(dense > 1e-8 * dense[0])
+        np.testing.assert_allclose(grouped, dense, rtol=1e-12, atol=0)
+        assert report["smallest_singular_value"] == grouped[-1]
+        assert report["largest_singular_value"] == grouped[0]
+
+
+def test_finkernel_allocates_one_shift_group_at_a_time():
+    # assembled whole, the matrix at (b2+t1, 0.9, N = 5) is 3.8 MiB, and its
+    # column list, the matrix and the SVD's copy peak at 11.5 MiB; one shift
+    # group at a time, with its monomials and its SVD, stays below 4 MiB
+    ctx = make_ctx("b2+t1", 0.9, 5)
+    indices = reports._subspace_indices(ctx.space)
+    toeplitz.finkernel_rank(ctx, indices, max_length=2)  # warm the context's caches
+    assert allocation_peak(lambda: toeplitz.finkernel_rank(ctx, indices, max_length=2)) < 4.0
 
 
 def test_finkernel_rejects_deep_lengths(ctx_half):
