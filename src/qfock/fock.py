@@ -346,14 +346,18 @@ class FockContext:
         arr = Z @ self.ann_words(m, p).reshape(self.dim ** m, -1)
         return arr.reshape(Z.shape[:-2] + (self.dim ** (k + p - m), self.dim ** p))
 
-    def mixed_word_operator(self, Z, k: int, m: int) -> "GradedOperator":
-        blocks = {}
-        for p in range(m, self.degree + 1):
-            out = p - m + k
-            if out > self.degree:
-                continue
-            blocks[(out, p)] = self.mixed_word_block(Z, k, m, p)
-        return GradedOperator(self, self, blocks)
+
+def _mixed_word_inputs(ctx: FockContext, k: int, m: int, inputs) -> list:
+    """The degrees p of ``inputs`` where a word of k creations and m
+    annihilations has a block in the truncation: ``m <= p``, ``p - m + k <= N``."""
+    return [p for p in range(m, ctx.degree + 1) if p - m + k <= ctx.degree and p in inputs]
+
+
+def _mixed_word_blocks(ctx: FockContext, Z, k: int, m: int, inputs) -> dict:
+    """Blocks (p - m + k, p), p in ``_mixed_word_inputs``, of the mixed word of
+    ``Z`` (``FockContext.mixed_word_block``), or the stacks of a stack of ``Z``."""
+    return {(p - m + k, p): ctx.mixed_word_block(Z, k, m, p)
+            for p in _mixed_word_inputs(ctx, k, m, inputs)}
 
 
 class GradedVector:
@@ -383,11 +387,16 @@ class GradedVector:
     def random(cls, ctx: FockContext, rng) -> "GradedVector":
         return cls(ctx, [_gaussian(rng, ctx.block_size(n)) for n in range(ctx.degree + 1)])
 
+    def _paired(self, other) -> zip:
+        if other.ctx is not self.ctx:
+            raise ValueError("context mismatch in vector sum (base dimension, q or degree)")
+        return zip(self.blocks, other.blocks)
+
     def __add__(self, other):
-        return GradedVector(self.ctx, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return GradedVector(self.ctx, [a + b for a, b in self._paired(other)])
 
     def __sub__(self, other):
-        return GradedVector(self.ctx, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return GradedVector(self.ctx, [a - b for a, b in self._paired(other)])
 
     def __rmul__(self, scalar):
         return GradedVector(self.ctx, [scalar * b for b in self.blocks])
@@ -619,6 +628,8 @@ class GradedOperator:
                                        _adjoint(self.ctx_out, self.ctx_in, self.blocks))
 
     def apply(self, vec: GradedVector) -> GradedVector:
+        if vec.ctx is not self.ctx_in:
+            raise ValueError("context mismatch in operator application")
         return GradedVector(self.ctx_out, _apply(self.ctx_out, self.blocks, vec.blocks))
 
     def vacuum_expectation(self) -> complex:
@@ -673,19 +684,19 @@ def blockwise_gap(ctx: FockContext, A: GradedOperator, B: GradedOperator, inputs
 
 
 def creation(ctx: FockContext, v) -> GradedOperator:
-    """Creation operator: left tensoring by ``v``; degree N maps to zero."""
+    """Creation operator: left tensoring by ``v``, the mixed word of one
+    creation; degree N maps to zero."""
     v = np.asarray(v, dtype=complex).reshape(ctx.dim)
-    blocks = {}
-    for n in range(ctx.degree):
-        blocks[(n + 1, n)] = _kron(v[:, None], np.eye(ctx.block_size(n)))
-    return GradedOperator(ctx, ctx, blocks)
+    return GradedOperator(ctx, ctx, _mixed_word_blocks(ctx, v[:, None], 1, 0,
+                                                       range(ctx.degree + 1)))
 
 
 def annihilation(ctx: FockContext, v) -> GradedOperator:
     """Annihilation operator; the q-adjoint of creation, realized as the
     symmetrizer conjugate of the free annihilation."""
     v = np.asarray(v, dtype=complex).reshape(ctx.dim)
-    return ctx.mixed_word_operator(np.conj(v)[None, :], 0, 1)
+    return GradedOperator(ctx, ctx, _mixed_word_blocks(ctx, np.conj(v)[None, :], 0, 1,
+                                                       range(ctx.degree + 1)))
 
 
 def s_q(ctx: FockContext, h) -> GradedOperator:

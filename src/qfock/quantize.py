@@ -81,14 +81,6 @@ def _guard(contractions, matrix, src_ctx: FockContext, tgt_ctx: FockContext) -> 
         raise ValueError("contexts must share q and truncation degree")
 
 
-def tensor_powers(contraction: DeformedContraction, src_ctx: FockContext,
-                  tgt_ctx: FockContext) -> GradedOperator:
-    """``first_quantization(src_ctx, tgt_ctx, T)`` of a contraction ``T`` between
-    the contexts' spaces, behind the one guard of second quantisation."""
-    _guard([contraction], contraction.matrix, src_ctx, tgt_ctx)
-    return first_quantization(src_ctx, tgt_ctx, contraction.matrix)
-
-
 def _dilation_powers(matrix, src_ctx, tgt_ctx, comb_ctx) -> dict:
     """Blocks of ``F = F_q(P U)``, ``U`` the unitary dilation of a contraction
     matrix between the contexts' spaces, or of each matrix of a stack."""
@@ -96,7 +88,7 @@ def _dilation_powers(matrix, src_ctx, tgt_ctx, comb_ctx) -> dict:
         raise ValueError("combined context has wrong base dimension")
     if comb_ctx.degree != tgt_ctx.degree or comb_ctx.q != tgt_ctx.q:
         raise ValueError("combined and target contexts must share q and degree")
-    U = spaces._dilate(src_ctx.space, tgt_ctx.space, matrix)
+    U = spaces.dilate(src_ctx.space, tgt_ctx.space, matrix)
     return _tensor_powers(spaces.projection_matrix(src_ctx.space, tgt_ctx.space) @ U,
                           tgt_ctx.degree)
 

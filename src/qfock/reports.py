@@ -28,10 +28,10 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, _tensor_powers, annihilation,
-                   blockwise_gap, c_constant, check_metric_floor, creation, factorization_residual,
-                   gauge_block, hermitian_min_eig, id_embedding_norm, rstar_adjoint_residual,
-                   rstar_deformed_norm, rstar_free_norm, stack_norm)
+from .fock import (FockContext, GradedOperator, GradedVector, _on_inputs, _tensor_powers,
+                   annihilation, blockwise_gap, c_constant, check_metric_floor, creation,
+                   factorization_residual, gauge_block, hermitian_min_eig, id_embedding_norm,
+                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
 from .spaces import BlockSpectrum, _gaussian, _spectral_norm, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -289,8 +289,7 @@ def _q_commutation_residual(pt: _Point):
         w = _gaussian(rng, ctx.dim)
         a, c = annihilation(ctx, v), creation(ctx, w)
         # the blocks (n, n), n < N, of c a need a on input degrees < N only
-        a_low = GradedOperator(ctx, ctx, {key: B for key, B in a.blocks.items()
-                                          if key[1] < ctx.degree})
+        a_low = GradedOperator(ctx, ctx, _on_inputs(a.blocks, range(ctx.degree)))
         comm = a @ c - ctx.q * (c @ a_low)
         scalar = sp.deformed_inner(ctx.space, v, w)
         for n in range(ctx.degree):  # safe window: below the truncation cut
@@ -346,16 +345,17 @@ def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
 
 
 def _dilation(pt: _Point):
+    """Unitarity and corner residuals of random dilations, as one stack."""
     space, rng = pt.space, pt.rng
     comb = sp.direct_sum(space, space)
-    for _ in range(pt.config.samples["dilate"]):
-        T = sp.random_contraction(rng, space, space, norm=0.5)
-        U = sp.dilate(T)
-        Uadj = sp.deformed_adjoint(comb, comb, U)
-        corner = sp.projection_matrix(space, space) @ U @ sp.inclusion_matrix(space, space)
-        yield max(_spectral_norm(Uadj @ U - np.eye(comb.dim)),
-                  _spectral_norm(U @ Uadj - np.eye(comb.dim)),
-                  _spectral_norm(corner - T.matrix))
+    T = np.stack([sp.random_contraction(rng, space, space, norm=0.5).matrix
+                  for _ in range(pt.config.samples["dilate"])])
+    U = sp.dilate(space, space, T)
+    Uadj = sp.deformed_adjoint(comb, comb, U)
+    corner = sp.projection_matrix(space, space) @ U @ sp.inclusion_matrix(space, space)
+    yield from np.max([_spectral_norm(Uadj @ U - np.eye(comb.dim)),
+                       _spectral_norm(U @ Uadj - np.eye(comb.dim)),
+                       _spectral_norm(corner - T)], axis=0).tolist()
 
 
 def _channel_on_words(pt: _Point):

@@ -167,9 +167,10 @@ def deformed_op_norm(src: DeformedSpace, tgt: DeformedSpace, M) -> float:
 
 
 def deformed_adjoint(src: DeformedSpace, tgt: DeformedSpace, M) -> np.ndarray:
-    """Adjoint of ``M: src -> tgt`` w.r.t. the deformed inner products."""
+    """Adjoint of ``M: src -> tgt`` w.r.t. the deformed inner products, per
+    matrix of a stack."""
     M = np.asarray(M)
-    return (np.conj(M).T * tgt.g[None, :]) / src.g[:, None]
+    return (np.conj(M).swapaxes(-1, -2) * tgt.g[None, :]) / src.g[:, None]
 
 
 def jti_map(src: DeformedSpace, tgt: DeformedSpace, M) -> np.ndarray:
@@ -232,19 +233,15 @@ class DeformedContraction:
         return iti_residual(self.source, self.target, self.matrix)
 
 
-def dilate(contraction: DeformedContraction) -> np.ndarray:
-    """Unitary dilation on ``source (+) target`` (deformed metrics).
+def dilate(src: DeformedSpace, tgt: DeformedSpace, T) -> np.ndarray:
+    """Unitary dilation on ``src (+) tgt`` (deformed metrics) of a matrix
+    ``T: src -> tgt`` of deformed norm at most 1, or of each matrix of a
+    stack along a leading axis, bit for bit as alone; a norm above 1 raises.
 
     Returns the block matrix with entries ``(1-T#T)^{1/2}, T#, T,
     -(1-TT#)^{1/2}`` where ``#`` is the deformed adjoint; it is unitary for
     the direct-sum deformed metric and satisfies ``P U iota = T``.
     """
-    return _dilate(contraction.source, contraction.target, contraction.matrix)
-
-
-def _dilate(src: DeformedSpace, tgt: DeformedSpace, T) -> np.ndarray:
-    """``dilate`` of a matrix ``T: src -> tgt``, or of each matrix of a stack,
-    bit for bit as alone; a matrix of norm above 1 raises."""
     # work in the orthonormal gauge, where adjoints are conjugate transposes
     Tg = _gauge(tgt.g, T, src.g)
     if np.max(_spectral_norm(Tg)) > 1.0 + NORM_TOL:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockContext, GradedOperator, _kron, c_constant, coordinate_index, r_star
+from .fock import (FockContext, GradedOperator, _kron, _mixed_word_blocks, c_constant,
+                   coordinate_index, r_star)
 from .spaces import DeformedSpace, _gaussian
 
 
@@ -46,7 +47,8 @@ def realize(ctx: FockContext, coeff, n_create: int, n_annihilate: int) -> Length
         raise ValueError("length overflow for this truncation")
     Z = np.asarray(coeff, dtype=complex).reshape(ctx.block_size(n_create),
                                                  ctx.block_size(n_annihilate))
-    op = ctx.mixed_word_operator(Z, n_create, n_annihilate)
+    op = GradedOperator(ctx, ctx, _mixed_word_blocks(ctx, Z, n_create, n_annihilate,
+                                                     range(ctx.degree + 1)))
     return LengthElement(ctx, n_create, n_annihilate, Z, op)
 
 

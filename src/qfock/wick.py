@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockContext, GradedOperator, _apply_r_star
+from .fock import (FockContext, GradedOperator, _apply_r_star, _mixed_word_blocks,
+                   _mixed_word_inputs)
 
 
 @dataclass
@@ -59,23 +60,16 @@ def _word_blocks(ctx: FockContext, xi, degree: int, degrees) -> dict:
     n = degree
     dim = ctx.dim
     lead, tensor_first = xi.shape[:-1], xi.T
-    if n == 0:  # a scalar: no annihilation-word tensors to build and cache
-        scalar = xi[..., :1, None]
-        return {(p, p): scalar * np.eye(ctx.block_size(p), dtype=complex)
-                for p in range(ctx.degree + 1) if p in degrees}
     blocks = {}
     for k in range(n + 1):
         m = n - k
-        inputs_kept = [p for p in range(m, ctx.degree + 1)
-                       if p - m + k <= ctx.degree and p in degrees]
-        if not inputs_kept:
+        if not _mixed_word_inputs(ctx, k, m, degrees):
             continue
         # the crossing-weighted sum over partitions is R*_{k,m} xi, the tensor
         # axis first; the annihilation arguments are conjugated basis vectors
         Z = _apply_r_star(ctx.q, dim, k, m, tensor_first).T.reshape(
             lead + (dim ** k, dim ** m))[..., ctx.partner_map(m)]
-        for p in inputs_kept:
-            blocks[(p - m + k, p)] = ctx.mixed_word_block(Z, k, m, p)
+        blocks.update(_mixed_word_blocks(ctx, Z, k, m, degrees))
     return blocks
 
 

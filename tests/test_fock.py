@@ -826,3 +826,34 @@ def test_mixed_word_block_matches_the_einsum_oracle():
             got = ctx.mixed_word_block(Z, k, m, p)
             assert got.shape == oracle.shape
             assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max(), (spectrum, k, m, p)
+
+
+@pytest.mark.parametrize("spectrum, q, degree", [("t1", 0.5, 4), ("b2+t1", -0.9, 4),
+                                                 ("b2", 0.9, 5)])
+def test_creation_blocks_are_left_tensoring_by_v(spectrum, q, degree):
+    # the Kronecker products creation was once built from, exactly
+    gen = np.random.default_rng(930)
+    ctx = make_ctx(spectrum, q, degree)
+    v = sp._gaussian(gen, ctx.dim)
+    blocks = creation(ctx, v).blocks
+    assert list(blocks) == [(n + 1, n) for n in range(ctx.degree)]
+    for (_, n), B in blocks.items():
+        assert np.array_equal(B, fock._kron(v[:, None], np.eye(ctx.block_size(n))))
+
+
+def test_vectors_and_apply_refuse_another_context():
+    # another q is another metric, and another degree another set of blocks:
+    # a sum would read the first metric only or drop blocks, and an operator
+    # of one context applied to a vector of another would mix both
+    gen = np.random.default_rng(931)
+    ctx = make_ctx("b2", 0.5, 3)
+    for other in (make_ctx("b2", 0.9, 3), make_ctx("b2", 0.5, 4)):
+        x, y = GradedVector.random(ctx, gen), GradedVector.random(other, gen)
+        for combine in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: y - x,
+                        lambda: creation(ctx, [1.0, 0.5j]).apply(y),
+                        lambda: creation(other, [1.0, 0.5j]).apply(x)):
+            with pytest.raises(ValueError, match="context"):
+                combine()
+    same = GradedVector.random(ctx, gen)
+    assert (same - same).norm() == 0.0
+    assert creation(ctx, [1.0, 0.5j]).apply(same).ctx is ctx

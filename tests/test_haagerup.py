@@ -211,7 +211,7 @@ def test_damped_channels_preserve_state(rng):
     damped = sp.DeformedContraction(
         space, space, np.exp(-0.5) * haagerup.generate_admissible(space, 4).matrix)
     channel = quantize.QuantizationChannel(damped, ctx, ctx, comb_ctx)
-    powers = quantize.tensor_powers(damped, ctx, ctx)
+    powers = first_quantization(ctx, ctx, damped.matrix)
     assert channel.conjugate(GradedOperator.identity(comb_ctx)).max_diff(
         GradedOperator.identity(ctx)) < 1e-10
     for n in (0, 1, 2):
@@ -237,7 +237,7 @@ def test_state_preservation_on_squared_field(rng):
     sq = word.op @ word.op
     emb = quantize.embed_wick(ctx, comb_ctx, word).op
     oracle = _vacuum_gap(sq, channel.conjugate(emb @ emb))
-    powers = quantize.tensor_powers(damped, ctx, ctx)
+    powers = first_quantization(ctx, ctx, damped.matrix)
     gap = _vacuum_gap(sq, quantize.intrinsic_image(powers, sq, range(1)))
     assert gap < 1e-10
     assert abs(gap - oracle) < 1e-12

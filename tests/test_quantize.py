@@ -193,7 +193,7 @@ def _dilation_route(ctx, matrix):
     contraction matrix on ``ctx``'s space, without the ``J T I = T`` guard."""
     space = ctx.space
     comb_ctx = FockContext(sp.direct_sum(space, space), ctx.q, ctx.degree)
-    U = sp.dilate(sp.DeformedContraction(space, space, matrix))
+    U = sp.dilate(space, space, matrix)
     return comb_ctx, quantize.conjugation_channel(comb_ctx, ctx,
                                                   sp.projection_matrix(space, space) @ U)
 
@@ -525,7 +525,8 @@ def test_channel_shortcuts_equal_the_old_routes_bit_for_bit(spectrum):
         for _ in range(3):
             channel, ctx = build_channel(spectrum, q, 3, gen)
             comb_ctx = channel.comb_ctx
-            PU = sp.projection_matrix(ctx.space, ctx.space) @ sp.dilate(channel.contraction)
+            PU = sp.projection_matrix(ctx.space, ctx.space) @ sp.dilate(
+                ctx.space, ctx.space, channel.contraction.matrix)
             old_image = quantize.conjugation_channel(comb_ctx, ctx, PU)(
                 GradedOperator.identity(comb_ctx))
             assert _residuals(channel, 1, sp._gaussian(gen, ctx.dim))[1] \
@@ -604,7 +605,7 @@ def test_stacked_channel_defect_stays_in_its_draw(monkeypatch, defect):
     if defect == "dilation_block":
         # -(1 - T T#)^{1/2}, the dilation's target corner, scaled: F is no
         # longer a co-isometry, so F F# - 1 is no longer 0
-        dilate, red = sp._dilate, (1,)
+        dilate, red = sp.dilate, (1,)
 
         def faulty(src, tgt, T):
             U = dilate(src, tgt, T)
@@ -613,7 +614,7 @@ def test_stacked_channel_defect_stays_in_its_draw(monkeypatch, defect):
                     U[i, src.dim:, src.dim:] *= 1.5
             return U
 
-        monkeypatch.setattr(sp, "_dilate", faulty)
+        monkeypatch.setattr(sp, "dilate", faulty)
     else:
         # the image tensor of conj(T), J T I without the conjugation's partner
         # permutation: Wick covariance and the GNS action go red

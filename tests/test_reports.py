@@ -221,7 +221,7 @@ def test_functoriality_check_has_teeth(monkeypatch, spectrum):
         pt.rng = np.random.default_rng(44)
         return max(reports._functoriality(pt))
 
-    dilate = sp._dilate
+    dilate = sp.dilate
 
     def shrunk_corner(src, tgt, T):
         U = dilate(src, tgt, T)
@@ -231,9 +231,63 @@ def test_functoriality_check_has_teeth(monkeypatch, spectrum):
     bound = DEFAULT_TOLERANCES["norm"]
     for q in (0.5, -0.9, 0.9):
         assert residual(q) <= bound
-    monkeypatch.setattr(sp, "_dilate", shrunk_corner)
+    monkeypatch.setattr(sp, "dilate", shrunk_corner)
     for q in (0.5, -0.9, 0.9):
         assert residual(q) > bound
+
+
+def _one_draw_dilation_row(pt):
+    """The dilation row one contraction at a time, each dilated alone right
+    after its draw."""
+    space, rng = pt.space, pt.rng
+    comb = sp.direct_sum(space, space)
+    for _ in range(pt.config.samples["dilate"]):
+        T = sp.random_contraction(rng, space, space, norm=0.5)
+        U = sp.dilate(space, space, T.matrix)
+        Uadj = sp.deformed_adjoint(comb, comb, U)
+        corner = sp.projection_matrix(space, space) @ U @ sp.inclusion_matrix(space, space)
+        yield max(sp._spectral_norm(Uadj @ U - np.eye(comb.dim)),
+                  sp._spectral_norm(U @ Uadj - np.eye(comb.dim)),
+                  sp._spectral_norm(corner - T.matrix))
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1", "b2x2"])
+def test_stacked_dilation_row_equals_one_draw_dilations(spectrum):
+    # the row draws its contractions first, its only draws, and dilates them
+    # as one stack: the same residuals, exactly, as the loop it replaced
+    for seed in (45, 46):
+        pt = reports._Point(SweepConfig(spectra=(spectrum,)), spectrum, 0.5)
+        pt.rng = np.random.default_rng(seed)
+        stacked = list(reports._dilation(pt))
+        pt.rng = np.random.default_rng(seed)
+        assert stacked == list(_one_draw_dilation_row(pt))
+        assert len(stacked) == 20 and max(stacked) <= DEFAULT_TOLERANCES["algebraic"]
+
+
+@pytest.mark.parametrize("defect", ["flipped_target_corner", "shrunk_corner"])
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1"])
+def test_dilation_check_has_teeth(monkeypatch, spectrum, defect):
+    # +(1 - T T#)^{1/2} in the target corner breaks unitarity; a T corner
+    # scaled by 0.9 breaks it too and misses P U iota = T by 0.05
+    def residuals():
+        pt = reports._Point(SweepConfig(spectra=(spectrum,)), spectrum, 0.5)
+        pt.rng = np.random.default_rng(47)
+        return list(reports._dilation(pt))
+
+    dilate = sp.dilate
+
+    def faulty(src, tgt, T):
+        U = dilate(src, tgt, T)
+        if defect == "flipped_target_corner":
+            U[..., src.dim:, src.dim:] *= -1.0
+        else:
+            U[..., src.dim:, :src.dim] *= 0.9
+        return U
+
+    bound = DEFAULT_TOLERANCES["algebraic"]
+    assert max(residuals()) <= bound
+    monkeypatch.setattr(sp, "dilate", faulty)
+    assert min(residuals()) > bound
 
 
 def _one_row_suite(monkeypatch, row, *checks):

@@ -106,7 +106,7 @@ def test_dilation_properties_random_sweep(rng):
         tgt = spaces_list[(i // 4) % 4]
         T = sp.random_contraction(rng, src, tgt, norm=0.9)
         comb = sp.direct_sum(src, tgt)
-        U = sp.dilate(T)
+        U = sp.dilate(src, tgt, T.matrix)
         Uadj = sp.deformed_adjoint(comb, comb, U)
         assert np.linalg.norm(Uadj @ U - np.eye(comb.dim)) < 1e-10
         assert np.linalg.norm(U @ Uadj - np.eye(comb.dim)) < 1e-10
@@ -149,3 +149,35 @@ def test_gaussian_draws_real_parts_then_imaginary_parts():
     z = complex(sp._gaussian(gen, ()))
     assert z == complex(ref.standard_normal(), ref.standard_normal())
     assert gen.standard_normal() == ref.standard_normal()  # same draws consumed
+
+
+_SPACES = {s: sp.build_space(parse_spectrum(s)) for s in ("t1", "t2", "b2", "b2+t1")}
+_PAIRS = [("t1", "t1"), ("t2", "b2"), ("b2+t1", "b2+t1"), ("b2", "b2+t1"), ("b2+t1", "t1")]
+
+
+@pytest.mark.parametrize("src, tgt", _PAIRS)
+def test_dilate_on_a_stack_is_one_matrix_at_a_time_bit_for_bit(src, tgt):
+    gen = np.random.default_rng(61)
+    src, tgt = _SPACES[src], _SPACES[tgt]
+    stack = np.stack([sp.random_contraction(gen, src, tgt, norm=norm).matrix
+                      for norm in (0.1, 0.5, 0.9, 1.0, 0.7)])
+    stacked = sp.dilate(src, tgt, stack)
+    assert stacked.shape == (5, src.dim + tgt.dim, src.dim + tgt.dim)
+    for T, U in zip(stack, stacked):
+        assert np.array_equal(U, sp.dilate(src, tgt, T))
+    # one matrix past norm 1 makes the whole stack raise, as it raises alone
+    stack[3] *= 1.5
+    for M in (stack[3], stack):
+        with pytest.raises(ValueError, match="cannot dilate"):
+            sp.dilate(src, tgt, M)
+
+
+@pytest.mark.parametrize("src, tgt", _PAIRS)
+def test_deformed_adjoint_on_a_stack_is_one_matrix_at_a_time_bit_for_bit(src, tgt):
+    gen = np.random.default_rng(62)
+    src, tgt = _SPACES[src], _SPACES[tgt]
+    stack = sp._gaussian(gen, (4, tgt.dim, src.dim))
+    stacked = sp.deformed_adjoint(src, tgt, stack)
+    assert stacked.shape == (4, src.dim, tgt.dim)
+    for M, adjoint in zip(stack, stacked):
+        assert np.array_equal(adjoint, sp.deformed_adjoint(src, tgt, M))

@@ -328,3 +328,21 @@ def test_compression_is_the_first_quantisation_sandwich():
     for q, degree in ((ctx.q, ctx.degree - 1), (-ctx.q, ctx.degree)):
         with pytest.raises(ValueError):
             toeplitz.compression(ctx, FockContext(sub, q, degree), [0, 1], op)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 5])
+def test_realize_keeps_exactly_the_blocks_of_the_truncation_rule(degree):
+    # a word of k creations and m annihilations maps degree p to p - m + k,
+    # and has a block wherever both degrees lie in 0..N
+    ctx = make_ctx("t2", 0.5, degree)
+    gen = np.random.default_rng(933)
+    for k, m in itertools.product(range(degree + 1), repeat=2):
+        if k + m > degree:
+            continue
+        Z = sp._gaussian(gen, (ctx.block_size(k), ctx.block_size(m)))
+        blocks = toeplitz.realize(ctx, Z, k, m).op.blocks
+        expected = {(out, p) for p in range(degree + 1) for out in range(degree + 1)
+                    if p >= m and out == p - m + k}
+        assert set(blocks) == expected
+        for (_, p), B in blocks.items():
+            assert np.array_equal(B, ctx.mixed_word_block(Z, k, m, p))

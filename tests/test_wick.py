@@ -187,3 +187,21 @@ def test_wick_product_recursion():
                                            for m, y in expect.items()])
                     scale = np.hypot.reduce([ctx.q_norm(y, m) for m, y in expect.items()])
                     assert gap <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("spectrum, q, degree", [("t1", 0.0, 4), ("b2+t1", 0.5, 4),
+                                                 ("b2", -0.9, 5)])
+def test_degree_zero_word_is_exactly_the_scalar_on_every_input_degree(spectrum, q, degree):
+    # one draw and a stack: c times the identity on each kept input degree
+    ctx = make_ctx(spectrum, q, degree)
+    gen = np.random.default_rng(932)
+    c = complex(gen.standard_normal(), gen.standard_normal())
+    for inputs in (None, (0,), (1, 3)):
+        blocks = wick.wick_word(ctx, np.array([c]), 0, inputs=inputs).op.blocks
+        kept = range(ctx.degree + 1) if inputs is None else inputs
+        assert list(blocks) == [(p, p) for p in kept]
+        for (p, _), B in blocks.items():
+            assert np.array_equal(B, c * np.eye(ctx.block_size(p)))
+    scalars = np.array([[c], [2.0 - 1j], [0.0]])
+    for (p, _), B in wick._word_blocks(ctx, scalars, 0, range(ctx.degree + 1)).items():
+        assert np.array_equal(B, scalars[:, :, None] * np.eye(ctx.block_size(p)))
