@@ -38,9 +38,10 @@ import numpy as np
 from .spaces import DeformedSpace, _gaussian, _spectral_norm
 
 def _per_draw(values):
-    """A float for one draw (a scalar), the array itself for a stack of draws."""
+    """A Python scalar for one draw (a scalar), the array itself for a stack
+    of draws (or of degree pairs)."""
     values = np.asarray(values)
-    return float(values) if values.ndim == 0 else values
+    return values.item() if values.ndim == 0 else values
 
 
 # c_constant by q, and the partition orders of R*_{n,k} by (n + k, n): plain
@@ -787,10 +788,13 @@ def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
     return _apply_r_star(ctx.q, ctx.dim, n, k, np.eye(ctx.block_size(n + k)))
 
 
-def stack_norm(stacks) -> float:
+def stack_norm(stacks):
     """Spectral norm of a block-diagonal matrix given as a list of (count, b, b)
-    stacks of its blocks (``FockContext.type_stacks``): the largest block norm."""
-    return max(float(np.linalg.svd(S, compute_uv=False)[:, 0].max()) for S in stacks)
+    stacks of its blocks (``FockContext.type_stacks``): the largest block norm.
+    Stacks with a leading pair axis, (pairs, count, b, b), give one norm per
+    pair."""
+    return _per_draw(np.max([np.linalg.svd(S, compute_uv=False)[..., 0].max(axis=-1)
+                             for S in stacks], axis=0))
 
 
 def hermitian_min_eig(stacks) -> float:
@@ -799,33 +803,65 @@ def hermitian_min_eig(stacks) -> float:
     return min(float(_min_eigs(S).min()) for S in stacks)
 
 
-def factorization_residual(ctx: FockContext, n: int, k: int) -> float:
+# -- the pair functions ----------------------------------------------------------
+# Each takes one degree pair (n, k), or equal-length sequences n and k of pairs
+# of one total degree p = n + k: the type stacks of every pair have the shapes
+# of degree p, so the pairs' stacks are stacked along a leading pair axis
+# (``_pair_stacks``), as draws are in the block algebra, and each pair's value
+# comes out bit for bit as alone.  One pair gives a float, sequences an array
+# of one value per pair.
+
+
+def _total_degree(n, k) -> int:
+    """``n + k`` of a degree pair, or the one total degree of sequences of them."""
+    if np.ndim(n) == 0 and np.ndim(k) == 0:
+        return int(n) + int(k)
+    totals = {int(a) + int(b) for a, b in zip(n, k, strict=True)}
+    if len(totals) != 1:
+        raise ValueError(f"degree pairs must share one total degree n + k, got {sorted(totals)}")
+    return totals.pop()
+
+
+def _pair_stacks(ctx: FockContext, name: str, n, k) -> list:
+    """``ctx.stacks(name, n, k)`` of one degree pair, or of every pair of the
+    sequences n and k (of one total degree) as (pairs, count, b, b) stacks."""
+    if np.ndim(n) == 0 and np.ndim(k) == 0:
+        return ctx.stacks(name, int(n), int(k))
+    _total_degree(n, k)
+    per_pair = [ctx.stacks(name, int(a), int(b)) for a, b in zip(n, k)]
+    return [np.array(group) for group in zip(*per_pair)]
+
+
+def factorization_residual(ctx: FockContext, n, k):
     """Spectral-norm residual of ``P_q^(n+k) = (P_q^(n) (x) P_q^(k)) R*``."""
-    groups = zip(ctx.stacks("sym", n + k), ctx.stacks("sym", n, k), ctx.stacks("rstar", n, k))
+    groups = zip(ctx.stacks("sym", _total_degree(n, k)), _pair_stacks(ctx, "sym", n, k),
+                 _pair_stacks(ctx, "rstar", n, k))
     return stack_norm([lhs - pair @ rstar for lhs, pair, rstar in groups])
 
 
-def rstar_free_norm(ctx: FockContext, n: int, k: int) -> float:
+def rstar_free_norm(ctx: FockContext, n, k):
     """Norm of R* between undeformed tensor powers (plain spectral norm; the
     base metric commutes with position permutations)."""
-    return stack_norm(ctx.stacks("rstar", n, k))
+    return stack_norm(_pair_stacks(ctx, "rstar", n, k))
 
 
-def id_embedding_norm(ctx: FockContext, n: int, k: int) -> float:
+def id_embedding_norm(ctx: FockContext, n, k):
     """Deformed norm of the coordinate identity from degree-n (x) degree-k to
     degree n+k."""
-    groups = zip(ctx.stacks("metric_sqrt", n + k), ctx.stacks("metric_invsqrt", n, k))
+    groups = zip(ctx.stacks("metric_sqrt", _total_degree(n, k)),
+                 _pair_stacks(ctx, "metric_invsqrt", n, k))
     return stack_norm([sqrt @ pair_invsqrt for sqrt, pair_invsqrt in groups])
 
 
-def rstar_deformed_norm(ctx: FockContext, n: int, k: int) -> float:
-    groups = zip(ctx.stacks("metric_sqrt", n, k), ctx.stacks("rstar", n, k),
-                 ctx.stacks("metric_invsqrt", n + k))
+def rstar_deformed_norm(ctx: FockContext, n, k):
+    groups = zip(_pair_stacks(ctx, "metric_sqrt", n, k), _pair_stacks(ctx, "rstar", n, k),
+                 ctx.stacks("metric_invsqrt", _total_degree(n, k)))
     return stack_norm([pair_sqrt @ rstar @ invsqrt for pair_sqrt, rstar, invsqrt in groups])
 
 
-def rstar_adjoint_residual(ctx: FockContext, n: int, k: int) -> float:
+def rstar_adjoint_residual(ctx: FockContext, n, k):
     """Residual of ``(Id_{n,k})* = R*`` w.r.t. the deformed q-inner products."""
-    groups = zip(ctx.stacks("metric", n, k), ctx.stacks("metric", n + k),
-                 ctx.stacks("rstar", n, k))
-    return stack_norm([np.linalg.solve(pair, metric) - rstar for pair, metric, rstar in groups])
+    groups = zip(_pair_stacks(ctx, "metric", n, k), ctx.stacks("metric", _total_degree(n, k)),
+                 _pair_stacks(ctx, "rstar", n, k))
+    return stack_norm([np.linalg.solve(pair, np.broadcast_to(metric, pair.shape)) - rstar
+                       for pair, metric, rstar in groups])

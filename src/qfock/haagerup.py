@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces
-from .fock import FockContext, first_quantization
+from .fock import FockContext, _apply, _graded_norm, _tensor_powers, first_quantization
 from .spaces import DeformedContraction, DeformedSpace
 
 
@@ -70,16 +70,28 @@ def degree_norms(ctx: FockContext, T) -> np.ndarray:
     return np.array([ctx.block_norm(fq.block(d, d), d, d) for d in range(ctx.degree + 1)])
 
 
+def tail_norms(per_degree, ts) -> np.ndarray:
+    """Norms of the high-degree parts ``P_n^perp F_q(exp(-t) T)``, one row per
+    damping t of ``ts`` and one column per n = 0..N-1, from the degree profile
+    ``per_degree`` of ``T`` (``degree_norms``, d = 0..N): the largest damped
+    profile entry ``exp(-t d) ||T^{(x)d}||`` over d > n, a reverse running
+    maximum; bounded by ``exp(-t (n+1))`` for admissible T."""
+    per_degree = np.asarray(per_degree)
+    damped = per_degree * np.exp(-np.multiply.outer(ts, np.arange(len(per_degree))))
+    return np.maximum.accumulate(damped[:, :0:-1], axis=1)[:, ::-1]
+
+
+def _tail_bounds(ts, top: int) -> np.ndarray:
+    """The geometric bounds ``exp(-t (n+1))`` of ``tail_norms``, n = 0..top-1."""
+    return np.exp(-np.multiply.outer(ts, np.arange(1, top + 1)))
+
+
 def tail_norm(per_degree, t: float, n: int) -> float:
     """Norm of the high-degree part ``P_n^perp F_q(exp(-t) T)`` on the
-    truncated space, from the degree profile ``per_degree`` of ``T``
-    (``degree_norms``, d = 0..N); bounded by ``exp(-t (n+1))`` for
-    admissible T."""
-    top = len(per_degree) - 1
-    if not 0 <= n < top:
+    truncated space: one entry of ``tail_norms``."""
+    if not 0 <= n < len(per_degree) - 1:
         raise ValueError("n must be in 0..N-1 for a profile of degrees 0..N")
-    damp = np.exp(-t * np.arange(top + 1))
-    return float(np.max(per_degree[n + 1:] * damp[n + 1:]))
+    return float(tail_norms(per_degree, [t])[0, n])
 
 
 def free_reduction_crosscheck(T: DeformedContraction, per_degree) -> float:
@@ -97,13 +109,10 @@ def compactness_profile(per_degree, t: float, n_max: int) -> dict:
     ``exp(-t (n+1))`` for n = 0..n_max, up to a slack of 1e-10."""
     if not 0 <= n_max < len(per_degree) - 1:
         raise ValueError("n_max must be in 0..N-1 for a profile of degrees 0..N")
-    rows = []
-    for n in range(n_max + 1):
-        tail = tail_norm(per_degree, t, n)
-        bound = float(np.exp(-t * (n + 1)))
-        rows.append({"n": n, "tail": tail, "bound": bound,
-                     "within_bound": tail <= bound + 1e-10})
-    tails = np.array([r["tail"] for r in rows])
+    tails = tail_norms(per_degree, [t])[0, :n_max + 1]
+    bounds = _tail_bounds([t], n_max + 1)[0]
+    rows = [{"n": n, "tail": tail, "bound": bound, "within_bound": tail <= bound + 1e-10}
+            for n, (tail, bound) in enumerate(zip(tails.tolist(), bounds.tolist()))]
     ratios = tails[1:] / np.where(tails[:-1] > 0, tails[:-1], np.inf)
     return {
         "rows": rows,
@@ -112,18 +121,36 @@ def compactness_profile(per_degree, t: float, n_max: int) -> dict:
     }
 
 
+# Bytes of the top-degree blocks of one stack of levels in the strong-convergence
+# sweep.  At N = 5 on a 3-dimensional space all seven levels are one stack (6.6
+# MB); at N = 6 there a level's top block is 8.5 MB, and the seven as one stack
+# raised the row's traced peak from 18.6 to 72.4 MiB, so the levels go one by one.
+_LEVELS_STACK_BYTES = 16 * 2**20
+
+
 def strong_convergence_sweep(family: ApproximantFamily, ctx: FockContext,
                              test_vectors, final_tol: float = 1e-6) -> dict:
     """Distances to the identity along the diagonal (k up, t down) grid;
-    monotone means no step grows by more than 1e-12."""
+    monotone means no step grows by more than 1e-12.  The tensor powers of
+    the damped maps of the levels are one stack, as many levels at a time as
+    ``_LEVELS_STACK_BYTES`` holds, applied to each vector at once: one
+    distance per level, each bit for bit as the level's
+    ``first_quantization`` applied alone."""
     if not test_vectors:
         raise ValueError("need at least one test vector")
+    if any(vec.ctx is not ctx for vec in test_vectors):
+        raise ValueError("context mismatch in operator application")
     diag = list(zip(family.ks, family.ts))
+    top = ctx.block_size(ctx.degree)
+    per_stack = max(1, _LEVELS_STACK_BYTES // (16 * top * top))
     distances = [[] for _ in test_vectors]
-    for k, t in diag:
-        fq = first_quantization(ctx, ctx, family.damped_matrix(k, t))
+    for start in range(0, len(diag), per_stack):
+        levels = diag[start:start + per_stack]
+        powers = _tensor_powers(np.stack([family.damped_matrix(k, t) for k, t in levels]),
+                                ctx.degree)
         for dists, vec in zip(distances, test_vectors):
-            dists.append((fq.apply(vec) - vec).norm())
+            image = _apply(ctx, powers, vec.blocks)
+            dists.extend(_graded_norm(ctx, [a - b for a, b in zip(image, vec.blocks)]).tolist())
     rows = []
     all_monotone = True
     all_converged = True

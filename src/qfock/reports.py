@@ -28,10 +28,11 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, _on_inputs, _tensor_powers,
-                   annihilation, blockwise_gap, c_constant, check_metric_floor, creation,
-                   factorization_residual, gauge_block, hermitian_min_eig, id_embedding_norm,
-                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
+from .fock import (FockContext, GradedOperator, GradedVector, _on_inputs, _pair_stacks,
+                   _tensor_powers, annihilation, blockwise_gap, c_constant, check_metric_floor,
+                   creation, factorization_residual, gauge_block, hermitian_min_eig,
+                   id_embedding_norm, rstar_adjoint_residual, rstar_deformed_norm,
+                   rstar_free_norm, stack_norm)
 from .spaces import BlockSpectrum, _gaussian, _spectral_norm, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -255,9 +256,10 @@ class _Point:
         return FockContext(sub, self.q, self.config.degree)
 
 
-def _pairs(degree: int):
-    """Degree pairs (n, k) with n + k <= degree."""
-    return [(n, k) for n in range(degree + 1) for k in range(degree + 1 - n)]
+def _pairs_by_total_degree(degree: int):
+    """The degree pairs (n, k) with n + k <= degree, as one (ns, ks) pair of
+    tuples per total degree p = n + k, p = 0..degree."""
+    return [(tuple(range(p + 1)), tuple(range(p, -1, -1))) for p in range(degree + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +273,17 @@ def _sym_positivity(pt: _Point):
 
 
 def _over_pairs(residual):
-    """Row function: ``residual(ctx, n, k)`` at each degree pair.  The tables
-    pass a library function in a lambda that names it, so the name is looked
-    up when the row runs and a rebinding of it (a layer trace) is seen."""
-    return lambda pt: (residual(pt.ctx, n, k) for n, k in _pairs(pt.config.degree))
+    """Row function: ``residual(ctx, ns, ks)`` once per total degree, on all
+    its degree pairs at once (``_pairs_by_total_degree``), one value per pair.
+    The tables pass a library function in a lambda that names it, so the
+    name is looked up when the row runs and a rebinding of it (a layer
+    trace) is seen."""
+    return lambda pt: itertools.chain.from_iterable(
+        residual(pt.ctx, ns, ks).tolist() for ns, ks in _pairs_by_total_degree(pt.config.degree))
 
 
-def _deformed_norm_excess(ctx: FockContext, n: int, k: int) -> float:
-    return max(id_embedding_norm(ctx, n, k), rstar_deformed_norm(ctx, n, k)) \
+def _deformed_norm_excess(ctx: FockContext, ns, ks) -> np.ndarray:
+    return np.maximum(id_embedding_norm(ctx, ns, ks), rstar_deformed_norm(ctx, ns, ks)) \
         - np.sqrt(c_constant(ctx.q))
 
 
@@ -305,11 +310,16 @@ def _creation_adjoint_residual(pt: _Point):
 
 
 def _wick_vacuum(pt: _Point):
+    """Vacuum residuals of random Wick words: every (degree, tensor) draw
+    first, then the draws of one degree as one stack."""
     ctx, rng = pt.ctx, pt.rng
     deg_max = min(3, ctx.degree)
+    draws = []
     for _ in range(pt.config.samples["wick_vacuum"]):
         n = int(rng.integers(1, deg_max + 1))
-        yield wick.vacuum_residual(ctx, _gaussian(rng, ctx.block_size(n)), n)
+        draws.append((n, _gaussian(rng, ctx.block_size(n))))
+    yield from quantize._grouped(draws, lambda draw: draw[0], lambda group: wick.vacuum_residual(
+        ctx, np.stack([xi for _, xi in group]), group[0][0])).tolist()
 
 
 def _wick_self_adjoint(pt: _Point):
@@ -526,11 +536,13 @@ def _finkernel_rank(pt: _Point):
 
 
 def _majorisation(pt: _Point):
+    """The majorisation margin at each degree pair, the pairs of one total
+    degree p as one check; an inconsistent pair is red."""
     ctx = pt.ctx
-    for n, k in _pairs(ctx.degree):
-        check = toeplitz.majorisation_check(
-            ctx.stacks("sym", n + k), ctx.stacks("sym", n, k), ctx.stacks("rstar", n, k))
-        yield -check["margin"] if check["consistent"] else np.inf  # inconsistent: red
+    for p, (ns, ks) in enumerate(_pairs_by_total_degree(ctx.degree)):
+        check = toeplitz.majorisation_check(ctx.stacks("sym", p), _pair_stacks(ctx, "sym", ns, ks),
+                                            _pair_stacks(ctx, "rstar", ns, ks))
+        yield from np.where(check["consistent"], -check["margin"], np.inf).tolist()
 
 
 def _admissible(pt: _Point):
@@ -542,11 +554,11 @@ def _tail(pt: _Point):
     """Worst excess of the tail norms over their geometric bound, and the
     relative gap of the degree profile to its closed form ``||T||^d``, of
     each approximant."""
-    ctx = pt.ctx
+    ts = pt.family.ts
+    bounds = haagerup._tail_bounds(ts, pt.ctx.degree)
     for k, T in pt.family.maps.items():
         per_degree = pt.profiles[k]
-        yield (max(haagerup.tail_norm(per_degree, t, n) - float(np.exp(-t * (n + 1)))
-                   for t in pt.family.ts for n in range(ctx.degree)),
+        yield (float(np.max(haagerup.tail_norms(per_degree, ts) - bounds)),
                haagerup.free_reduction_crosscheck(T, per_degree))
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (FockContext, GradedOperator, _kron, _mixed_word_blocks, c_constant,
-                   coordinate_index, r_star)
+from .fock import (FockContext, GradedOperator, _kron, _mixed_word_blocks, _per_draw,
+                   c_constant, coordinate_index, r_star)
 from .spaces import DeformedSpace, _gaussian
 
 
@@ -40,20 +40,26 @@ class LengthElement:
         return self.n_create == self.n_annihilate
 
 
-def realize(ctx: FockContext, coeff, n_create: int, n_annihilate: int) -> LengthElement:
+def realize(ctx: FockContext, coeff, n_create: int, n_annihilate: int,
+            inputs=None) -> LengthElement:
     """Realize a coefficient tensor on (creation leg) x (conjugate
-    annihilation leg) as a graded operator."""
+    annihilation leg) as a graded operator.
+
+    ``inputs``, when given, is the set of input degrees to build: blocks on
+    any other input degree are left out, and every kept block equals, bit for
+    bit, the same block of the full operator."""
     if n_create + n_annihilate > ctx.degree:
         raise ValueError("length overflow for this truncation")
     Z = np.asarray(coeff, dtype=complex).reshape(ctx.block_size(n_create),
                                                  ctx.block_size(n_annihilate))
-    op = GradedOperator(ctx, ctx, _mixed_word_blocks(ctx, Z, n_create, n_annihilate,
-                                                     range(ctx.degree + 1)))
+    degrees = range(ctx.degree + 1) if inputs is None else set(inputs)
+    op = GradedOperator(ctx, ctx, _mixed_word_blocks(ctx, Z, n_create, n_annihilate, degrees))
     return LengthElement(ctx, n_create, n_annihilate, Z, op)
 
 
-def monomial(ctx: FockContext, v_list, w_list) -> LengthElement:
-    """Product of creations then annihilations in the given order."""
+def monomial(ctx: FockContext, v_list, w_list, inputs=None) -> LengthElement:
+    """Product of creations then annihilations in the given order, on the
+    input degrees ``inputs`` when given (``realize``)."""
     k, m = len(v_list), len(w_list)
     if k + m > ctx.degree:
         raise ValueError("length overflow for this truncation")
@@ -64,7 +70,7 @@ def monomial(ctx: FockContext, v_list, w_list) -> LengthElement:
     for vec in w_list:
         w = _kron(w, np.asarray(vec, dtype=complex).reshape(ctx.dim))
     coeff = np.outer(v, np.conj(w))
-    return realize(ctx, coeff, k, m)
+    return realize(ctx, coeff, k, m, inputs)
 
 
 def random_balanced(ctx: FockContext, rng, n: int) -> LengthElement:
@@ -155,6 +161,7 @@ def _realization_singular_values(ctx: FockContext, indices, max_length: int) -> 
     and zeros where a group has fewer entries than monomials."""
     basis_vecs = [np.eye(ctx.dim, dtype=complex)[i] for i in sorted(set(int(i) for i in indices))]
     p_max = ctx.degree - max_length
+    inputs = range(p_max + 1)  # the blocks on higher input degrees are never read
     svals = []
     for shift in range(-max_length, max_length + 1):
         words = [(vs, ws) for k in range(max(shift, 0), max_length + 1)
@@ -166,7 +173,7 @@ def _realization_singular_values(ctx: FockContext, indices, max_length: int) -> 
             (ctx.block_size(m) * ctx.block_size(p) for m, p in keys), initial=0))
         matrix = np.zeros((len(words), offsets[-1]), dtype=complex)
         for row, (vs, ws) in zip(matrix, words):
-            blocks = monomial(ctx, list(vs), list(ws)).op.blocks
+            blocks = monomial(ctx, list(vs), list(ws), inputs).op.blocks
             for key, start, stop in zip(keys, offsets, offsets[1:]):
                 if key in blocks:
                     row[start:stop] = blocks[key].ravel()
@@ -221,32 +228,40 @@ def majorisation_check(A, B, T) -> dict:
     type blocks (``FockContext.type_stacks``) with matching shapes.  For
     stacks every norm is the largest over the blocks and every eigenvalue the
     smallest, so ``||T||`` is the global norm and the margin is the dense one;
-    a dense matrix is the one-block case."""
+    a dense matrix is the one-block case.  Lists of (pairs, count, b, b)
+    stacks check one triple per pair, each bit for bit as alone, and give one
+    value per pair in every entry; an A without the pair axis is every pair's."""
     A, B, T = (_as_stacks(X) for X in (A, B, T))
-    if not [S.shape for S in A] == [S.shape for S in B] == [S.shape for S in T]:
+    if not [S.shape[-3:] for S in A] == [S.shape[-3:] for S in B] == [S.shape[-3:] for S in T]:
         raise ValueError("A, B and T must have stacks of matching shapes")
+    lead = np.broadcast_shapes(*(S.shape[:-3] for S in (*A, *B, *T)))
+    A, B, T = ([S if S.shape[:-3] == lead else np.broadcast_to(S, lead + S.shape[-3:])
+                for S in X] for X in (A, B, T))
     # one svd call per block size for A, A - B T and T together, then one
     # eigvalsh call for the Hermitian parts of A, B and ||T|| B - A
-    norm_a, consistency, t_norm = np.max(
-        [np.linalg.svd(np.concatenate([a, a - b @ t, t]), compute_uv=False)[:, 0]
-         .reshape(3, -1).max(axis=1) for a, b, t in zip(A, B, T)], axis=0)
-    min_a, min_b, margin = np.min(
-        [np.linalg.eigvalsh((S + np.conj(S).swapaxes(1, 2)) / 2.0)[:, 0].reshape(3, -1).min(axis=1)
-         for S in (np.concatenate([a, b, t_norm * b - a]) for a, b in zip(A, B))], axis=0)
+    norm_a, consistency, t_norm = np.moveaxis(np.max(
+        [np.linalg.svd(np.concatenate([a, a - b @ t, t], axis=-3), compute_uv=False)[..., 0]
+         .reshape(lead + (3, -1)).max(axis=-1) for a, b, t in zip(A, B, T)], axis=0), -1, 0)
+    scale = np.reshape(t_norm, lead + (1, 1, 1))
+    min_a, min_b, margin = np.moveaxis(np.min(
+        [np.linalg.eigvalsh((S + np.conj(S).swapaxes(-1, -2)) / 2.0)[..., 0]
+         .reshape(lead + (3, -1)).min(axis=-1)
+         for S in (np.concatenate([a, b, scale * b - a], axis=-3) for a, b in zip(A, B))],
+        axis=0), -1, 0)
     return {
-        "consistent": bool(consistency <= 1e-12 * max(norm_a, 1.0)),
-        "consistency_residual": float(consistency),
-        "min_eig_A": float(min_a),
-        "min_eig_B": float(min_b),
-        "t_norm": float(t_norm),
-        "margin": float(margin),
+        "consistent": _per_draw(consistency <= 1e-12 * np.maximum(norm_a, 1.0)),
+        "consistency_residual": _per_draw(consistency),
+        "min_eig_A": _per_draw(min_a),
+        "min_eig_B": _per_draw(min_b),
+        "t_norm": _per_draw(t_norm),
+        "margin": _per_draw(margin),
     }
 
 
 def _as_stacks(X) -> list:
-    """A list of 3-D stacks as it is; any other array-like as a square matrix,
-    the one-block case."""
-    if isinstance(X, list) and X and all(np.ndim(S) == 3 for S in X):
+    """A list of 3-D stacks, or of 4-D ones with a leading pair axis, as it
+    is; any other array-like as a square matrix, the one-block case."""
+    if isinstance(X, list) and X and all(np.ndim(S) in (3, 4) for S in X):
         return [np.asarray(S) for S in X]
     M = np.asarray(X)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

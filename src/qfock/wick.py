@@ -5,8 +5,9 @@ is that tensor: a sum over ordered partitions of the index set into a
 creation part and an annihilation part, each partition weighted by
 ``q**crossings``, with the conjugation applied to annihilation arguments.
 For a fixed split that partition sum is the coproduct ``R*`` of ``fock``
-applied to the tensor.  A ``WickWord`` holds one draw; ``quantize`` builds
-the blocks of a stack of tensors as one dict (``_word_blocks``).
+applied to the tensor.  A ``WickWord`` holds one draw; ``quantize`` and
+``vacuum_residual`` build the blocks of a stack of tensors as one dict
+(``_word_blocks``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import (FockContext, GradedOperator, _apply_r_star, _mixed_word_blocks,
-                   _mixed_word_inputs)
+                   _mixed_word_inputs, _per_draw)
 
 
 @dataclass
@@ -80,12 +81,18 @@ def adjoint_tensor(ctx: FockContext, xi, degree: int) -> np.ndarray:
     return np.conj(xi)[ctx.partner_map(degree)][ctx.reverse_map(degree)]
 
 
-def vacuum_residual(ctx: FockContext, xi, degree: int) -> float:
-    """q-norm of ``W(xi) Omega - xi``; only the word's blocks on the vacuum
-    degree are built, and ``W(xi) Omega`` is the vacuum column of the
-    (n, 0) block."""
-    word = wick_word(ctx, xi, degree, inputs=(0,))
-    return ctx.q_norm(word.op.block(degree, 0)[:, 0] - word.tensor, degree)
+def vacuum_residual(ctx: FockContext, xi, degree: int):
+    """q-norm of ``W(xi) Omega - xi``; only the word's block on the vacuum
+    degree is built, and ``W(xi) Omega`` is the vacuum column of the (n, 0)
+    block.  A (draws, dim**n) stack of tensors gives one residual per draw,
+    each bit for bit as alone; one tensor gives a float."""
+    xi = np.asarray(xi, dtype=complex)
+    if degree > ctx.degree:
+        raise ValueError("degree overflow")
+    if xi.ndim not in (1, 2) or xi.shape[-1] != ctx.block_size(degree):
+        raise ValueError("coefficient block has wrong length")
+    gap = _word_blocks(ctx, xi, degree, (0,))[(degree, 0)][..., 0] - xi
+    return _per_draw(np.sqrt(np.maximum(ctx.q_inner(gap, gap, degree).real, 0.0)))
 
 
 def self_adjoint_residual(ctx: FockContext, word: WickWord) -> float:

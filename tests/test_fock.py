@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qfock import fock, reports, toeplitz
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedVector, annihilation, c_constant, creation, s_q
-from conftest import Q_GRID, SPECTRA, make_ctx
+from conftest import Q_GRID, SPECTRA, make_ctx, pairs
 
 
 def brute_symmetrizer(dim, q, n):
@@ -494,7 +494,7 @@ def test_stacks_are_the_type_stacks_of_the_dense_route():
         for q in (0.5, -0.9):
             ctx = make_ctx(spectrum, q, 4)
             for name in STACK_NAMES:
-                for n, k in reports._pairs(ctx.degree):
+                for n, k in pairs(ctx.degree):
                     # k = 0 is asked for without k first, and with it below
                     got = ctx.stacks(name, n) if k == 0 else ctx.stacks(name, n, k)
                     expected = ctx.type_stacks(n + k, _dense_route(ctx, name, n, k))
@@ -534,7 +534,7 @@ def test_second_round_of_residuals_gathers_nothing(monkeypatch):
                  fock.rstar_deformed_norm, fock.rstar_adjoint_residual)
 
     def one_round():
-        return [f(pt.ctx, n, k) for f in residuals for n, k in reports._pairs(pt.ctx.degree)]
+        return [f(pt.ctx, n, k) for f in residuals for n, k in pairs(pt.ctx.degree)]
 
     first = one_round()
     assert calls
@@ -857,3 +857,33 @@ def test_vectors_and_apply_refuse_another_context():
     same = GradedVector.random(ctx, gen)
     assert (same - same).norm() == 0.0
     assert creation(ctx, [1.0, 0.5j]).apply(same).ctx is ctx
+
+
+PAIR_FUNCTIONS = (fock.factorization_residual, fock.rstar_free_norm, fock.id_embedding_norm,
+                  fock.rstar_deformed_norm, fock.rstar_adjoint_residual)
+
+
+@pytest.mark.parametrize("spectrum, degree", [("t1", 5), ("t2", 5), ("b2", 5), ("b2+t1", 5),
+                                              ("b2+t1", 6)])
+def test_grouped_pair_functions_equal_their_pairs_bit_for_bit(spectrum, degree):
+    # the pairs of one total degree p share the type-stack shapes of degree p,
+    # so they go through one stack each, every pair's value as alone
+    ctx = make_ctx(spectrum, 0.9, degree)
+    for p in range(degree + 1):
+        ns, ks = tuple(range(p + 1)), tuple(range(p, -1, -1))
+        for f in PAIR_FUNCTIONS:
+            alone = [f(ctx, n, k) for n, k in zip(ns, ks)]
+            assert all(type(value) is float for value in alone)
+            grouped = f(ctx, ns, ks)
+            assert grouped.shape == (p + 1,)
+            assert grouped.tolist() == alone
+            # a pair's value does not depend on the pairs grouped with it
+            assert f(ctx, ns[::-1], ks[::-1]).tolist() == alone[::-1]
+
+
+def test_grouped_pair_functions_refuse_pairs_of_different_total_degree(ctx_half):
+    for f in PAIR_FUNCTIONS:
+        with pytest.raises(ValueError, match="total degree"):
+            f(ctx_half, (0, 1), (1, 1))
+        with pytest.raises(ValueError):
+            f(ctx_half, (0, 1), (1,))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfock import haagerup, quantize, wick
+from qfock import haagerup, quantize, reports, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedOperator, GradedVector, first_quantization
 from conftest import Q_GRID, make_ctx
@@ -254,3 +254,80 @@ def test_tail_norm_rejects_negative_degree(ctx_half):
     for n in (-1, -ctx_half.degree):
         with pytest.raises(ValueError):
             haagerup.tail_norm(per, 1.0, n)
+
+
+def _tail_norm_one_entry(per_degree, t, n):
+    """The tail norm as it was computed one (t, n) entry at a time: the
+    oracle of ``tail_norms``."""
+    top = len(per_degree) - 1
+    damp = np.exp(-t * np.arange(top + 1))
+    return float(np.max(per_degree[n + 1:] * damp[n + 1:]))
+
+
+@pytest.mark.parametrize("spectrum, degree", [("t1", 5), ("t2", 5), ("b2", 5), ("b2+t1", 5),
+                                              ("b2+t1", 6)])
+def test_tail_norms_equal_the_tail_norm_loop_bit_for_bit(spectrum, degree):
+    ctx = make_ctx(spectrum, 0.9, degree)
+    family = haagerup.ApproximantFamily.default(ctx.space)
+    for k, T in family.maps.items():
+        per = haagerup.degree_norms(ctx, T.matrix)
+        grid = haagerup.tail_norms(per, family.ts)
+        assert grid.shape == (len(family.ts), degree)
+        for i, t in enumerate(family.ts):
+            for n in range(degree):
+                assert grid[i, n] == _tail_norm_one_entry(per, t, n)
+                assert haagerup.tail_norm(per, t, n) == grid[i, n]
+        profile = haagerup.compactness_profile(per, 0.5, degree - 1)
+        for row in profile["rows"]:
+            assert row["tail"] == _tail_norm_one_entry(per, 0.5, row["n"])
+            assert row["bound"] == float(np.exp(-0.5 * (row["n"] + 1)))
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1"])
+def test_tail_row_equals_its_per_entry_loop_bit_for_bit(spectrum):
+    config = reports.SweepConfig(q_values=(0.9,), spectra=(spectrum,), degree=5)
+    pt = reports._Point(config, spectrum, 0.9)
+    expected = [(max(_tail_norm_one_entry(pt.profiles[k], t, n) - float(np.exp(-t * (n + 1)))
+                     for t in pt.family.ts for n in range(pt.ctx.degree)),
+                 haagerup.free_reduction_crosscheck(T, pt.profiles[k]))
+                for k, T in pt.family.maps.items()]
+    assert list(reports._tail(pt)) == expected
+
+
+def _one_level_distances(family, ctx, vectors):
+    """Distances to the identity one level at a time through
+    ``first_quantization``: the oracle of the stacked sweep."""
+    distances = [[] for _ in vectors]
+    for k, t in zip(family.ks, family.ts):
+        fq = first_quantization(ctx, ctx, family.damped_matrix(k, t))
+        for dists, vec in zip(distances, vectors):
+            dists.append((fq.apply(vec) - vec).norm())
+    return distances
+
+
+@pytest.mark.parametrize("spectrum, q, degree, stack_bytes", [
+    ("t1", -0.95, 5, None), ("t2", 0.5, 5, None), ("b2", 0.9, 5, None), ("b2+t1", 0.3, 4, None),
+    ("b2+t1", 0.9, 6, None), ("b2+t1", 0.9, 4, 3 * 16 * 81 ** 2)])
+def test_strong_convergence_levels_equal_one_level_routes_bit_for_bit(monkeypatch, spectrum, q,
+                                                                      degree, stack_bytes):
+    # N = 6 on b2+t1 takes the levels one at a time; a budget of three top
+    # blocks splits the seven levels into stacks of 3, 3 and 1
+    if stack_bytes is not None:
+        monkeypatch.setattr(haagerup, "_LEVELS_STACK_BYTES", stack_bytes)
+    ctx = make_ctx(spectrum, q, degree)
+    family = haagerup.ApproximantFamily.default(ctx.space)
+    gen = np.random.default_rng(2718)
+    vectors = [GradedVector.vacuum(ctx)] + [GradedVector.random(ctx, gen) for _ in range(3)]
+    sweep = haagerup.strong_convergence_sweep(family, ctx, vectors)
+    oracle = _one_level_distances(family, ctx, vectors)
+    assert [row["distances"] for row in sweep["rows"]] == oracle
+    assert all(type(d) is float for row in sweep["rows"] for d in row["distances"])
+
+
+def test_strong_convergence_sweep_rejects_a_vector_of_another_context(rng):
+    ctx = make_ctx("b2", 0.5, 4)
+    family = haagerup.ApproximantFamily.default(ctx.space)
+    for other in (make_ctx("b2", 0.9, 4), make_ctx("b2", 0.5, 4), make_ctx("b2", 0.5, 3)):
+        with pytest.raises(ValueError, match="context"):
+            haagerup.strong_convergence_sweep(
+                family, ctx, [GradedVector.vacuum(ctx), GradedVector.random(other, rng)])

@@ -626,3 +626,91 @@ def test_no_cache_pins_a_context(monkeypatch):
     del ctx, comb_ctx, word, channel
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def _one_draw_wick_vacuum_row(pt):
+    """The wick vacuum row one draw at a time, each residual taken before
+    the next draw: the oracle of the grouped row."""
+    ctx, rng = pt.ctx, pt.rng
+    for _ in range(pt.config.samples["wick_vacuum"]):
+        n = int(rng.integers(1, min(3, ctx.degree) + 1))
+        yield wick.vacuum_residual(ctx, sp._gaussian(rng, ctx.block_size(n)), n)
+
+
+@pytest.mark.parametrize("spectrum, q", [("t1", -0.95), ("t2", 0.5), ("b2", 0.9), ("b2+t1", 0.3)])
+def test_stacked_wick_vacuum_row_equals_one_draw_residuals_bit_for_bit(monkeypatch, spectrum, q):
+    # the row draws every (degree, tensor) first, in the order the loop drew
+    # them, then takes the draws of each degree as one stack
+    def both_routes():
+        pt = reports._Point(SweepConfig(spectra=(spectrum,)), spectrum, q)
+        pt.rng = np.random.default_rng(48)
+        stacked = list(reports._wick_vacuum(pt))
+        pt.rng = np.random.default_rng(48)
+        return stacked, list(_one_draw_wick_vacuum_row(pt))
+
+    stacked, alone = both_routes()
+    assert stacked == alone and len(stacked) == 100
+    # every residual is 0.0 by construction, so a residual that reads its
+    # draw shows that each value lands at its own draw
+    monkeypatch.setattr(wick, "vacuum_residual",
+                        lambda ctx, xi, n: fock._per_draw(np.asarray(xi)[..., 0].real + n))
+    stacked, alone = both_routes()
+    assert stacked == alone and len(set(stacked)) == 100
+
+
+# the grouped pair rows, by the index of their check in the tables
+_PAIR_ROWS = {"symmetrizer/factorization": ("symmetrizer", 1),
+              "symmetrizer/rstar_free_norm": ("symmetrizer", 2),
+              "symmetrizer/deformed_norm_bounds": ("symmetrizer", 3),
+              "symmetrizer/adjoint_pairing": ("symmetrizer", 4),
+              "toeplitz/majorisation": ("toeplitz", 5)}
+
+
+@pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1"])
+def test_grouped_pair_rows_have_teeth_in_one_pair(monkeypatch, spectrum):
+    # R*_{1,2} scaled by 1.01: the rows that test an identity of R* turn red
+    # at that pair, and every other pair of its group keeps its value, so a
+    # group that mixed up its pairs would show
+    config = SweepConfig(q_values=(0.5,), spectra=(spectrum,), degree=4)
+    pairs = [pair for ns, ks in reports._pairs_by_total_degree(config.degree)
+             for pair in zip(ns, ks)]
+    bad = pairs.index((1, 2))
+
+    def row_values(perturb):
+        pt = reports._Point(config, spectrum, 0.5)
+        if perturb:
+            stacks = pt.ctx.stacks
+            monkeypatch.setattr(pt.ctx, "stacks", lambda name, n, k=0: (
+                [1.01 * S for S in stacks(name, n, k)] if (name, n, k) == ("rstar", 1, 2)
+                else stacks(name, n, k)))
+        values = {}
+        for check, (suite, index) in _PAIR_ROWS.items():
+            residual, (name, rule) = reports._TABLES[suite][index]
+            assert name == check
+            values[check] = (list(residual(pt)), reports._bound(rule, config.tolerances, 0.5))
+        return values
+
+    clean, perturbed = row_values(False), row_values(True)
+    for check, (values, bound) in perturbed.items():
+        assert len(values) == len(pairs)
+        assert max(clean[check][0]) <= bound
+        assert values[:bad] + values[bad + 1:] == clean[check][0][:bad] + clean[check][0][bad + 1:]
+        if check in ("symmetrizer/factorization", "symmetrizer/adjoint_pairing",
+                     "toeplitz/majorisation"):
+            assert values[bad] > bound
+
+
+def test_grouped_pair_rows_turn_the_report_red(monkeypatch):
+    stacks = FockContext.stacks
+
+    def perturbed(self, name, n, k=0):
+        out = stacks(self, name, n, k)
+        return [1.01 * S for S in out] if (name, n, k) == ("rstar", 1, 2) else out
+
+    config = SweepConfig(q_values=(0.5,), spectra=("b2+t1",), degree=4)
+    clean = {r.check: r for r in run_suite(config, ("symmetrizer", "toeplitz"))}
+    monkeypatch.setattr(FockContext, "stacks", perturbed)
+    red = {r.check: r for r in run_suite(config, ("symmetrizer", "toeplitz"))}
+    for check in ("symmetrizer/factorization", "symmetrizer/adjoint_pairing",
+                  "toeplitz/majorisation"):
+        assert clean[check].passed and not red[check].passed

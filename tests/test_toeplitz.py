@@ -147,11 +147,11 @@ def test_finkernel_sees_a_dependent_column_whatever_its_scale(monkeypatch, scale
     ctx = make_ctx("b2", 0.5, 4)
     monomial = toeplitz.monomial
 
-    def dependent(ctx, vs, ws):
+    def dependent(ctx, vs, ws, inputs=None):
         if len(vs) == 1 and not ws and vs[0][1] == 1.0:
-            elem = monomial(ctx, [np.eye(ctx.dim)[0]], [])
+            elem = monomial(ctx, [np.eye(ctx.dim)[0]], [], inputs)
             return dataclasses.replace(elem, op=scale * elem.op)
-        return monomial(ctx, vs, ws)
+        return monomial(ctx, vs, ws, inputs)
 
     monkeypatch.setattr(toeplitz, "monomial", dependent)
     report = toeplitz.finkernel_rank(ctx, [0, 1], max_length=2)
@@ -346,3 +346,46 @@ def test_realize_keeps_exactly_the_blocks_of_the_truncation_rule(degree):
         assert set(blocks) == expected
         for (_, p), B in blocks.items():
             assert np.array_equal(B, ctx.mixed_word_block(Z, k, m, p))
+
+
+@pytest.mark.parametrize("spectrum, degree", [("t1", 5), ("t2", 5), ("b2", 5), ("b2+t1", 5),
+                                              ("b2+t1", 6)])
+def test_grouped_majorisation_equals_its_pairs_bit_for_bit(spectrum, degree):
+    ctx = make_ctx(spectrum, 0.9, degree)
+    for p in range(degree + 1):
+        ns, ks = tuple(range(p + 1)), tuple(range(p, -1, -1))
+        grouped = toeplitz.majorisation_check(ctx.stacks("sym", p),
+                                              fock._pair_stacks(ctx, "sym", ns, ks),
+                                              fock._pair_stacks(ctx, "rstar", ns, ks))
+        for i, (n, k) in enumerate(zip(ns, ks)):
+            alone = toeplitz.majorisation_check(ctx.stacks("sym", p), ctx.stacks("sym", n, k),
+                                                ctx.stacks("rstar", n, k))
+            assert {key: value[i].item() for key, value in grouped.items()} == alone
+            assert type(alone["consistent"]) is bool and type(alone["margin"]) is float
+
+
+@pytest.mark.parametrize("spectrum, degree", [("t2", 4), ("b2+t1", 5)])
+def test_realize_on_inputs_keeps_the_blocks_of_the_full_operator_bit_for_bit(spectrum, degree):
+    ctx = make_ctx(spectrum, 0.9, degree)
+    gen = np.random.default_rng(314)
+    for k, m in itertools.product(range(3), repeat=2):
+        Z = sp._gaussian(gen, (ctx.block_size(k), ctx.block_size(m)))
+        full = toeplitz.realize(ctx, Z, k, m).op.blocks
+        for inputs in (range(degree - 1), {0, degree}, ()):
+            kept = toeplitz.realize(ctx, Z, k, m, inputs).op.blocks
+            assert set(kept) == {key for key in full if key[1] in inputs}
+            assert all(np.array_equal(B, full[key]) for key, B in kept.items())
+    vs, ws = [np.eye(ctx.dim)[0]], [np.eye(ctx.dim)[1]]
+    full = toeplitz.monomial(ctx, vs, ws).op.blocks
+    kept = toeplitz.monomial(ctx, vs, ws, range(2)).op.blocks
+    assert set(kept) == {(1, 1)} and set(full) == {(p, p) for p in range(1, degree + 1)}
+    assert all(np.array_equal(B, full[key]) for key, B in kept.items())
+
+
+def test_finkernel_builds_no_block_it_never_reads():
+    # each monomial is built on the input degrees 0..N - max_length only; built
+    # on every input degree, a warm call at (b2+t1, 0.9, N = 6) peaks at 26.9 MiB
+    ctx = make_ctx("b2+t1", 0.9, 6)
+    indices = reports._subspace_indices(ctx.space)
+    toeplitz.finkernel_rank(ctx, indices, max_length=2)  # warm the context's caches
+    assert allocation_peak(lambda: toeplitz.finkernel_rank(ctx, indices, max_length=2)) < 8.0

@@ -205,3 +205,34 @@ def test_degree_zero_word_is_exactly_the_scalar_on_every_input_degree(spectrum, 
     scalars = np.array([[c], [2.0 - 1j], [0.0]])
     for (p, _), B in wick._word_blocks(ctx, scalars, 0, range(ctx.degree + 1)).items():
         assert np.array_equal(B, scalars[:, :, None] * np.eye(ctx.block_size(p)))
+
+
+def _vacuum_residual_of_the_word(ctx, xi, n):
+    """``W(xi) Omega - xi`` through the realized word on the vacuum degree:
+    the oracle of the stacked residual."""
+    word = wick.wick_word(ctx, xi, n, inputs=(0,))
+    return ctx.q_norm(word.op.block(n, 0)[:, 0] - word.tensor, n)
+
+
+@pytest.mark.parametrize("spectrum, q", [("t1", -0.95), ("t2", 0.5), ("b2", 0.9),
+                                         ("b2+t1", -0.5)])
+def test_stacked_vacuum_residual_equals_its_draws_bit_for_bit(spectrum, q):
+    ctx = make_ctx(spectrum, q, 5)
+    gen = np.random.default_rng(1618)
+    for n in (1, 2, 3):
+        tensors = gen.standard_normal((7, ctx.block_size(n))) \
+            + 1j * gen.standard_normal((7, ctx.block_size(n)))
+        stacked = wick.vacuum_residual(ctx, tensors, n)
+        assert stacked.shape == (7,)
+        alone = [wick.vacuum_residual(ctx, xi, n) for xi in tensors]
+        assert all(type(value) is float for value in alone)
+        assert stacked.tolist() == alone
+        assert alone == [_vacuum_residual_of_the_word(ctx, xi, n) for xi in tensors]
+
+
+def test_stacked_vacuum_residual_rejects_bad_shapes(ctx_half):
+    for shape in ((3, 8), (2, 3, 9), ()):
+        with pytest.raises(ValueError):
+            wick.vacuum_residual(ctx_half, np.zeros(shape), 2)
+    with pytest.raises(ValueError):
+        wick.vacuum_residual(ctx_half, np.zeros((2, 3 ** 5)), 5)
