@@ -14,10 +14,12 @@ Every one of these matrices commutes with the permutations of tensor
 positions, so it keeps the multiset of digits of a basis index, its *type*,
 and is block-diagonal over the types.  Their dense linear algebra (eigen-pairs,
 spectral norms, solves) runs on stacks of type blocks, each gathered once per
-context by ``FockContext.stacks``; a degree-6 block 729 wide on a
-3-dimensional base space splits into 28 type blocks, the widest 90 wide.  So
-do the products of wide blocks by the metric and its functions, in the gauge
-(``gauge_block``) and the q-adjoint (``GradedOperator.adjoint``).
+context, on first use as every degree is: ``FockContext.stacks(name, n)`` of
+one degree, ``FockContext.splits(name, p)`` of every split (n, p - n) of
+degree p, read by the pair functions ``f(ctx, p)``; a degree-6 block 729 wide
+on a 3-dimensional base space splits into 28 type blocks, the widest 90 wide.
+So do the products of wide blocks by the metric and its functions, in the
+gauge (``gauge_block``) and the q-adjoint (``GradedOperator.adjoint``).
 
 The block algebra under ``GradedOperator`` (product, sum, scaling, q-adjoint,
 gauged assembly, application to a vector, block gaps, tensor powers) is
@@ -39,7 +41,7 @@ from .spaces import DeformedSpace, _gaussian, _spectral_norm
 
 def _per_draw(values):
     """A Python scalar for one draw (a scalar), the array itself for a stack
-    of draws (or of degree pairs)."""
+    of draws (or of degree splits)."""
     values = np.asarray(values)
     return values.item() if values.ndim == 0 else values
 
@@ -116,17 +118,12 @@ def _read_only(value):
 
 def _memo(method):
     """Memoise a ``FockContext`` method in the context's own ``_cache``, keyed
-    by its name and positional arguments with the defaults filled in (so
-    ``f(n)`` and ``f(n, 0)`` share an entry when k defaults to 0), and make
-    every array of a result read-only."""
+    by its name and positional arguments, and make every array of a result
+    read-only."""
     name = method.__name__
-    n_params = method.__code__.co_argcount - 1
-    defaults = method.__defaults__ or ()
 
     @functools.wraps(method)
     def cached(self, *args):
-        if len(args) < n_params:
-            args += defaults[len(args) - n_params:]
         key = (name, *args)
         if key not in self._cache:
             self._cache[key] = _read_only(method(self, *args))
@@ -146,9 +143,10 @@ class FockContext:
     Every degree is built from the crossing-weighted coproduct ``R*`` alone:
     the symmetrizer by the recursion ``P_n = (1 (x) P_{n-1}) R*_{1,n-1}`` and
     the annihilation words by ``R*_{m,p-m}``, so no matrix is ever inverted.
-    Immutable after construction: whatever is derived lazily lives in the one
-    cache ``_cache`` of the ``_memo`` methods, whose entries are never
-    mutated and whose arrays are read-only, so contexts stay safe to share.
+    A new context holds nothing: each degree is built on first use, and
+    everything derived lives in the one cache ``_cache`` of the ``_memo``
+    methods, whose entries are never mutated and whose arrays are read-only,
+    so contexts stay safe to share.
     """
 
     def __init__(self, space: DeformedSpace, q: float, degree: int):
@@ -160,17 +158,6 @@ class FockContext:
         self.q = float(q)
         self.degree = int(degree)
         self.dim = space.dim
-        gt = {0: np.ones(1)}
-        self._sym = {0: np.eye(1)}
-        for n in range(1, degree + 1):
-            gt[n] = _kron(gt[n - 1], space.g)
-            # (1 (x) P_{n-1}) R*_{1,n-1}: P_{n-1} acts on all but the first factor
-            size = self.dim ** n
-            rstar = _apply_r_star(self.q, self.dim, 1, n - 1, np.eye(size))
-            self._sym[n] = (self._sym[n - 1]
-                            @ rstar.reshape(self.dim, size // self.dim, size)).reshape(size, size)
-        self._metric = {n: gt[n][:, None] * self._sym[n] for n in range(degree + 1)}
-        _read_only([*self._sym.values(), *self._metric.values()])
         self._cache = {}
 
     # -- cached accessors ------------------------------------------------------
@@ -178,17 +165,22 @@ class FockContext:
     def block_size(self, n: int) -> int:
         return self.dim ** n
 
+    @_memo
     def sym(self, n: int) -> np.ndarray:
-        """q-symmetrizer on degree-n tensors."""
+        """q-symmetrizer on degree-n tensors, ``(1 (x) P_{n-1}) R*_{1,n-1}``:
+        ``P_{n-1}`` acts on all but the first factor."""
         if not 0 <= n <= self.degree:
             raise ValueError("degree out of range")
-        return self._sym[n]
+        if n == 0:
+            return np.eye(1)
+        rstar = _apply_r_star(self.q, self.dim, 1, n - 1, np.eye(self.dim ** n))
+        return (self.sym(n - 1) @ rstar.reshape(self.dim, -1, rstar.shape[1])).reshape(rstar.shape)
 
+    @_memo
     def metric(self, n: int) -> np.ndarray:
-        """Positive matrix of the degree-n q-inner product."""
-        if not 0 <= n <= self.degree:
-            raise ValueError("degree out of range")
-        return self._metric[n]
+        """Positive matrix of the degree-n q-inner product, ``G^{(x)n} P_q^(n)``."""
+        sym = self.sym(n)  # checks the degree
+        return functools.reduce(_kron, [self.space.g] * n, np.ones(1))[:, None] * sym
 
     # -- digit types ------------------------------------------------------------
 
@@ -228,23 +220,33 @@ class FockContext:
         return stacks
 
     @_memo
-    def stacks(self, name: str, n: int, k: int = 0) -> list:
-        """Type stacks (``type_stacks``), cached per (name, n, k), of
-        ``R*_{n,k}`` for name ``rstar``, else of ``X(n) (x) X(k)`` for X the
-        method ``sym``, ``metric``, ``metric_sqrt``, ``metric_invsqrt`` or
-        ``metric_inv``; ``X(0) = 1``, so (0, k) shares (k, 0), and the metric
-        functions' ``X(n)`` come from the eigen-pairs of the type blocks."""
-        if name == "rstar":
-            return self.type_stacks(n + k, r_star(self, n, k))
-        if name not in ("sym", "metric", *_METRIC_FUNCTIONS):
-            raise ValueError(f"unknown matrix name {name!r}")
-        if n == 0 and k > 0:
-            return self.stacks(name, k)
-        if k == 0 and name in _METRIC_FUNCTIONS:
+    def stacks(self, name: str, n: int) -> list:
+        """Type stacks (``type_stacks``) of ``X(n)``, for X the method ``sym``,
+        ``metric``, ``metric_sqrt``, ``metric_invsqrt`` or ``metric_inv``; the
+        metric functions' come from the eigen-pairs of the type blocks."""
+        if name in _METRIC_FUNCTIONS:
             scale = _METRIC_FUNCTIONS[name]
             return [(v * scale(w)[:, None, :]) @ v.swapaxes(1, 2) for w, v in self._eig(n)]
-        X = getattr(self, name)
-        return self.type_stacks(n + k, X(n) if k == 0 else _kron(X(n), X(k)))
+        if name not in ("sym", "metric"):
+            raise ValueError(f"unknown matrix name {name!r}")
+        return self.type_stacks(n, getattr(self, name)(n))
+
+    @_memo
+    def splits(self, name: str, p: int) -> list:
+        """The type stacks of every split ``(n, p - n)``, n = 0..p, of degree p,
+        as (p + 1, count, b, b) stacks with the split axis first: of
+        ``R*_{n,p-n}`` for name ``rstar``, else of ``X(n) (x) X(p - n)`` for X
+        a name of ``stacks``.  ``X(0) = 1``, so the splits n = 0 and n = p
+        are ``stacks(name, p)``."""
+        if not 0 <= p <= self.degree:
+            raise ValueError("degree out of range")
+        if name == "rstar":
+            per_split = [self.type_stacks(p, r_star(self, n, p - n)) for n in range(p + 1)]
+        else:
+            ends, X = self.stacks(name, p), getattr(self, name)  # stacks checks the name
+            per_split = [ends if n in (0, p) else self.type_stacks(p, _kron(X(n), X(p - n)))
+                         for n in range(p + 1)]
+        return [np.array(group) for group in zip(*per_split)]
 
     # -- metric functions -------------------------------------------------------
 
@@ -323,7 +325,7 @@ class FockContext:
             raise ValueError("degree out of range")
         size = self.dim ** p
         rstar = _apply_r_star(self.q, self.dim, m, p - m, np.eye(size))
-        picked = self._metric[m][self.reverse_map(m)]
+        picked = self.metric(m)[self.reverse_map(m)]
         return (picked @ rstar.reshape(self.dim ** m, -1)).reshape(
             self.dim ** m, self.dim ** (p - m), size)
 
@@ -791,8 +793,8 @@ def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
 def stack_norm(stacks):
     """Spectral norm of a block-diagonal matrix given as a list of (count, b, b)
     stacks of its blocks (``FockContext.type_stacks``): the largest block norm.
-    Stacks with a leading pair axis, (pairs, count, b, b), give one norm per
-    pair."""
+    Stacks with a leading split axis, (splits, count, b, b), give one norm per
+    split."""
     return _per_draw(np.max([np.linalg.svd(S, compute_uv=False)[..., 0].max(axis=-1)
                              for S in stacks], axis=0))
 
@@ -804,64 +806,39 @@ def hermitian_min_eig(stacks) -> float:
 
 
 # -- the pair functions ----------------------------------------------------------
-# Each takes one degree pair (n, k), or equal-length sequences n and k of pairs
-# of one total degree p = n + k: the type stacks of every pair have the shapes
-# of degree p, so the pairs' stacks are stacked along a leading pair axis
-# (``_pair_stacks``), as draws are in the block algebra, and each pair's value
-# comes out bit for bit as alone.  One pair gives a float, sequences an array
-# of one value per pair.
+# Each takes a total degree p and gives one value per split (n, p - n),
+# n = 0..p, as an array: the splits' type stacks (``FockContext.splits``) carry
+# a leading split axis, as draws do in the block algebra, and each split's
+# value comes out bit for bit as alone.
 
 
-def _total_degree(n, k) -> int:
-    """``n + k`` of a degree pair, or the one total degree of sequences of them."""
-    if np.ndim(n) == 0 and np.ndim(k) == 0:
-        return int(n) + int(k)
-    totals = {int(a) + int(b) for a, b in zip(n, k, strict=True)}
-    if len(totals) != 1:
-        raise ValueError(f"degree pairs must share one total degree n + k, got {sorted(totals)}")
-    return totals.pop()
+def factorization_residual(ctx: FockContext, p: int) -> np.ndarray:
+    """Spectral-norm residual of ``P_q^(p) = (P_q^(n) (x) P_q^(p-n)) R*``."""
+    groups = zip(ctx.stacks("sym", p), ctx.splits("sym", p), ctx.splits("rstar", p))
+    return stack_norm([lhs - split @ rstar for lhs, split, rstar in groups])
 
 
-def _pair_stacks(ctx: FockContext, name: str, n, k) -> list:
-    """``ctx.stacks(name, n, k)`` of one degree pair, or of every pair of the
-    sequences n and k (of one total degree) as (pairs, count, b, b) stacks."""
-    if np.ndim(n) == 0 and np.ndim(k) == 0:
-        return ctx.stacks(name, int(n), int(k))
-    _total_degree(n, k)
-    per_pair = [ctx.stacks(name, int(a), int(b)) for a, b in zip(n, k)]
-    return [np.array(group) for group in zip(*per_pair)]
-
-
-def factorization_residual(ctx: FockContext, n, k):
-    """Spectral-norm residual of ``P_q^(n+k) = (P_q^(n) (x) P_q^(k)) R*``."""
-    groups = zip(ctx.stacks("sym", _total_degree(n, k)), _pair_stacks(ctx, "sym", n, k),
-                 _pair_stacks(ctx, "rstar", n, k))
-    return stack_norm([lhs - pair @ rstar for lhs, pair, rstar in groups])
-
-
-def rstar_free_norm(ctx: FockContext, n, k):
+def rstar_free_norm(ctx: FockContext, p: int) -> np.ndarray:
     """Norm of R* between undeformed tensor powers (plain spectral norm; the
     base metric commutes with position permutations)."""
-    return stack_norm(_pair_stacks(ctx, "rstar", n, k))
+    return stack_norm(ctx.splits("rstar", p))
 
 
-def id_embedding_norm(ctx: FockContext, n, k):
-    """Deformed norm of the coordinate identity from degree-n (x) degree-k to
-    degree n+k."""
-    groups = zip(ctx.stacks("metric_sqrt", _total_degree(n, k)),
-                 _pair_stacks(ctx, "metric_invsqrt", n, k))
-    return stack_norm([sqrt @ pair_invsqrt for sqrt, pair_invsqrt in groups])
+def id_embedding_norm(ctx: FockContext, p: int) -> np.ndarray:
+    """Deformed norm of the coordinate identity from degree-n (x) degree-(p-n)
+    to degree p."""
+    groups = zip(ctx.stacks("metric_sqrt", p), ctx.splits("metric_invsqrt", p))
+    return stack_norm([sqrt @ split_invsqrt for sqrt, split_invsqrt in groups])
 
 
-def rstar_deformed_norm(ctx: FockContext, n, k):
-    groups = zip(_pair_stacks(ctx, "metric_sqrt", n, k), _pair_stacks(ctx, "rstar", n, k),
-                 ctx.stacks("metric_invsqrt", _total_degree(n, k)))
-    return stack_norm([pair_sqrt @ rstar @ invsqrt for pair_sqrt, rstar, invsqrt in groups])
+def rstar_deformed_norm(ctx: FockContext, p: int) -> np.ndarray:
+    groups = zip(ctx.splits("metric_sqrt", p), ctx.splits("rstar", p),
+                 ctx.stacks("metric_invsqrt", p))
+    return stack_norm([split_sqrt @ rstar @ invsqrt for split_sqrt, rstar, invsqrt in groups])
 
 
-def rstar_adjoint_residual(ctx: FockContext, n, k):
-    """Residual of ``(Id_{n,k})* = R*`` w.r.t. the deformed q-inner products."""
-    groups = zip(_pair_stacks(ctx, "metric", n, k), ctx.stacks("metric", _total_degree(n, k)),
-                 _pair_stacks(ctx, "rstar", n, k))
-    return stack_norm([np.linalg.solve(pair, np.broadcast_to(metric, pair.shape)) - rstar
-                       for pair, metric, rstar in groups])
+def rstar_adjoint_residual(ctx: FockContext, p: int) -> np.ndarray:
+    """Residual of ``(Id_{n,p-n})* = R*`` w.r.t. the deformed q-inner products."""
+    groups = zip(ctx.splits("metric", p), ctx.stacks("metric", p), ctx.splits("rstar", p))
+    return stack_norm([np.linalg.solve(split, np.broadcast_to(metric, split.shape)) - rstar
+                       for split, metric, rstar in groups])

@@ -28,11 +28,10 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, _on_inputs, _pair_stacks,
-                   _tensor_powers, annihilation, blockwise_gap, c_constant, check_metric_floor,
-                   creation, factorization_residual, gauge_block, hermitian_min_eig,
-                   id_embedding_norm, rstar_adjoint_residual, rstar_deformed_norm,
-                   rstar_free_norm, stack_norm)
+from .fock import (FockContext, GradedOperator, GradedVector, _on_inputs, _tensor_powers,
+                   annihilation, blockwise_gap, c_constant, check_metric_floor, creation,
+                   factorization_residual, gauge_block, hermitian_min_eig, id_embedding_norm,
+                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
 from .spaces import BlockSpectrum, _gaussian, _spectral_norm, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -61,14 +60,16 @@ DEFAULT_TOLERANCES = {
 
 def parse_spectrum(text: str) -> BlockSpectrum:
     """Parse a compact spectrum string: terms joined by '+', each either
-    ``t<count>`` (trivial directions) or ``b<lam>[x<mult>]`` (a rotation
-    block).  Example: ``b2x2+t1``."""
+    ``t<count>`` (count >= 1 trivial directions) or ``b<lam>[x<mult>]`` (a
+    rotation block).  Example: ``b2x2+t1``."""
     blocks, trivial = [], 0
     for term in text.split("+"):
         term = term.strip()
         if not term:
             raise ValueError(f"empty term in spectrum {text!r}")
         if term[0] == "t":
+            if int(term[1:]) < 1:
+                raise ValueError(f"trivial count in {term!r} must be >= 1")
             trivial += int(term[1:])
         elif term[0] == "b":
             body = term[1:]
@@ -256,12 +257,6 @@ class _Point:
         return FockContext(sub, self.q, self.config.degree)
 
 
-def _pairs_by_total_degree(degree: int):
-    """The degree pairs (n, k) with n + k <= degree, as one (ns, ks) pair of
-    tuples per total degree p = n + k, p = 0..degree."""
-    return [(tuple(range(p + 1)), tuple(range(p, -1, -1))) for p in range(degree + 1)]
-
-
 # ---------------------------------------------------------------------------
 # residual functions of the table rows, each yielding one value per check
 # ---------------------------------------------------------------------------
@@ -273,17 +268,16 @@ def _sym_positivity(pt: _Point):
 
 
 def _over_pairs(residual):
-    """Row function: ``residual(ctx, ns, ks)`` once per total degree, on all
-    its degree pairs at once (``_pairs_by_total_degree``), one value per pair.
-    The tables pass a library function in a lambda that names it, so the
-    name is looked up when the row runs and a rebinding of it (a layer
-    trace) is seen."""
+    """Row function: ``residual(ctx, p)`` once per total degree p = 0..N, on
+    all its splits (n, p - n) at once, one value per split.  The tables pass
+    a library function in a lambda that names it, so the name is looked up
+    when the row runs and a rebinding of it (a layer trace) is seen."""
     return lambda pt: itertools.chain.from_iterable(
-        residual(pt.ctx, ns, ks).tolist() for ns, ks in _pairs_by_total_degree(pt.config.degree))
+        residual(pt.ctx, p).tolist() for p in range(pt.config.degree + 1))
 
 
-def _deformed_norm_excess(ctx: FockContext, ns, ks) -> np.ndarray:
-    return np.maximum(id_embedding_norm(ctx, ns, ks), rstar_deformed_norm(ctx, ns, ks)) \
+def _deformed_norm_excess(ctx: FockContext, p: int) -> np.ndarray:
+    return np.maximum(id_embedding_norm(ctx, p), rstar_deformed_norm(ctx, p)) \
         - np.sqrt(c_constant(ctx.q))
 
 
@@ -340,11 +334,6 @@ def _wick_linearity(pt: _Point):
     combined = wick.wick_word(ctx, a * xi + b * eta, n).op
     split = a * wick.wick_word(ctx, xi, n).op + b * wick.wick_word(ctx, eta, n).op
     yield combined.max_diff(split)
-
-
-def _vacuum_gap(x: GradedOperator, image: GradedOperator) -> float:
-    """``|<Omega, image Omega> - <Omega, x Omega>|`` for an image of ``x``."""
-    return abs(image.vacuum_expectation() - x.vacuum_expectation())
 
 
 def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
@@ -472,7 +461,7 @@ def _expectation_residual(pt: _Point):
     scale = max(stack_norm(gauged), 1.0)
     min_eig = hermitian_min_eig(gauged)
     yield max(-min_eig, 0.0) / scale  # positive, relative scale
-    yield _vacuum_gap(op, ex)  # vacuum-state compatible
+    yield quantize._vacuum_gaps(op.blocks, ex.blocks)  # vacuum-state compatible
 
 
 def _random_graded(ctx: FockContext, rng) -> GradedOperator:
@@ -536,12 +525,12 @@ def _finkernel_rank(pt: _Point):
 
 
 def _majorisation(pt: _Point):
-    """The majorisation margin at each degree pair, the pairs of one total
-    degree p as one check; an inconsistent pair is red."""
+    """The majorisation margin at each split (n, p - n), the splits of one
+    total degree p as one check; an inconsistent split is red."""
     ctx = pt.ctx
-    for p, (ns, ks) in enumerate(_pairs_by_total_degree(ctx.degree)):
-        check = toeplitz.majorisation_check(ctx.stacks("sym", p), _pair_stacks(ctx, "sym", ns, ks),
-                                            _pair_stacks(ctx, "rstar", ns, ks))
+    for p in range(ctx.degree + 1):
+        check = toeplitz.majorisation_check(ctx.stacks("sym", p), ctx.splits("sym", p),
+                                            ctx.splits("rstar", p))
         yield from np.where(check["consistent"], -check["margin"], np.inf).tolist()
 
 
@@ -588,7 +577,8 @@ def _approximant_state_residual(pt: _Point):
     for _ in range(pt.config.samples["state_preservation"]):
         n = int(rng.integers(0, deg_max + 1))
         word = wick.wick_word(ctx, _gaussian(rng, ctx.block_size(n)), n, inputs=range(1))
-        yield _vacuum_gap(word.op, quantize.intrinsic_image(powers, word.op, range(1)))
+        yield quantize._vacuum_gaps(word.op.blocks,
+                                    quantize.intrinsic_image(powers, word.op, range(1)).blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +604,12 @@ def _free_reduction_bound(tol: dict, q: float) -> float:
 _TABLES = {
     "symmetrizer": (
         (_sym_positivity, ("symmetrizer/positivity", 0.0)),
-        (_over_pairs(lambda ctx, n, k: factorization_residual(ctx, n, k)),
+        (_over_pairs(lambda ctx, p: factorization_residual(ctx, p)),
          ("symmetrizer/factorization", "algebraic")),
-        (_over_pairs(lambda ctx, n, k: rstar_free_norm(ctx, n, k) - c_constant(ctx.q)),
+        (_over_pairs(lambda ctx, p: rstar_free_norm(ctx, p) - c_constant(ctx.q)),
          ("symmetrizer/rstar_free_norm", "norm")),
         (_over_pairs(_deformed_norm_excess), ("symmetrizer/deformed_norm_bounds", "norm")),
-        (_over_pairs(lambda ctx, n, k: rstar_adjoint_residual(ctx, n, k)),
+        (_over_pairs(lambda ctx, p: rstar_adjoint_residual(ctx, p)),
          ("symmetrizer/adjoint_pairing", "algebraic")),
         (_q_commutation_residual, ("symmetrizer/q_commutation", "algebraic")),
         (_creation_adjoint_residual, ("symmetrizer/creation_adjoint", "algebraic")),

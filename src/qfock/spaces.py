@@ -48,6 +48,8 @@ class BlockSpectrum:
     def __init__(self, blocks=(), trivial=0):
         blocks = [(float(lam), int(mult)) for lam, mult in blocks]
         for lam, mult in blocks:
+            if not np.isfinite(lam):
+                raise ValueError("generator eigenvalues must be finite")
             if lam <= 0.0:
                 raise ValueError("generator eigenvalues must be positive")
             if lam < 1.0:

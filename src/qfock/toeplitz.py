@@ -228,9 +228,9 @@ def majorisation_check(A, B, T) -> dict:
     type blocks (``FockContext.type_stacks``) with matching shapes.  For
     stacks every norm is the largest over the blocks and every eigenvalue the
     smallest, so ``||T||`` is the global norm and the margin is the dense one;
-    a dense matrix is the one-block case.  Lists of (pairs, count, b, b)
-    stacks check one triple per pair, each bit for bit as alone, and give one
-    value per pair in every entry; an A without the pair axis is every pair's."""
+    a dense matrix is the one-block case.  Lists of (splits, count, b, b) stacks
+    check one triple per split, each bit for bit as alone, and give one value per
+    split in every entry; an A without the split axis is every split's."""
     A, B, T = (_as_stacks(X) for X in (A, B, T))
     if not [S.shape[-3:] for S in A] == [S.shape[-3:] for S in B] == [S.shape[-3:] for S in T]:
         raise ValueError("A, B and T must have stacks of matching shapes")
@@ -259,7 +259,7 @@ def majorisation_check(A, B, T) -> dict:
 
 
 def _as_stacks(X) -> list:
-    """A list of 3-D stacks, or of 4-D ones with a leading pair axis, as it
+    """A list of 3-D stacks, or of 4-D ones with a leading split axis, as it
     is; any other array-like as a square matrix, the one-block case."""
     if isinstance(X, list) and X and all(np.ndim(S) in (3, 4) for S in X):
         return [np.asarray(S) for S in X]

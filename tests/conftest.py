@@ -47,11 +47,6 @@ def make_ctx(spectrum, q, degree):
     return FockContext(build_space(parse_spectrum(spectrum)), q, degree)
 
 
-def pairs(degree):
-    """Degree pairs (n, k) with n + k <= degree."""
-    return [(n, k) for n in range(degree + 1) for k in range(degree + 1 - n)]
-
-
 def allocation_peak(call) -> float:
     """Peak of the memory traced while ``call()`` runs, in MiB."""
     tracemalloc.start()

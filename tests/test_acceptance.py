@@ -71,7 +71,7 @@ def test_criterion_02_symmetrizer_factorization():
     for spectrum, q, ctx in grid_contexts():
         for n in range(DEGREE + 1):
             for k in range(DEGREE + 1 - n):
-                worst = max(worst, factorization_residual(ctx, n, k))
+                worst = max(worst, factorization_residual(ctx, n + k)[n])
     announce("criterion 2: symmetrizer factorization residual <= 1e-10",
              worst <= 1e-10, f"max residual {worst:.3e}")
 

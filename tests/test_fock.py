@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qfock import fock, reports, toeplitz
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedVector, annihilation, c_constant, creation, s_q
-from conftest import Q_GRID, SPECTRA, make_ctx, pairs
+from conftest import Q_GRID, SPECTRA, make_ctx
 
 
 def brute_symmetrizer(dim, q, n):
@@ -238,23 +238,23 @@ def test_symmetrizer_factorization_across_grid():
             ctx = make_ctx(spectrum, q, 4)
             for n in range(5):
                 for k in range(5 - n):
-                    assert fock.factorization_residual(ctx, n, k) < 1e-10
+                    assert fock.factorization_residual(ctx, n + k)[n] < 1e-10
 
 
 def test_r_star_free_norm_bounded_by_c(ctx_half):
     cq = c_constant(ctx_half.q)
     for n in range(5):
         for k in range(5 - n):
-            assert fock.rstar_free_norm(ctx_half, n, k) <= cq + 1e-10
+            assert fock.rstar_free_norm(ctx_half, n + k)[n] <= cq + 1e-10
 
 
 def test_deformed_norm_invariants(ctx_half):
     bound = np.sqrt(c_constant(ctx_half.q))
     for n in range(5):
         for k in range(5 - n):
-            assert fock.id_embedding_norm(ctx_half, n, k) <= bound + 1e-10
-            assert fock.rstar_deformed_norm(ctx_half, n, k) <= bound + 1e-10
-            assert fock.rstar_adjoint_residual(ctx_half, n, k) < 1e-10
+            assert fock.id_embedding_norm(ctx_half, n + k)[n] <= bound + 1e-10
+            assert fock.rstar_deformed_norm(ctx_half, n + k)[n] <= bound + 1e-10
+            assert fock.rstar_adjoint_residual(ctx_half, n + k)[n] < 1e-10
 
 
 def test_first_quantization_functorial(ctx_half, rng):
@@ -481,42 +481,84 @@ def test_type_stacks_reject_off_type_entries():
 STACK_NAMES = ("rstar", "sym", "metric", "metric_sqrt", "metric_invsqrt", "metric_inv")
 
 
-def _dense_route(ctx, name, n, k):
-    """The dense degree-(n + k) matrix whose type stacks ``ctx.stacks`` holds."""
+def _dense_split(ctx, name, n, p):
+    """The dense degree-p matrix of the split (n, p - n) that ``ctx.splits``
+    holds: ``R*_{n,p-n}``, or ``X(n) (x) X(p - n)`` by ``np.kron``."""
     if name == "rstar":
-        return fock.r_star(ctx, n, k)
+        return fock.r_star(ctx, n, p - n)
     X = getattr(ctx, name)
-    return fock._kron(X(n), X(k))
+    return np.kron(X(n), X(p - n))
 
 
 def test_stacks_are_the_type_stacks_of_the_dense_route():
     for spectrum in ("t2", "b2+t1"):
         for q in (0.5, -0.9):
             ctx = make_ctx(spectrum, q, 4)
-            for name in STACK_NAMES:
-                for n, k in pairs(ctx.degree):
-                    # k = 0 is asked for without k first, and with it below
-                    got = ctx.stacks(name, n) if k == 0 else ctx.stacks(name, n, k)
-                    expected = ctx.type_stacks(n + k, _dense_route(ctx, name, n, k))
+            for name in STACK_NAMES[1:]:
+                for n in range(ctx.degree + 1):
+                    got = ctx.stacks(name, n)
+                    expected = ctx.type_stacks(n, getattr(ctx, name)(n))
                     assert len(got) == len(expected)
                     assert all(np.array_equal(S, E) for S, E in zip(got, expected))
                     assert not any(S.flags.writeable for S in got)
-                    assert ctx.stacks(name, n, k) is got
+                    assert ctx.stacks(name, n) is got
+    for unknown in ("metric_diag_free", "rstar"):  # R* has splits, no one-degree stacks
+        with pytest.raises(ValueError, match="unknown"):
+            ctx.stacks(unknown, 1)
     with pytest.raises(ValueError, match="unknown"):
-        ctx.stacks("metric_diag_free", 1)
+        ctx.splits("metric_diag_free", 1)
+
+
+@pytest.mark.parametrize("spectrum, degree", [("t1", 5), ("t2", 5), ("b2", 5), ("b2+t1", 5),
+                                              ("b2+t1", 6)])
+def test_splits_are_the_type_stacks_of_the_dense_route_bit_for_bit(spectrum, degree):
+    # split n of splits(name, p) is the type stacks of the dense matrix of
+    # (n, p - n), built by np.kron or by r_star and gathered alone
+    ctx = make_ctx(spectrum, 0.9, degree)
+    for name in STACK_NAMES:
+        for p in range(degree + 1):
+            got = ctx.splits(name, p)
+            for n in range(p + 1):
+                expected = ctx.type_stacks(p, _dense_split(ctx, name, n, p))
+                assert [S.shape for S in got] == [(p + 1,) + E.shape for E in expected]
+                assert all(np.array_equal(S[n], E) for S, E in zip(got, expected))
+            assert not any(S.flags.writeable for S in got)
+            assert ctx.splits(name, p) is got
 
 
 def test_degree_zero_left_factor_shares_the_entry_of_the_right_one():
-    # X(0) = 1, so X(0) (x) X(k) is X(k): (0, k) is the cached entry of (k, 0),
+    # X(0) = 1, so the splits n = 0 and n = p of X are stacks(name, p),
     # whichever of the two is asked for first
-    for first_left in (True, False):
+    for splits_first in (True, False):
         ctx = make_ctx("b2+t1", 0.5, 4)
         for name in STACK_NAMES[1:]:
-            for k in range(1, ctx.degree + 1):
-                if first_left:
-                    assert ctx.stacks(name, 0, k) is ctx.stacks(name, k)
+            for p in range(1, ctx.degree + 1):
+                if splits_first:
+                    splits = ctx.splits(name, p)
+                    ends = ctx.stacks(name, p)
                 else:
-                    assert ctx.stacks(name, k) is ctx.stacks(name, 0, k)
+                    ends = ctx.stacks(name, p)
+                    splits = ctx.splits(name, p)
+                assert ctx.stacks(name, p) is ends
+                for S, E in zip(splits, ends):
+                    assert np.array_equal(S[0], E) and np.array_equal(S[p], E)
+
+
+def test_a_context_builds_each_degree_on_first_use():
+    ctx = make_ctx("b2+t1", 0.5, 6)
+    assert ctx._cache == {}
+    metric = ctx.metric(3)
+    assert set(ctx._cache) == {("metric", 3), *(("sym", n) for n in range(4))}
+    gt = np.ones(1)
+    for _ in range(3):
+        gt = np.kron(gt, ctx.space.g)
+    assert np.array_equal(metric, gt[:, None] * ctx.sym(3))
+    for method in (ctx.sym, ctx.metric, lambda n: ctx.splits("rstar", n),
+                   lambda n: ctx.splits("sym", n)):
+        for n in (-1, 7):
+            with pytest.raises(ValueError, match="out of range"):
+                method(n)
+    assert len(ctx._cache) == 5
 
 
 def test_second_round_of_residuals_gathers_nothing(monkeypatch):
@@ -534,7 +576,7 @@ def test_second_round_of_residuals_gathers_nothing(monkeypatch):
                  fock.rstar_deformed_norm, fock.rstar_adjoint_residual)
 
     def one_round():
-        return [f(pt.ctx, n, k) for f in residuals for n, k in pairs(pt.ctx.degree)]
+        return [f(pt.ctx, p).tolist() for f in residuals for p in range(pt.ctx.degree + 1)]
 
     first = one_round()
     assert calls
@@ -548,7 +590,7 @@ def test_cached_arrays_are_read_only():
     ctx = make_ctx("b2+t1", 0.5, 3)
     arrays = [ctx.sym(2), ctx.metric(2), ctx.metric_sqrt(2), ctx.metric_invsqrt(2),
               ctx.metric_inv(2), ctx.ann_words(1, 2),
-              *ctx.stacks("rstar", 1, 1), *ctx.stacks("metric_sqrt", 1, 1),
+              *ctx.splits("rstar", 2), *ctx.splits("metric_sqrt", 2),
               *ctx.stacks("metric_invsqrt", 2)]
     before = [np.array(arr) for arr in arrays]
     for arr in arrays:
@@ -859,31 +901,48 @@ def test_vectors_and_apply_refuse_another_context():
     assert creation(ctx, [1.0, 0.5j]).apply(same).ctx is ctx
 
 
-PAIR_FUNCTIONS = (fock.factorization_residual, fock.rstar_free_norm, fock.id_embedding_norm,
-                  fock.rstar_deformed_norm, fock.rstar_adjoint_residual)
+def _split_stacks(ctx, name, n, p):
+    return ctx.type_stacks(p, _dense_split(ctx, name, n, p))
+
+
+# each pair function at one split (n, p - n), on that split's own (count, b, b)
+# stacks of the dense route
+PAIR_FUNCTIONS = {
+    fock.factorization_residual: lambda ctx, n, p: fock.stack_norm(
+        [lhs - split @ rstar for lhs, split, rstar in zip(
+            ctx.stacks("sym", p), _split_stacks(ctx, "sym", n, p),
+            _split_stacks(ctx, "rstar", n, p))]),
+    fock.rstar_free_norm: lambda ctx, n, p: fock.stack_norm(_split_stacks(ctx, "rstar", n, p)),
+    fock.id_embedding_norm: lambda ctx, n, p: fock.stack_norm(
+        [sqrt @ split for sqrt, split in zip(
+            ctx.stacks("metric_sqrt", p), _split_stacks(ctx, "metric_invsqrt", n, p))]),
+    fock.rstar_deformed_norm: lambda ctx, n, p: fock.stack_norm(
+        [split @ rstar @ invsqrt for split, rstar, invsqrt in zip(
+            _split_stacks(ctx, "metric_sqrt", n, p), _split_stacks(ctx, "rstar", n, p),
+            ctx.stacks("metric_invsqrt", p))]),
+    fock.rstar_adjoint_residual: lambda ctx, n, p: fock.stack_norm(
+        [np.linalg.solve(split, metric) - rstar for split, metric, rstar in zip(
+            _split_stacks(ctx, "metric", n, p), ctx.stacks("metric", p),
+            _split_stacks(ctx, "rstar", n, p))]),
+}
 
 
 @pytest.mark.parametrize("spectrum, degree", [("t1", 5), ("t2", 5), ("b2", 5), ("b2+t1", 5),
                                               ("b2+t1", 6)])
-def test_grouped_pair_functions_equal_their_pairs_bit_for_bit(spectrum, degree):
-    # the pairs of one total degree p share the type-stack shapes of degree p,
-    # so they go through one stack each, every pair's value as alone
+def test_grouped_pair_functions_equal_their_pairs_bit_for_bit(monkeypatch, spectrum, degree):
+    # the splits of one total degree p share the type-stack shapes of degree
+    # p, so they go through one stack each, every split's value as alone
     ctx = make_ctx(spectrum, 0.9, degree)
+    alone = {}
     for p in range(degree + 1):
-        ns, ks = tuple(range(p + 1)), tuple(range(p, -1, -1))
-        for f in PAIR_FUNCTIONS:
-            alone = [f(ctx, n, k) for n, k in zip(ns, ks)]
-            assert all(type(value) is float for value in alone)
-            grouped = f(ctx, ns, ks)
+        for f, alone_route in PAIR_FUNCTIONS.items():
+            alone[f, p] = [alone_route(ctx, n, p) for n in range(p + 1)]
+            assert all(type(value) is float for value in alone[f, p])
+            grouped = f(ctx, p)
             assert grouped.shape == (p + 1,)
-            assert grouped.tolist() == alone
-            # a pair's value does not depend on the pairs grouped with it
-            assert f(ctx, ns[::-1], ks[::-1]).tolist() == alone[::-1]
-
-
-def test_grouped_pair_functions_refuse_pairs_of_different_total_degree(ctx_half):
-    for f in PAIR_FUNCTIONS:
-        with pytest.raises(ValueError, match="total degree"):
-            f(ctx_half, (0, 1), (1, 1))
-        with pytest.raises(ValueError):
-            f(ctx_half, (0, 1), (1,))
+            assert grouped.tolist() == alone[f, p]
+    # a split's value does not depend on the splits stacked with it
+    splits = ctx.splits
+    monkeypatch.setattr(ctx, "splits", lambda name, p: [S[::-1] for S in splits(name, p)])
+    for (f, p), values in alone.items():
+        assert f(ctx, p).tolist() == values[::-1]

@@ -548,7 +548,7 @@ def _lone_channel_residuals(ctx, comb_ctx, contraction, n, xi):
     return (fock.blockwise_gap(ctx, image, expected, window),
             channel.conjugate(GradedOperator.identity(comb_ctx)).max_diff(
                 GradedOperator.identity(ctx)),
-            reports._vacuum_gap(word.op, image), gns.norm())
+            abs(image.vacuum_expectation() - word.op.vacuum_expectation()), gns.norm())
 
 
 def _one_draw_channel_row(pt):

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -68,8 +69,11 @@ def test_config_validation(tmp_path):
             SweepConfig(**{field: value})
     with pytest.raises(ValueError, match="kadison_shwarz"):  # a typo used to run the default
         SweepConfig(samples={"kadison_shwarz": 5})
-    for spectrum in ("t0", "b1e400"):  # parse, but realize no space
-        with pytest.raises(ValueError, match=repr(spectrum)):
+    # a trivial count below 1 (t2+t-1 summed to a 1-dimensional space under
+    # its own label) and a non-finite eigenvalue realize no space
+    for spectrum, reason in (("t0", ">= 1"), ("t2+t-1", ">= 1"), ("b1e400", "finite"),
+                             ("bnan", "finite")):
+        with pytest.raises(ValueError, match=f"{re.escape(repr(spectrum))}.*{reason}"):
             SweepConfig(spectra=(spectrum,))
     with pytest.raises(ValueError, match="degree-2 metric"):
         SweepConfig(spectra=("b1e154",), degree=2)
@@ -482,7 +486,8 @@ def test_cli_exit_codes(tmp_path):
     # b1e308 overflows the metric, and at degree 2 the inverse metric of
     # b1e154 does: an uncaught warning or error there used to exit 1
     strict = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
-    for spectrum, degree in (("t0", "5"), ("b1e400", "5"), ("b1e308", "5"), ("b1e154", "2")):
+    for spectrum, degree in (("t0", "5"), ("t2+t-1", "5"), ("b1e400", "5"), ("b1e308", "5"),
+                             ("b1e154", "2")):
         bad = run_cli(["--dim-spec", spectrum, "--degree", degree,
                        "--out", str(tmp_path / "x.json")], env=strict)
         assert bad.returncode == 2
@@ -666,23 +671,30 @@ _PAIR_ROWS = {"symmetrizer/factorization": ("symmetrizer", 1),
               "toeplitz/majorisation": ("toeplitz", 5)}
 
 
+def _scaled_split(stacks):
+    """Split stacks with split n = 1, R*_{1,2} in ``splits("rstar", 3)``,
+    scaled by 1.01."""
+    scaled = [np.array(S) for S in stacks]
+    for S in scaled:
+        S[1] *= 1.01
+    return scaled
+
+
 @pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1"])
 def test_grouped_pair_rows_have_teeth_in_one_pair(monkeypatch, spectrum):
     # R*_{1,2} scaled by 1.01: the rows that test an identity of R* turn red
     # at that pair, and every other pair of its group keeps its value, so a
     # group that mixed up its pairs would show
     config = SweepConfig(q_values=(0.5,), spectra=(spectrum,), degree=4)
-    pairs = [pair for ns, ks in reports._pairs_by_total_degree(config.degree)
-             for pair in zip(ns, ks)]
+    pairs = [(n, p - n) for p in range(config.degree + 1) for n in range(p + 1)]
     bad = pairs.index((1, 2))
 
     def row_values(perturb):
         pt = reports._Point(config, spectrum, 0.5)
         if perturb:
-            stacks = pt.ctx.stacks
-            monkeypatch.setattr(pt.ctx, "stacks", lambda name, n, k=0: (
-                [1.01 * S for S in stacks(name, n, k)] if (name, n, k) == ("rstar", 1, 2)
-                else stacks(name, n, k)))
+            splits = pt.ctx.splits
+            monkeypatch.setattr(pt.ctx, "splits", lambda name, p: (
+                _scaled_split(splits(name, p)) if (name, p) == ("rstar", 3) else splits(name, p)))
         values = {}
         for check, (suite, index) in _PAIR_ROWS.items():
             residual, (name, rule) = reports._TABLES[suite][index]
@@ -701,15 +713,15 @@ def test_grouped_pair_rows_have_teeth_in_one_pair(monkeypatch, spectrum):
 
 
 def test_grouped_pair_rows_turn_the_report_red(monkeypatch):
-    stacks = FockContext.stacks
+    splits = FockContext.splits
 
-    def perturbed(self, name, n, k=0):
-        out = stacks(self, name, n, k)
-        return [1.01 * S for S in out] if (name, n, k) == ("rstar", 1, 2) else out
+    def perturbed(self, name, p):
+        out = splits(self, name, p)
+        return _scaled_split(out) if (name, p) == ("rstar", 3) else out
 
     config = SweepConfig(q_values=(0.5,), spectra=("b2+t1",), degree=4)
     clean = {r.check: r for r in run_suite(config, ("symmetrizer", "toeplitz"))}
-    monkeypatch.setattr(FockContext, "stacks", perturbed)
+    monkeypatch.setattr(FockContext, "splits", perturbed)
     red = {r.check: r for r in run_suite(config, ("symmetrizer", "toeplitz"))}
     for check in ("symmetrizer/factorization", "symmetrizer/adjoint_pairing",
                   "toeplitz/majorisation"):

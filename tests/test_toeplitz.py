@@ -353,14 +353,13 @@ def test_realize_keeps_exactly_the_blocks_of_the_truncation_rule(degree):
 def test_grouped_majorisation_equals_its_pairs_bit_for_bit(spectrum, degree):
     ctx = make_ctx(spectrum, 0.9, degree)
     for p in range(degree + 1):
-        ns, ks = tuple(range(p + 1)), tuple(range(p, -1, -1))
-        grouped = toeplitz.majorisation_check(ctx.stacks("sym", p),
-                                              fock._pair_stacks(ctx, "sym", ns, ks),
-                                              fock._pair_stacks(ctx, "rstar", ns, ks))
-        for i, (n, k) in enumerate(zip(ns, ks)):
-            alone = toeplitz.majorisation_check(ctx.stacks("sym", p), ctx.stacks("sym", n, k),
-                                                ctx.stacks("rstar", n, k))
-            assert {key: value[i].item() for key, value in grouped.items()} == alone
+        grouped = toeplitz.majorisation_check(ctx.stacks("sym", p), ctx.splits("sym", p),
+                                              ctx.splits("rstar", p))
+        for n in range(p + 1):
+            alone = toeplitz.majorisation_check(
+                ctx.stacks("sym", p), ctx.type_stacks(p, np.kron(ctx.sym(n), ctx.sym(p - n))),
+                ctx.type_stacks(p, fock.r_star(ctx, n, p - n)))
+            assert {key: value[n].item() for key, value in grouped.items()} == alone
             assert type(alone["consistent"]) is bool and type(alone["margin"]) is float
 
 
