@@ -543,11 +543,17 @@ def _block_gaps(ctx: FockContext, A: dict, B: dict, inputs):
     return _per_draw(res)
 
 
+def _hermitian_eigs(M) -> np.ndarray:
+    """Eigenvalues, ascending, of the Hermitian part of a matrix, one row per
+    matrix of a stack along leading axes."""
+    H = M + np.conj(M).swapaxes(-1, -2)  # halved in place: the same bits, one copy fewer
+    return np.linalg.eigvalsh(np.divide(H, 2.0, out=H))
+
+
 def _min_eigs(M) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of a matrix, one per matrix
     of a stack along leading axes."""
-    H = M + np.conj(M).swapaxes(-1, -2)  # halved in place: the same bits, one copy fewer
-    return np.linalg.eigvalsh(np.divide(H, 2.0, out=H))[..., 0]
+    return _hermitian_eigs(M)[..., 0]
 
 
 def _degree_slices(ctx: FockContext, degrees):
@@ -666,9 +672,9 @@ class GradedOperator:
         norm = 0.0
         for out_degrees, in_degrees in _block_components(
                 [key for key, B in self.blocks.items() if B.any()]):
-            dense = _assemble(self.ctx_out, self.ctx_in, self.blocks, sorted(out_degrees),
-                              sorted(in_degrees), gauge=True)
-            norm = max(norm, _spectral_norm(dense))
+            norm = max(norm, _spectral_norm(_assemble(
+                self.ctx_out, self.ctx_in, self.blocks, sorted(out_degrees), sorted(in_degrees),
+                gauge=True)))
         return norm
 
     def max_diff(self, other: "GradedOperator") -> float:
@@ -792,11 +798,11 @@ def r_star(ctx: FockContext, n: int, k: int) -> np.ndarray:
 
 def stack_norm(stacks):
     """Spectral norm of a block-diagonal matrix given as a list of (count, b, b)
-    stacks of its blocks (``FockContext.type_stacks``): the largest block norm.
+    stacks of its blocks (``FockContext.type_stacks``): the largest block norm
+    (``spaces._spectral_norm``).
     Stacks with a leading split axis, (splits, count, b, b), give one norm per
     split."""
-    return _per_draw(np.max([np.linalg.svd(S, compute_uv=False)[..., 0].max(axis=-1)
-                             for S in stacks], axis=0))
+    return _per_draw(np.max([_spectral_norm(S).max(axis=-1) for S in stacks], axis=0))
 
 
 def hermitian_min_eig(stacks) -> float:

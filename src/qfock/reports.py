@@ -28,10 +28,11 @@ import numpy as np
 
 from . import haagerup, quantize, toeplitz, wick
 from . import spaces as sp
-from .fock import (FockContext, GradedOperator, GradedVector, _on_inputs, _tensor_powers,
-                   annihilation, blockwise_gap, c_constant, check_metric_floor, creation,
-                   factorization_residual, gauge_block, hermitian_min_eig, id_embedding_norm,
-                   rstar_adjoint_residual, rstar_deformed_norm, rstar_free_norm, stack_norm)
+from .fock import (FockContext, GradedOperator, GradedVector, _hermitian_eigs, _on_inputs,
+                   _tensor_powers, annihilation, blockwise_gap, c_constant, check_metric_floor,
+                   creation, factorization_residual, gauge_block, hermitian_min_eig,
+                   id_embedding_norm, rstar_adjoint_residual, rstar_deformed_norm,
+                   rstar_free_norm)
 from .spaces import BlockSpectrum, _gaussian, _spectral_norm, build_space
 
 SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
@@ -454,14 +455,21 @@ def _expectation_residual(pt: _Point):
     yield toeplitz.degree_expectation(ident).max_diff(ident)  # unital
     del ident  # not live while the product below builds its blocks
     psd = op.adjoint() @ op
-    ex_psd = toeplitz.degree_expectation(psd)
-    # degree-diagonal: each block is gauged once, for its norm and its
-    # spectrum; a degree without a block would add eigenvalue 0, clipped below
-    gauged = [gauge_block(ctx, ctx, B, m, n)[None] for (m, n), B in ex_psd.blocks.items()]
-    scale = max(stack_norm(gauged), 1.0)
-    min_eig = hermitian_min_eig(gauged)
-    yield max(-min_eig, 0.0) / scale  # positive, relative scale
+    yield _positivity_gap(ctx, toeplitz.degree_expectation(psd).blocks)  # positive
     yield quantize._vacuum_gaps(op.blocks, ex.blocks)  # vacuum-state compatible
+
+
+def _positivity_gap(ctx: FockContext, blocks: dict) -> float:
+    """Most negative eigenvalue of a degree-diagonal operator, over its largest
+    absolute eigenvalue or 1 if that is smaller: ``max(-min, 0) / max(max|eig|,
+    1)`` over the eigenvalues of the Hermitian parts of its gauged blocks
+    (``gauge_block``), one block and one ``eigvalsh`` at a time.  A degree
+    without a block adds eigenvalue 0, clipped below."""
+    low, scale = np.inf, 1.0
+    for (m, n), B in blocks.items():
+        eigs = _hermitian_eigs(gauge_block(ctx, ctx, B, m, n))
+        low, scale = min(low, eigs[0]), max(scale, -eigs[0], eigs[-1])
+    return float(max(-low, 0.0) / scale)
 
 
 def _random_graded(ctx: FockContext, rng) -> GradedOperator:

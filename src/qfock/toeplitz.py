@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock import (FockContext, GradedOperator, _kron, _mixed_word_blocks, _per_draw,
                    c_constant, coordinate_index, r_star)
-from .spaces import DeformedSpace, _gaussian
+from .spaces import DeformedSpace, _gaussian, _spectral_norm
 
 
 @dataclass
@@ -237,10 +237,10 @@ def majorisation_check(A, B, T) -> dict:
     lead = np.broadcast_shapes(*(S.shape[:-3] for S in (*A, *B, *T)))
     A, B, T = ([S if S.shape[:-3] == lead else np.broadcast_to(S, lead + S.shape[-3:])
                 for S in X] for X in (A, B, T))
-    # one svd call per block size for A, A - B T and T together, then one
+    # one norm call per block size for A, A - B T and T together, then one
     # eigvalsh call for the Hermitian parts of A, B and ||T|| B - A
     norm_a, consistency, t_norm = np.moveaxis(np.max(
-        [np.linalg.svd(np.concatenate([a, a - b @ t, t], axis=-3), compute_uv=False)[..., 0]
+        [_spectral_norm(np.concatenate([a, a - b @ t, t], axis=-3))
          .reshape(lead + (3, -1)).max(axis=-1) for a, b, t in zip(A, B, T)], axis=0), -1, 0)
     scale = np.reshape(t_norm, lead + (1, 1, 1))
     min_a, min_b, margin = np.moveaxis(np.min(

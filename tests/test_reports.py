@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qfock import cli, fock, haagerup, quantize, reports, wick
+from qfock import cli, fock, haagerup, quantize, reports, toeplitz, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext
 from qfock.reports import DEFAULT_TOLERANCES, SweepConfig, parse_spectrum, run_suite
@@ -726,3 +726,54 @@ def test_grouped_pair_rows_turn_the_report_red(monkeypatch):
     for check in ("symmetrizer/factorization", "symmetrizer/adjoint_pairing",
                   "toeplitz/majorisation"):
         assert clean[check].passed and not red[check].passed
+
+
+def _old_positivity_gap(ctx, rng) -> float:
+    """The degree-expectation row's positivity value by its former formula:
+    the spectral norm (an SVD) and the smallest Hermitian eigenvalue of the
+    gauged blocks of ``E(x^# x)``, for the operator the row draws first."""
+    op = reports._random_graded(ctx, rng)
+    ex_psd = toeplitz.degree_expectation(op.adjoint() @ op)
+    gauged = [fock.gauge_block(ctx, ctx, B, m, n)[None] for (m, n), B in ex_psd.blocks.items()]
+    return max(-fock.hermitian_min_eig(gauged), 0.0) / max(fock.stack_norm(gauged), 1.0)
+
+
+@pytest.mark.parametrize("spectrum", ["t2", "b2", "b2+t1"])
+def test_degree_expectation_positivity_equals_its_former_formula(spectrum):
+    # the row reads its scale off the eigenvalues it already has; the norm of
+    # a Hermitian PSD block is its largest eigenvalue, so the values agree to
+    # round-off
+    nonzero = 0
+    for q in (0.5, -0.9, 0.9):
+        for seed in (81, 82, 83):
+            pt = reports._Point(SweepConfig(q_values=(q,), spectra=(spectrum,)), spectrum, q)
+            pt.rng = np.random.default_rng(seed)
+            value = list(reports._expectation_residual(pt))[2]
+            old = _old_positivity_gap(pt.ctx, np.random.default_rng(seed))
+            assert abs(value - old) <= 1e-14 * old, (q, seed)
+            nonzero += old > 0.0
+    assert nonzero >= 6
+
+
+def test_degree_expectation_check_has_teeth(monkeypatch):
+    # one diagonal block of E(x^# x) negated inside the row, on b2+t1 only:
+    # the positivity value turns the b2+t1 record red, and the records of the
+    # other spectra keep their values
+    config = SweepConfig(q_values=(0.5,), spectra=("t2", "b2", "b2+t1"))
+    check = "toeplitz/degree_expectation"
+    clean = {r.params["spectrum"]: r for r in run_suite(config, "toeplitz") if r.check == check}
+    gap = reports._positivity_gap
+
+    def negated(ctx, blocks):
+        if ctx.dim == 3:
+            top = max(blocks)
+            blocks = {**blocks, top: -blocks[top]}
+        return gap(ctx, blocks)
+
+    monkeypatch.setattr(reports, "_positivity_gap", negated)
+    red = {r.params["spectrum"]: r for r in run_suite(config, "toeplitz") if r.check == check}
+    assert all(rec.passed for rec in clean.values())
+    assert not red["b2+t1"].passed and red["b2+t1"].residual > 1e-3
+    for spectrum in ("t2", "b2"):
+        assert red[spectrum].residual == clean[spectrum].residual
+        assert red[spectrum].passed and red[spectrum].bound == clean[spectrum].bound

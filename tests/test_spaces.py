@@ -1,10 +1,13 @@
+import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from qfock import spaces as sp
 from qfock.reports import parse_spectrum
+from conftest import allocation_peak, make_ctx
 
 
 def test_block_spectrum_validation():
@@ -181,3 +184,125 @@ def test_deformed_adjoint_on_a_stack_is_one_matrix_at_a_time_bit_for_bit(src, tg
     assert stacked.shape == (4, src.dim, tgt.dim)
     for M, adjoint in zip(stack, stacked):
         assert np.array_equal(adjoint, sp.deformed_adjoint(src, tgt, M))
+
+
+# -- the Gram route of the spectral norm -------------------------------------------
+
+
+def _gram_shapes():
+    """Square, tall and wide shapes whose smaller side is at the crossover or
+    just above it."""
+    width = sp._GRAM_MIN_WIDTH
+    return [(width, width), (width + 101, width + 3), (width, 2 * width)]
+
+
+def test_gram_norm_agrees_with_the_svd(monkeypatch):
+    gen = np.random.default_rng(71)
+    cases = [M for shape in _gram_shapes()
+             for M in (gen.standard_normal(shape), sp._gaussian(gen, shape))]
+    expected = [np.linalg.svd(M, compute_uv=False)[0] for M in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the SVD route was taken above the crossover")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for M, ref in zip(cases, expected):
+        value = sp._spectral_norm(M)
+        assert type(value) is float
+        assert abs(value - ref) <= 1e-14 * ref, M.shape
+
+
+def test_gram_norm_of_a_stack_equals_its_slices_bit_for_bit():
+    gen = np.random.default_rng(72)
+    width = sp._GRAM_MIN_WIDTH
+    stacks = [sp._gaussian(gen, (3, width, width + 5)),
+              gen.standard_normal((2, 2, width + 7, width))]
+    stacks[0][1] *= 2.0 ** 600  # each slice takes its own power of two
+    stacks[1][0, 1] *= 2.0 ** -600
+    for stack in stacks:
+        norms = sp._spectral_norm(stack)
+        assert norms.shape == stack.shape[:-2]
+        for index in np.ndindex(stack.shape[:-2]):
+            assert norms[index] == sp._spectral_norm(stack[index])
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_gram_norm_of_a_scaled_matrix_is_the_scaled_norm(power):
+    # a Gram matrix of these entries, unscaled, overflows (2^1200) or
+    # underflows (2^-1200)
+    gen = np.random.default_rng(73)
+    for shape in _gram_shapes():
+        for M in (gen.standard_normal(shape), sp._gaussian(gen, shape)):
+            scaled = M * 2.0 ** power
+            value = sp._spectral_norm(scaled)
+            assert value == np.ldexp(sp._spectral_norm(M), power)
+            ref = np.linalg.svd(scaled, compute_uv=False)[0]
+            assert abs(value - ref) <= 1e-14 * ref
+
+
+def test_gram_norm_keeps_the_svd_outcome_on_non_finite_input():
+    gen = np.random.default_rng(74)
+    width = sp._GRAM_MIN_WIDTH
+    clean = sp._gaussian(gen, (3, width, width))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, complex(0.0, -np.inf)):
+            stack = clean.copy()
+            stack[1, 2, 3] = bad
+            # an inf gives nan, in the SVD as here, and only in its own slice
+            assert np.isnan(np.linalg.svd(stack[1], compute_uv=False)[0])
+            assert np.isnan(sp._spectral_norm(stack[1]))
+            norms = sp._spectral_norm(stack)
+            assert np.isnan(norms[1])
+            assert norms[0] == sp._spectral_norm(clean[0])
+            assert norms[2] == sp._spectral_norm(clean[2])
+            # a nan raises, alone or anywhere in a stack
+            stack[0, 0, 0] = np.nan
+            for M in (stack, stack[0]):
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.svd(M, compute_uv=False)
+                with pytest.raises(np.linalg.LinAlgError):
+                    sp._spectral_norm(M)
+
+
+def test_gram_norm_holds_no_block_sized_temporary_beside_the_gram_matrix():
+    # the Gram matrix of the smaller side and panels of an eighth of it; a
+    # block-sized copy, such as the whole scaled conjugate, exceeds the bound
+    gen = np.random.default_rng(75)
+    for shape in _gram_shapes():
+        M = sp._gaussian(gen, shape)
+        side = min(shape)
+        bound = (16 * side * side + M.nbytes / 2) / 2**20
+        assert allocation_peak(lambda: sp._spectral_norm(M)) <= bound, shape
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="older interpreters hold a call's arguments until it returns")
+def test_gram_norm_releases_a_temporary_argument_before_the_eigensolve(monkeypatch):
+    gen = np.random.default_rng(76)
+    made, solved = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        solved.append(made[0]() is None)
+        return eigvalsh(a, *args, **kwargs)
+
+    def argument():
+        M = sp._gaussian(gen, (sp._GRAM_MIN_WIDTH,) * 2)
+        made.append(weakref.ref(M))
+        return M
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    sp._spectral_norm(argument())
+    assert solved == [True]
+
+
+def test_gram_route_takes_the_deep_top_block_and_no_type_block():
+    # the deep point's 729-wide corners take the Gram route; t2's top block at
+    # N = 5 and every type block of the deep point (at most 90 wide, under
+    # stack_norm and majorisation_check) keep the SVD and its bits
+    deep = make_ctx("b2+t1", 0.9, 6)
+    assert make_ctx("t2", 0.5, 5).block_size(5) == 32 < sp._GRAM_MIN_WIDTH
+    assert deep.block_size(6) == 729 >= sp._GRAM_MIN_WIDTH
+    widest = max(S.shape[-1] for n in range(deep.degree + 1) for S in deep.stacks("sym", n))
+    assert widest == 90 < sp._GRAM_MIN_WIDTH
