@@ -19,9 +19,8 @@ import io
 import itertools
 import json
 import numbers
-import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +39,8 @@ SUITES = ("symmetrizer", "wick", "quantization", "toeplitz", "haagerup")
 DEFAULT_Q_VALUES = (-0.9, -0.5, 0.0, 0.3, 0.5, 0.9)
 DEFAULT_SPECTRA = ("t1", "t2", "b2", "b2+t1")
 
-DEFAULT_SAMPLES = {
+# the published draw counts of the sampled rows and the bounds of the checks
+SAMPLES = {
     "wick_vacuum": 100,
     "covariance": 50,
     "kadison_schwarz": 100,
@@ -50,7 +50,7 @@ DEFAULT_SAMPLES = {
     "state_preservation": 8,
 }
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "exact": 1e-12,
     "algebraic": 1e-10,
     "norm": 1e-8,
@@ -89,39 +89,31 @@ def _is_a(value, kind) -> bool:
 
 
 def _check_field(name: str, value, kind, entry, what: str) -> None:
-    """Reject a config value that is not a ``kind`` whose entries (or dict
-    values) are ``entry``s, naming the field."""
-    entries = []
-    if entry is not None and isinstance(value, kind):
-        entries = value.values() if isinstance(value, dict) else value
+    """Reject a config value that is not a ``kind`` whose entries are
+    ``entry``s, naming the field."""
+    entries = value if entry is not None and isinstance(value, kind) else ()
     if not _is_a(value, kind) or not all(_is_a(e, entry) for e in entries):
         raise ValueError(f"config field {name!r} must be {what}, got {value!r}")
 
 
 @dataclass
 class SweepConfig:
+    """The grid of a sweep, (spectrum, q) points at one truncation degree,
+    and the root seed of its draws.  The draw counts and the bounds of the
+    checks are fixed: ``SAMPLES`` and ``TOLERANCES``."""
     q_values: tuple = DEFAULT_Q_VALUES
     spectra: tuple = DEFAULT_SPECTRA
     degree: int = 5
     seed: int = 12345
-    samples: dict = field(default_factory=lambda: dict(DEFAULT_SAMPLES))
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
         _check_field("q_values", self.q_values, (list, tuple), numbers.Real, "a list of numbers")
         _check_field("spectra", self.spectra, (list, tuple), str, "a list of spectrum strings")
         _check_field("degree", self.degree, numbers.Integral, None, "an integer")
         _check_field("seed", self.seed, numbers.Integral, None, "an integer")
-        _check_field("samples", self.samples, dict, numbers.Integral, "an object of integers")
-        _check_field("tolerances", self.tolerances, dict, numbers.Real, "an object of numbers")
         for name in ("q_values", "spectra"):
             if not getattr(self, name):
                 raise ValueError(f"config field {name!r} must not be empty")
-        for name, given, known in (("samples", self.samples, DEFAULT_SAMPLES),
-                                   ("tolerances", self.tolerances, DEFAULT_TOLERANCES)):
-            unknown = sorted(set(given) - set(known))
-            if unknown:
-                raise ValueError(f"config field {name!r} has unknown keys {unknown}")
         for q in self.q_values:  # in range first: float(q) overflows on a huge int
             if not -1.0 < q < 1.0:
                 raise ValueError(f"config field 'q_values': q={q} outside the open "
@@ -130,12 +122,6 @@ class SweepConfig:
         self.q_values = tuple(float(q) for q in self.q_values)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if any(count < 1 for count in self.samples.values()):
-            raise ValueError(f"sample counts must be >= 1, got {self.samples!r}")
-        # nan fails, and so does an int too large for a float
-        if not all(0 <= tol <= sys.float_info.max for tol in self.tolerances.values()):
-            raise ValueError(f"config field 'tolerances' must hold finite numbers >= 0, "
-                             f"got {self.tolerances!r}")
         if not 2 <= self.degree <= 6:
             raise ValueError("truncation degree must be in 2..6")
         self.spectra = tuple(self.spectra)
@@ -146,12 +132,6 @@ class SweepConfig:
                 build_space(spectrum)
             except ValueError as exc:
                 raise ValueError(f"config field 'spectra': {text!r}: {exc}") from exc
-        samples = dict(DEFAULT_SAMPLES)
-        samples.update(self.samples)
-        self.samples = samples
-        tolerances = dict(DEFAULT_TOLERANCES)
-        tolerances.update(self.tolerances)
-        self.tolerances = tolerances
 
     @classmethod
     def from_file(cls, path: str) -> "SweepConfig":
@@ -310,7 +290,7 @@ def _wick_vacuum(pt: _Point):
     ctx, rng = pt.ctx, pt.rng
     deg_max = min(3, ctx.degree)
     draws = []
-    for _ in range(pt.config.samples["wick_vacuum"]):
+    for _ in range(SAMPLES["wick_vacuum"]):
         n = int(rng.integers(1, deg_max + 1))
         draws.append((n, _gaussian(rng, ctx.block_size(n))))
     yield from quantize._grouped(draws, lambda draw: draw[0], lambda group: wick.vacuum_residual(
@@ -349,7 +329,7 @@ def _dilation(pt: _Point):
     space, rng = pt.space, pt.rng
     comb = sp.direct_sum(space, space)
     T = np.stack([sp.random_contraction(rng, space, space, norm=0.5).matrix
-                  for _ in range(pt.config.samples["dilate"])])
+                  for _ in range(SAMPLES["dilate"])])
     U = sp.dilate(space, space, T)
     Uadj = sp.deformed_adjoint(comb, comb, U)
     corner = sp.projection_matrix(space, space) @ U @ sp.inclusion_matrix(space, space)
@@ -367,7 +347,7 @@ def _channel_on_words(pt: _Point):
     src_ctx, comb_ctx = pt.channel_ctxs
     deg_max = max(1, min(2, src_ctx.degree - 1))
     draws = []
-    for _ in range(pt.config.samples["covariance"]):
+    for _ in range(SAMPLES["covariance"]):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
         n = int(rng.integers(1, deg_max + 1))
         draws.append((T, n, _gaussian(rng, src_ctx.block_size(n))))
@@ -378,7 +358,7 @@ def _functoriality(pt: _Point):
     space, rng = pt.space, pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
     n = max(1, min(2, src_ctx.degree - 1))
-    for _ in range(pt.config.samples["functoriality"]):
+    for _ in range(SAMPLES["functoriality"]):
         S = sp.random_jti_contraction(rng, space, space, norm=0.8)
         T = sp.random_jti_contraction(rng, space, space, norm=0.8)
         ST = sp.DeformedContraction(space, space, S.matrix @ T.matrix)
@@ -395,12 +375,12 @@ def _functoriality(pt: _Point):
 def _positivity(pt: _Point):
     """Negated Kadison-Schwarz and 2-positivity minima of ``Gamma_q(T)`` over
     random contractions, on the source context at the channel degree.  The
-    configured number of Kadison-Schwarz draws is spread over the
+    published number of Kadison-Schwarz draws is spread over the
     contractions; every contraction and word is drawn first, in probe order,
     and the margins of all of them are evaluated together, by pattern of
     word degrees (``quantize.positivity_margins``)."""
     space, ctx, rng = pt.space, pt.channel_ctx, pt.rng
-    n_samples = pt.config.samples["kadison_schwarz"]
+    n_samples = SAMPLES["kadison_schwarz"]
     n_channels = max(1, n_samples // 20)
     probes = []
     for i in range(n_channels):
@@ -485,7 +465,7 @@ def _balanced_corners(pt: _Point):
     """Lowest-corner, compression-identity and negated norm-bound margin of
     random balanced elements."""
     ctx, rng = pt.ctx, pt.rng
-    for _ in range(pt.config.samples["balanced"]):
+    for _ in range(SAMPLES["balanced"]):
         n = int(rng.integers(1, ctx.degree // 2 + 1))  # both legs fit: 2n <= N
         elem = toeplitz.random_balanced(ctx, rng, n)
         yield (toeplitz.low_degree_residual(ctx, elem),
@@ -564,7 +544,7 @@ def _strong_convergence(pt: _Point):
     vectors = [GradedVector.vacuum(ctx)] + \
         [GradedVector.random(ctx, pt.rng) for _ in range(3)]
     sweep = haagerup.strong_convergence_sweep(pt.family, ctx, vectors,
-                                              final_tol=pt.config.tolerances["strong"])
+                                              final_tol=TOLERANCES["strong"])
     yield 0.0 if (sweep["all_monotone"] and sweep["all_converged"]) else 1.0
 
 
@@ -582,7 +562,7 @@ def _approximant_state_residual(pt: _Point):
     # the image of a degree-n word reads the degree-n power only
     quantize._guard([damped], damped.matrix, ctx, ctx)
     powers = GradedOperator(ctx, ctx, _tensor_powers(damped.matrix, deg_max))
-    for _ in range(pt.config.samples["state_preservation"]):
+    for _ in range(SAMPLES["state_preservation"]):
         n = int(rng.integers(0, deg_max + 1))
         word = wick.wick_word(ctx, _gaussian(rng, ctx.block_size(n)), n, inputs=range(1))
         yield quantize._vacuum_gaps(word.op.blocks,
@@ -594,21 +574,21 @@ def _approximant_state_residual(pt: _Point):
 # ---------------------------------------------------------------------------
 
 
-def _self_adjoint_bound(tol: dict, q: float) -> float:
+def _self_adjoint_bound(q: float) -> float:
     # the degree-N metric is ill-conditioned near |q| = 1
-    return tol["algebraic"] if abs(q) <= 0.5 else tol["norm"]
+    return TOLERANCES["algebraic"] if abs(q) <= 0.5 else TOLERANCES["norm"]
 
 
-def _free_reduction_bound(tol: dict, q: float) -> float:
-    return tol["norm"] if abs(q) <= 0.5 else 1e-6
+def _free_reduction_bound(q: float) -> float:
+    return TOLERANCES["norm"] if abs(q) <= 0.5 else 1e-6
 
 
 # Each row is (residual function, (check, bound), ...).  The function yields
 # one residual per check (a tuple for several) for each draw, degree, pair or
 # map it measures; each check reports the largest, or nan when any is nan
-# (``_worst``).  A bound is a tolerance key, a literal, or a rule of
-# (tolerances, q).  Rows run, and draw from the
-# point's generator, in table order, so reordering rows changes the report.
+# (``_worst``).  A bound is a key of ``TOLERANCES``, a literal, or a rule of
+# q.  Rows run, and draw from the point's generator, in table order, so
+# reordering rows changes the report.
 _TABLES = {
     "symmetrizer": (
         (_sym_positivity, ("symmetrizer/positivity", 0.0)),
@@ -661,10 +641,10 @@ _TABLES = {
 }
 
 
-def _bound(rule, tol: dict, q: float) -> float:
+def _bound(rule, q: float) -> float:
     if callable(rule):
-        return rule(tol, q)
-    return tol[rule] if isinstance(rule, str) else rule
+        return rule(q)
+    return TOLERANCES[rule] if isinstance(rule, str) else rule
 
 
 def _worst(values) -> float:
@@ -703,7 +683,7 @@ def run_suite(config: SweepConfig, suite="all") -> list:
                     raise ValueError(f"row of {checks[0][0]} measured nothing")
                 for (check, rule), *values in zip(checks, *measured, strict=True):
                     out[name].append(VerificationReport.measure(
-                        check, params, _worst(values), _bound(rule, config.tolerances, q), t0))
+                        check, params, _worst(values), _bound(rule, q), t0))
     return [report for name in names for report in out[name]]
 
 

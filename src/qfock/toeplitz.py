@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import (FockContext, GradedOperator, _kron, _mixed_word_blocks, _per_draw,
-                   c_constant, coordinate_index, r_star)
+from .fock import (FockContext, GradedOperator, _kron, _min_eigs, _mixed_word_blocks,
+                   _per_draw, c_constant, coordinate_index, r_star)
 from .spaces import DeformedSpace, _gaussian, _spectral_norm
 
 
@@ -202,11 +202,8 @@ def norm_bound_margin(ctx: FockContext, elem: LengthElement) -> float:
     if not elem.balanced:
         raise ValueError("bound applies to balanced elements")
     n = elem.n_create
-    corner = ctx.block_norm(elem.op.block(n, n), n, n)
-    sup = 0.0
-    for k in range(ctx.degree - n + 1):
-        sup = max(sup, ctx.block_norm(elem.op.block(n + k, n + k), n + k, n + k))
-    return c_constant(ctx.q) * corner - sup
+    norms = [ctx.block_norm(elem.op.block(m, m), m, m) for m in range(n, ctx.degree + 1)]
+    return c_constant(ctx.q) * norms[0] - max(norms)
 
 
 def low_degree_residual(ctx: FockContext, elem: LengthElement) -> float:
@@ -244,8 +241,7 @@ def majorisation_check(A, B, T) -> dict:
          .reshape(lead + (3, -1)).max(axis=-1) for a, b, t in zip(A, B, T)], axis=0), -1, 0)
     scale = np.reshape(t_norm, lead + (1, 1, 1))
     min_a, min_b, margin = np.moveaxis(np.min(
-        [np.linalg.eigvalsh((S + np.conj(S).swapaxes(-1, -2)) / 2.0)[..., 0]
-         .reshape(lead + (3, -1)).min(axis=-1)
+        [_min_eigs(S).reshape(lead + (3, -1)).min(axis=-1)
          for S in (np.concatenate([a, b, scale * b - a], axis=-3) for a, b in zip(A, B))],
         axis=0), -1, 0)
     return {

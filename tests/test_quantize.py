@@ -557,7 +557,7 @@ def _one_draw_channel_row(pt):
     space, rng = pt.space, pt.rng
     src_ctx, comb_ctx = pt.channel_ctxs
     deg_max = max(1, min(2, src_ctx.degree - 1))
-    for _ in range(pt.config.samples["covariance"]):
+    for _ in range(reports.SAMPLES["covariance"]):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
         n = int(rng.integers(1, deg_max + 1))
         xi = sp._gaussian(rng, src_ctx.block_size(n))
@@ -565,14 +565,14 @@ def _one_draw_channel_row(pt):
 
 
 @pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1", "b2x2"])
-def test_stacked_channel_row_equals_one_draw_channels(spectrum):
+def test_stacked_channel_row_equals_one_draw_channels(monkeypatch, spectrum):
     # exact: each slice of a stack goes through the same BLAS and LAPACK calls
     # as a lone channel.  Past t1, F# takes the typed metric products on a
     # stack (the combined space's top degree is at least 64 wide), and on
     # b2x2 the covariance and unitality gaps gauge 64-wide stacks the typed way
+    monkeypatch.setitem(reports.SAMPLES, "covariance", 8)
     for q in (0.5, -0.9, 0.9):
-        config = reports.SweepConfig(q_values=(q,), spectra=(spectrum,), degree=5,
-                                     samples={"covariance": 8})
+        config = reports.SweepConfig(q_values=(q,), spectra=(spectrum,), degree=5)
         pt = reports._Point(config, spectrum, q)
         assert pt.channel_ctx.degree == reports.channel_degree(2 * pt.space.dim, 5)
         pt.rng = np.random.default_rng(58)
@@ -583,6 +583,39 @@ def test_stacked_channel_row_equals_one_draw_channels(spectrum):
         assert set(degrees) == {1, 2}
         assert all(cov <= 1e-8 and unit <= 1e-10 and vac <= 1e-10 and gns <= 1e-8
                    for cov, unit, vac, gns in stacked)
+
+
+def _channel_row_bounds(q) -> list:
+    """The report's bounds at q of the four checks of the channel row."""
+    row = next(row for row in reports._TABLES["quantization"]
+               if row[0] is reports._channel_on_words)
+    return [reports._bound(rule, q) for _, rule in row[1:]]
+
+
+# (source, target, N): a space of the same dimension and another metric, a
+# smaller one, a larger one, and a sum that holds a copy of the source
+@pytest.mark.parametrize("source, target, degree", [("t1", "b2", 4), ("b2", "t1", 4),
+                                                    ("t2", "b2", 4), ("b2", "b2+t1", 3)])
+def test_channel_between_two_spaces(source, target, degree):
+    # every report row quantises a map of a space into itself, where the
+    # source and target contexts of quantize are one object and a mix-up of
+    # the two cannot show. Between these spaces the old class (T A_H = A_K T)
+    # is {0}, or a proper subspace into b2+t1; the J-real draws lie outside
+    # it, by an intertwiner residual of at least 0.5 each
+    src, tgt = (sp.build_space(reports.parse_spectrum(s)) for s in (source, target))
+    for q in (0.5, -0.9, 0.9):
+        gen = np.random.default_rng(60)
+        src_ctx, tgt_ctx = FockContext(src, q, degree), FockContext(tgt, q, degree)
+        comb_ctx = FockContext(sp.direct_sum(src, tgt), q, degree)
+        draws = []
+        for _ in range(12):
+            T = sp.random_jti_contraction(gen, src, tgt, norm=0.7)
+            n = int(gen.integers(1, 3))
+            draws.append((T, n, sp._gaussian(gen, src_ctx.block_size(n))))
+        assert {n for _, n, _ in draws} == {1, 2}
+        assert min(sp.intertwiner_residual(T.matrix, src, tgt) for T, _, _ in draws) >= 0.5
+        worst = quantize.channel_residuals(draws, src_ctx, tgt_ctx, comb_ctx).max(axis=0)
+        assert np.all(worst <= _channel_row_bounds(q))
 
 
 def _planted_in(draw_stack, planted) -> np.ndarray:

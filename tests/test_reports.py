@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -12,15 +13,20 @@ import pytest
 from qfock import cli, fock, haagerup, quantize, reports, toeplitz, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext
-from qfock.reports import DEFAULT_TOLERANCES, SweepConfig, parse_spectrum, run_suite
+from qfock.reports import TOLERANCES, SweepConfig, parse_spectrum, run_suite
 from conftest import allocation_peak
 
 
-def small_config(**kw):
-    defaults = dict(q_values=(0.5,), spectra=("t2",), degree=3, seed=7,
-                    samples={"wick_vacuum": 5, "covariance": 3,
-                             "kadison_schwarz": 4, "functoriality": 1,
-                             "dilate": 3, "balanced": 1, "state_preservation": 2})
+SMALL_SAMPLES = {"wick_vacuum": 5, "covariance": 3, "kadison_schwarz": 4, "functoriality": 1,
+                 "dilate": 3, "balanced": 1, "state_preservation": 2}
+
+
+def small_config(monkeypatch, **kw):
+    """A one-point grid at degree 3, with the draw counts of the sampled rows
+    cut to ``SMALL_SAMPLES`` for the rest of the test."""
+    for name, count in SMALL_SAMPLES.items():
+        monkeypatch.setitem(reports.SAMPLES, name, count)
+    defaults = dict(q_values=(0.5,), spectra=("t2",), degree=3, seed=7)
     defaults.update(kw)
     return SweepConfig(**defaults)
 
@@ -55,20 +61,10 @@ def test_config_validation(tmp_path):
         SweepConfig.from_file(str(unknown))
     for field, value in (("degree", "x"), ("degree", True), ("spectra", "b2"),
                          ("q_values", ["a"]), ("seed", 1.5),
-                         ("samples", {"dilate": "x"}), ("tolerances", [1e-9]),
-                         ("samples", {"kadison_shwarz": 5}), ("tolerances", {"strnog": 1e-6}),
-                         # an infinite bound passes every residual, a nan or
-                         # negative one fails a residual of 0
-                         ("tolerances", {"norm": float("inf")}),
-                         ("tolerances", {"norm": float("nan")}),
-                         ("tolerances", {"algebraic": -1.0}), ("tolerances", {"exact": -1}),
-                         ("tolerances", {"norm": 10**400}),
                          # float(q) overflows on an int too large for a float
                          ("q_values", [10**400]), ("q_values", [-10**400])):
         with pytest.raises(ValueError, match=repr(field)):
             SweepConfig(**{field: value})
-    with pytest.raises(ValueError, match="kadison_shwarz"):  # a typo used to run the default
-        SweepConfig(samples={"kadison_shwarz": 5})
     # a trivial count below 1 (t2+t-1 summed to a 1-dimensional space under
     # its own label) and a non-finite eigenvalue realize no space
     for spectrum, reason in (("t0", ">= 1"), ("t2+t-1", ">= 1"), ("b1e400", "finite"),
@@ -83,17 +79,37 @@ def test_config_validation(tmp_path):
     for q in (0.998, -0.999999):
         with pytest.raises(ValueError, match=f"q={q}"):
             SweepConfig(q_values=(q,))
-    with pytest.raises(ValueError, match="sample counts"):
-        SweepConfig(samples={"covariance": 0})  # would pass its checks vacuously
     not_object = tmp_path / "list.json"
     not_object.write_text('[1, 2]')
     with pytest.raises(ValueError, match="JSON object"):
         SweepConfig.from_file(str(not_object))
 
 
+def test_config_is_the_grid_and_the_seed(tmp_path):
+    # draw counts and bounds are fixed: no config sets them
+    assert [f.name for f in dataclasses.fields(SweepConfig)] == \
+        ["q_values", "spectra", "degree", "seed"]
+    for name, value in (("samples", {"covariance": 8}), ("tolerances", {"norm": 1e-6})):
+        with pytest.raises(TypeError, match=name):
+            SweepConfig(**{name: value})
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({name: value}))
+        with pytest.raises(ValueError, match=f"unknown config fields \\['{name}'\\]"):
+            SweepConfig.from_file(str(path))
+
+
+def test_published_draw_counts_and_bounds():
+    # a changed count or bound changes the published checks: it takes an edit here
+    assert reports.SAMPLES == {"wick_vacuum": 100, "covariance": 50, "kadison_schwarz": 100,
+                               "functoriality": 3, "dilate": 20, "balanced": 3,
+                               "state_preservation": 8}
+    assert TOLERANCES == {"exact": 1e-12, "algebraic": 1e-10, "norm": 1e-8, "product": 1e-9,
+                          "strong": 1e-6}
+
+
 @pytest.mark.parametrize("suite", reports.SUITES)
-def test_run_suite_deterministic(suite):
-    cfg = small_config()
+def test_run_suite_deterministic(suite, monkeypatch):
+    cfg = small_config(monkeypatch)
     a = run_suite(cfg, suite)
     b = run_suite(cfg, suite)
     assert [(r.check, r.residual, r.passed) for r in a] \
@@ -118,7 +134,7 @@ def test_contexts_die_with_their_grid_point(monkeypatch, suite):
             built.append((self.q, weakref.ref(self)))
 
     monkeypatch.setattr(reports, "FockContext", Recorded)
-    run_suite(small_config(q_values=(0.5, -0.5, 0.3)), suite)
+    run_suite(small_config(monkeypatch, q_values=(0.5, -0.5, 0.3)), suite)
     assert len(built) >= 6 and not stale
     assert peak <= 3  # one point's set: main, combined and subspace contexts
 
@@ -140,7 +156,7 @@ def test_haagerup_suite_builds_one_context_per_point(monkeypatch):
 
     monkeypatch.setattr(FockContext, "__init__", counted)
     monkeypatch.setattr(quantize, "QuantizationChannel", None)
-    run_suite(small_config(**HAAGERUP_GRID), "haagerup")
+    run_suite(small_config(monkeypatch, **HAAGERUP_GRID), "haagerup")
     assert sorted(built) == sorted((sp.build_space(parse_spectrum(s)).dim, q, 5)
                                    for s in HAAGERUP_GRID["spectra"]
                                    for q in HAAGERUP_GRID["q_values"])
@@ -155,7 +171,7 @@ def test_haagerup_suite_takes_each_degree_profile_once(monkeypatch):
         return degree_norms(ctx, T)
 
     monkeypatch.setattr(haagerup, "degree_norms", counted)
-    reps = run_suite(small_config(**HAAGERUP_GRID), "haagerup")
+    reps = run_suite(small_config(monkeypatch, **HAAGERUP_GRID), "haagerup")
     levels = len(haagerup.ApproximantFamily.default(sp.build_space(parse_spectrum("t1"))).ks)
     assert len(calls) == len({(id(ctx), T) for ctx, T in calls}) == 6 * levels
     assert [r.check for r in reps].count("haagerup/compactness_profile") == 6
@@ -171,7 +187,8 @@ def test_free_reduction_row_is_red_when_one_degree_is_off(monkeypatch):
         return per
 
     monkeypatch.setattr(haagerup, "degree_norms", off_at_degree_3)
-    config = small_config(q_values=reports.DEFAULT_Q_VALUES, spectra=("t2", "b2"), degree=4)
+    config = small_config(monkeypatch, q_values=reports.DEFAULT_Q_VALUES, spectra=("t2", "b2"),
+                          degree=4)
     reps = run_suite(config, "haagerup")
     rows = [r for r in reps if r.check == "haagerup/free_reduction"]
     assert sorted({r.params["q"] for r in rows}) == sorted(reports.DEFAULT_Q_VALUES)
@@ -189,14 +206,14 @@ def test_haagerup_suite_generates_each_map_once(monkeypatch):
         return generate(space, k)
 
     monkeypatch.setattr(haagerup, "generate_admissible", counted)
-    run_suite(small_config(q_values=(0.5, -0.5), spectra=("t1", "t2")), "haagerup")
+    run_suite(small_config(monkeypatch, q_values=(0.5, -0.5), spectra=("t1", "t2")), "haagerup")
     assert len(calls) == len({(id(space), k) for space, k in calls}) == 4 * levels
 
 
 def test_embedding_check_has_teeth(monkeypatch):
     # a source tensor scattered into the second summand is no embedding: the
     # product restricted to the source sub-Fock space no longer matches
-    config = small_config(spectra=("b2",))
+    config = small_config(monkeypatch, spectra=("b2",))
 
     def residual():
         pt = reports._Point(config, "b2", 0.5)
@@ -209,7 +226,7 @@ def test_embedding_check_has_teeth(monkeypatch):
             np.ravel(xi)
         return out
 
-    bound = config.tolerances["product"]
+    bound = TOLERANCES["product"]
     assert residual() <= bound
     monkeypatch.setattr(quantize, "embed_tensor", second_summand)
     assert residual() > bound
@@ -232,7 +249,7 @@ def test_functoriality_check_has_teeth(monkeypatch, spectrum):
         U[..., src.dim:, :src.dim] *= 0.9
         return U
 
-    bound = DEFAULT_TOLERANCES["norm"]
+    bound = TOLERANCES["norm"]
     for q in (0.5, -0.9, 0.9):
         assert residual(q) <= bound
     monkeypatch.setattr(sp, "dilate", shrunk_corner)
@@ -245,7 +262,7 @@ def _one_draw_dilation_row(pt):
     after its draw."""
     space, rng = pt.space, pt.rng
     comb = sp.direct_sum(space, space)
-    for _ in range(pt.config.samples["dilate"]):
+    for _ in range(reports.SAMPLES["dilate"]):
         T = sp.random_contraction(rng, space, space, norm=0.5)
         U = sp.dilate(space, space, T.matrix)
         Uadj = sp.deformed_adjoint(comb, comb, U)
@@ -265,7 +282,7 @@ def test_stacked_dilation_row_equals_one_draw_dilations(spectrum):
         stacked = list(reports._dilation(pt))
         pt.rng = np.random.default_rng(seed)
         assert stacked == list(_one_draw_dilation_row(pt))
-        assert len(stacked) == 20 and max(stacked) <= DEFAULT_TOLERANCES["algebraic"]
+        assert len(stacked) == 20 and max(stacked) <= TOLERANCES["algebraic"]
 
 
 @pytest.mark.parametrize("defect", ["flipped_target_corner", "shrunk_corner"])
@@ -288,7 +305,7 @@ def test_dilation_check_has_teeth(monkeypatch, spectrum, defect):
             U[..., src.dim:, :src.dim] *= 0.9
         return U
 
-    bound = DEFAULT_TOLERANCES["algebraic"]
+    bound = TOLERANCES["algebraic"]
     assert max(residuals()) <= bound
     monkeypatch.setattr(sp, "dilate", faulty)
     assert min(residuals()) > bound
@@ -298,7 +315,7 @@ def _one_row_suite(monkeypatch, row, *checks):
     """Records of the wick suite at one grid point, its table replaced by one
     row reporting ``checks`` (each bounded by 4.0)."""
     monkeypatch.setitem(reports._TABLES, "wick", ((row, *((c, 4.0) for c in checks)),))
-    return run_suite(small_config(), "wick")
+    return run_suite(small_config(monkeypatch), "wick")
 
 
 def test_q_commutation_row_skips_the_top_block():
@@ -352,7 +369,9 @@ def test_positivity_runs_the_configured_number_of_draws(monkeypatch, n, counts):
 
     monkeypatch.setattr(quantize, "positivity_draws", counted_draws)
     monkeypatch.setattr(quantize, "positivity_margins", counted_margins)
-    pt = reports._Point(small_config(spectra=("t1",), samples={"kadison_schwarz": n}), "t1", 0.5)
+    config = small_config(monkeypatch, spectra=("t1",))
+    monkeypatch.setitem(reports.SAMPLES, "kadison_schwarz", n)
+    pt = reports._Point(config, "t1", 0.5)
     pt.rng = np.random.default_rng(0)
     assert len(list(reports._positivity(pt))) == len(counts)
     assert drawn == evaluated == counts
@@ -384,8 +403,8 @@ def test_run_suite_rejects_a_row_that_measures_the_wrong_count(monkeypatch, chec
         _one_row_suite(monkeypatch, lambda pt: iter(yields), *checks)
 
 
-def test_all_suites_equal_single_suite_runs():
-    cfg = small_config(q_values=(0.5, -0.5))
+def test_all_suites_equal_single_suite_runs(monkeypatch):
+    cfg = small_config(monkeypatch, q_values=(0.5, -0.5))
 
     def records(reps):
         return [(r.check, r.params, r.residual, r.bound, r.passed) for r in reps]
@@ -396,10 +415,10 @@ def test_all_suites_equal_single_suite_runs():
         assert records(run_suite(cfg, selection)) == [rec for s in names for rec in singles[s]]
 
 
-def test_unknown_suite_rejected():
+def test_unknown_suite_rejected(monkeypatch):
     for selection in ("nope", ("wick", "nope"), ("wick", "wick"), (), ("all",)):
         with pytest.raises(ValueError):
-            run_suite(small_config(), selection)
+            run_suite(small_config(monkeypatch), selection)
 
 
 @pytest.mark.parametrize("name", ["q_values", "spectra"])
@@ -415,8 +434,8 @@ def test_empty_grid_rejected(tmp_path, capsys, name):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_render_round_trip(tmp_path):
-    reps = run_suite(small_config(), "symmetrizer")
+def test_render_round_trip(tmp_path, monkeypatch):
+    reps = run_suite(small_config(monkeypatch), "symmetrizer")
     path = tmp_path / "out.json"
     reports.emit(reps, "json", str(path))
     back = reports.load_reports(str(path))
@@ -429,15 +448,15 @@ def test_render_round_trip(tmp_path):
     assert all(r.wall_time == 0.0 for r in back)  # timing excluded by default
 
 
-def test_render_excludes_timing_by_default():
-    reps = run_suite(small_config(), "symmetrizer")
+def test_render_excludes_timing_by_default(monkeypatch):
+    reps = run_suite(small_config(monkeypatch), "symmetrizer")
     text = reports.render(reps, "json")
     assert "wall_time" not in text
     assert "wall_time" in reports.render(reps, "json", include_timing=True)
 
 
-def test_csv_format(tmp_path):
-    reps = run_suite(small_config(), "symmetrizer")
+def test_csv_format(tmp_path, monkeypatch):
+    reps = run_suite(small_config(monkeypatch), "symmetrizer")
     path = tmp_path / "out.csv"
     reports.emit(reps, "csv", str(path))
     lines = path.read_text().splitlines()
@@ -637,7 +656,7 @@ def _one_draw_wick_vacuum_row(pt):
     """The wick vacuum row one draw at a time, each residual taken before
     the next draw: the oracle of the grouped row."""
     ctx, rng = pt.ctx, pt.rng
-    for _ in range(pt.config.samples["wick_vacuum"]):
+    for _ in range(reports.SAMPLES["wick_vacuum"]):
         n = int(rng.integers(1, min(3, ctx.degree) + 1))
         yield wick.vacuum_residual(ctx, sp._gaussian(rng, ctx.block_size(n)), n)
 
@@ -699,7 +718,7 @@ def test_grouped_pair_rows_have_teeth_in_one_pair(monkeypatch, spectrum):
         for check, (suite, index) in _PAIR_ROWS.items():
             residual, (name, rule) = reports._TABLES[suite][index]
             assert name == check
-            values[check] = (list(residual(pt)), reports._bound(rule, config.tolerances, 0.5))
+            values[check] = (list(residual(pt)), reports._bound(rule, 0.5))
         return values
 
     clean, perturbed = row_values(False), row_values(True)
