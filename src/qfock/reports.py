@@ -3,9 +3,9 @@
 ``run_suite`` executes the named check suites over a parameter grid and
 returns structured records.  Each suite is a table of rows; a row names the
 checks it reports, a bound for each, and the residual function that measures
-them at one grid point.  Runs are deterministic for a fixed seed: each grid
-point derives its generator from (seed, suite index, grid index), rows draw
-from it in table order, and the emitters use stable field ordering with
+them at one grid point.  Runs are deterministic for a fixed seed: a row
+draws from its own generator, keyed by the seed and its first record
+(``_rng``), and the emitters use stable field ordering with
 fixed-precision floats.  Wall times are recorded in memory but excluded from
 emitted files by default so that identical runs produce byte-identical
 reports.
@@ -111,20 +111,23 @@ class SweepConfig:
         _check_field("spectra", self.spectra, (list, tuple), str, "a list of spectrum strings")
         _check_field("degree", self.degree, numbers.Integral, None, "an integer")
         _check_field("seed", self.seed, numbers.Integral, None, "an integer")
-        for name in ("q_values", "spectra"):
-            if not getattr(self, name):
-                raise ValueError(f"config field {name!r} must not be empty")
         for q in self.q_values:  # in range first: float(q) overflows on a huge int
             if not -1.0 < q < 1.0:
                 raise ValueError(f"config field 'q_values': q={q} outside the open "
                                  f"interval (-1, 1)")
             c_constant(float(q))  # raises where C(q) overflows
         self.q_values = tuple(float(q) for q in self.q_values)
+        self.spectra = tuple(self.spectra)
+        for name in ("q_values", "spectra"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"config field {name!r} must not be empty")
+            if len(set(values)) < len(values):  # one record identity per grid point
+                raise ValueError(f"config field {name!r} repeats a value: {values}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 2 <= self.degree <= 6:
             raise ValueError("truncation degree must be in 2..6")
-        self.spectra = tuple(self.spectra)
         for text in self.spectra:
             try:  # fail fast on bad grammar and on values no space or metric realizes
                 spectrum = parse_spectrum(text)
@@ -180,14 +183,17 @@ def _subspace_indices(space) -> list:
     return sorted({0, int(space.partner[0])})
 
 
-def _rng(config: SweepConfig, suite: str, grid_index: int):
-    return np.random.default_rng([config.seed, SUITES.index(suite), grid_index])
+def _rng(seed: int, check: str, params: dict):
+    """The generator of the row whose first record is (check, params) as the
+    report prints it: a record's draws depend on that and the seed alone."""
+    key = json.dumps([check, params], sort_keys=True).encode()
+    return np.random.default_rng([seed, int.from_bytes(key, "little")])
 
 
 class _Point:
     """One (spectrum, q) grid point: the owner of its space, Fock contexts,
     approximant family and degree profiles, each built on first use and dropped
-    with the point.  ``rng`` is the generator of the suite running at it."""
+    with the point.  ``rng`` is the generator of the row running at it."""
 
     def __init__(self, config: SweepConfig, spectrum: str, q: float):
         self.config = config
@@ -587,8 +593,9 @@ def _free_reduction_bound(q: float) -> float:
 # one residual per check (a tuple for several) for each draw, degree, pair or
 # map it measures; each check reports the largest, or nan when any is nan
 # (``_worst``).  A bound is a key of ``TOLERANCES``, a literal, or a rule of
-# q.  Rows run, and draw from the point's generator, in table order, so
-# reordering rows changes the report.
+# q.  Each row draws from its own generator, named by its first check
+# (``_rng``), so check names are unique and rows can be reordered or appended
+# without moving another row's records.
 _TABLES = {
     "symmetrizer": (
         (_sym_positivity, ("symmetrizer/positivity", 0.0)),
@@ -659,7 +666,7 @@ def run_suite(config: SweepConfig, suite="all") -> list:
 
     ``suite`` is one suite name, a tuple of distinct names, or ``"all"`` for
     ``SUITES``.  The grid is walked once, point by point; every selected
-    suite runs its table at the point with its own generator, so the point's
+    suite runs its table there, each row with its own generator, so the point's
     contexts are shared by the suites and freed when the point is done.
     Records are returned suite by suite, in the order named, each suite in
     grid order.  Each check records the largest residual its row yields (nan
@@ -669,14 +676,14 @@ def run_suite(config: SweepConfig, suite="all") -> list:
         raise ValueError(f"unknown suite selection {suite!r}; expected one of "
                          f"{', '.join(SUITES)}, a tuple of distinct ones, or 'all'")
     out = {name: [] for name in names}
-    for gi, (spectrum, q) in enumerate(itertools.product(config.spectra, config.q_values)):
+    for spectrum, q in itertools.product(config.spectra, config.q_values):
         pt = _Point(config, spectrum, q)
         for name in names:
-            pt.rng = _rng(config, name, gi)
             # the quantization suite reports the channel truncation degree
             degree = pt.channel_degree if name == "quantization" else config.degree
             params = {"spectrum": spectrum, "q": q, "degree": degree}
             for residual, *checks in _TABLES[name]:
+                pt.rng = _rng(config.seed, checks[0][0], params)
                 t0 = time.perf_counter()
                 measured = [v if len(checks) > 1 else (v,) for v in residual(pt)]
                 if not measured:

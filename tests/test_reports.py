@@ -76,6 +76,12 @@ def test_config_validation(tmp_path):
     # valid large-lam spectra: closure under lam <-> 1/lam is relative
     SweepConfig(spectra=("b12345.678", "b1e30", "b1e146"), degree=2)
     SweepConfig(q_values=(0.997, -0.997))
+    # a repeated grid point would report one record identity twice; q values
+    # repeat as floats, so 0.0 and -0.0 (and 0) are one point
+    for field, value in (("q_values", (0.5, 0.3, 0.5)), ("q_values", (0.0, -0.0)),
+                         ("q_values", [0, 0.0]), ("spectra", ("t2", "b2", "t2"))):
+        with pytest.raises(ValueError, match=f"{field!r} repeats"):
+            SweepConfig(**{field: value})
     for q in (0.998, -0.999999):
         with pytest.raises(ValueError, match=f"q={q}"):
             SweepConfig(q_values=(q,))
@@ -415,6 +421,74 @@ def test_all_suites_equal_single_suite_runs(monkeypatch):
         assert records(run_suite(cfg, selection)) == [rec for s in names for rec in singles[s]]
 
 
+# the grid of the row-isolation tests: every suite, two spectra, two q
+ISOLATION_GRID = SweepConfig(q_values=(0.5, 0.9), spectra=("t2", "b2"), degree=4, seed=7)
+
+
+def _records(reps) -> list:
+    return [(r.check, r.params, r.residual, r.bound, r.passed) for r in reps]
+
+
+@pytest.fixture(scope="module")
+def isolation_records():
+    return _records(run_suite(ISOLATION_GRID))
+
+
+def test_a_row_that_draws_more_moves_only_its_own_records(monkeypatch, isolation_records):
+    # each row has its own generator: one extra draw in the q-commutation row
+    # moves its records, and the creation-adjoint row after it keeps its draws
+    def extra_draw(pt):
+        pt.rng.standard_normal()
+        return reports._q_commutation_residual(pt)
+
+    table = tuple((extra_draw if residual is reports._q_commutation_residual else residual,
+                   *checks) for residual, *checks in reports._TABLES["symmetrizer"])
+    monkeypatch.setitem(reports._TABLES, "symmetrizer", table)
+    pairs = list(zip(isolation_records, _records(run_suite(ISOLATION_GRID)), strict=True))
+    patched = [(old, new) for old, new in pairs if old[0] == "symmetrizer/q_commutation"]
+    assert len(patched) == 4 and all(old != new for old, new in patched)
+    assert all(old == new for old, new in pairs if old[0] != "symmetrizer/q_commutation")
+
+
+def test_a_point_run_alone_reports_its_grid_records(isolation_records):
+    # a record depends on the seed and its (check, params) only, not on the
+    # grid around its point: one red record reruns alone
+    alone = run_suite(dataclasses.replace(ISOLATION_GRID, q_values=(0.9,), spectra=("b2",)))
+    assert _records(alone) == [rec for rec in isolation_records
+                               if (rec[1]["spectrum"], rec[1]["q"]) == ("b2", 0.9)]
+
+
+def test_check_names_are_unique_across_the_tables():
+    # a row's first check names its generator, so no two rows may share one
+    names = [check for table in reports._TABLES.values() for _, *checks in table
+             for check, _ in checks]
+    assert len(set(names)) == len(names)
+
+
+def test_equal_record_identities_draw_equal_numbers(monkeypatch):
+    def draw(pt):
+        yield pt.rng.standard_normal()
+
+    monkeypatch.setitem(reports._TABLES, "wick", ((draw, ("draw", 4.0)),))
+
+    def draws(**grid):
+        config = SweepConfig(degree=3, seed=7, **grid)
+        return {(r.params["spectrum"], r.params["q"]): r.residual
+                for r in run_suite(config, "wick")}
+
+    grid = draws(q_values=(0.5, 0.9), spectra=("t2", "b2"))
+    other = draws(q_values=(-0.5, 0.9), spectra=("b2", "t1"))
+    assert grid[("b2", 0.9)] == other[("b2", 0.9)]
+    assert len(set(grid.values())) == 4  # one check at four points: four streams
+    # the key is the record as printed, whatever the order of its params
+    params = {"spectrum": "b2", "q": 0.9, "degree": 3}
+    first = reports._rng(7, "draw", params).standard_normal()
+    assert reports._rng(7, "draw", dict(reversed(params.items()))).standard_normal() == first
+    for seed, check, changed in ((8, "draw", params), (7, "other", params),
+                                 (7, "draw", dict(params, degree=4))):
+        assert reports._rng(seed, check, changed).standard_normal() != first
+
+
 def test_unknown_suite_rejected(monkeypatch):
     for selection in ("nope", ("wick", "nope"), ("wick", "wick"), (), ("all",)):
         with pytest.raises(ValueError):
@@ -502,6 +576,13 @@ def test_cli_exit_codes(tmp_path):
         bad = run_cli(["--config", str(path), "--out", str(tmp_path / "x.json")])
         assert bad.returncode == 2
         assert bad.stderr.count("\n") == 1 and repr(name) in bad.stderr
+    for name, flags in (("q_values", ["--q", "0.5", "--q", "0.5"]),
+                        ("q_values", ["--q", "0.0", "--q", "-0.0"]),
+                        ("spectra", ["--dim-spec", "t2", "--dim-spec", "t2"])):
+        bad = run_cli(flags + ["--out", str(tmp_path / "x.json")])
+        assert bad.returncode == 2
+        assert bad.stderr.count("\n") == 1 and f"{name!r} repeats" in bad.stderr
+        assert not (tmp_path / "x.json").exists()
     # b1e308 overflows the metric, and at degree 2 the inverse metric of
     # b1e154 does: an uncaught warning or error there used to exit 1
     strict = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
