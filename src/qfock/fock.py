@@ -686,6 +686,8 @@ def blockwise_gap(ctx: FockContext, A: GradedOperator, B: GradedOperator, inputs
     degrees ``inputs`` and every output degree of ``ctx``.  A pair where
     neither operator has a block has gap exactly 0 and is skipped; a nan
     gap makes it nan."""
+    if any(c is not ctx for op in (A, B) for c in (op.ctx_out, op.ctx_in)):
+        raise ValueError("context mismatch in blockwise gap")
     return _block_gaps(ctx, A.blocks, B.blocks, inputs)
 
 

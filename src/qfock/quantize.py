@@ -63,6 +63,8 @@ def embed_wick(src_ctx: FockContext, comb_ctx: FockContext, word: WickWord,
                inputs=None) -> WickWord:
     """Wick word over the combined space with the included coefficient tensor,
     built on the input degrees ``inputs`` only when they are given."""
+    if word.ctx is not src_ctx:
+        raise ValueError("context mismatch: the word belongs to another source context")
     if word.degree > comb_ctx.degree:
         raise ValueError("degree overflow in embedding")
     return wick_word(comb_ctx, embed_tensor(src_ctx, comb_ctx, word.tensor, word.degree),

@@ -3,12 +3,12 @@
 ``run_suite`` executes the named check suites over a parameter grid and
 returns structured records.  Each suite is a table of rows; a row names the
 checks it reports, a bound for each, and the residual function that measures
-them at one grid point.  Runs are deterministic for a fixed seed: a row
-draws from its own generator, keyed by the seed and its first record
-(``_rng``), and the emitters use stable field ordering with
-fixed-precision floats.  Wall times are recorded in memory but excluded from
-emitted files by default so that identical runs produce byte-identical
-reports.
+them at one (spectrum, q, degree) grid point, the degree its records report.
+Runs are deterministic for a fixed seed: the runner passes each row its own
+generator, keyed by the seed and the row's first record (``_rng``), and the
+emitters use stable field ordering with fixed-precision floats.  Wall times
+are recorded in memory but excluded from emitted files by default so that
+identical runs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -191,40 +191,21 @@ def _rng(seed: int, check: str, params: dict):
 
 
 class _Point:
-    """One (spectrum, q) grid point: the owner of its space, Fock contexts,
-    approximant family and degree profiles, each built on first use and dropped
-    with the point.  ``rng`` is the generator of the row running at it."""
+    """One (spectrum, q, degree) grid point: the owner of the Fock contexts of
+    its space at its degree, its approximant family and its degree profiles,
+    each built on first use and dropped with the point."""
 
-    def __init__(self, config: SweepConfig, spectrum: str, q: float):
-        self.config = config
-        self.spectrum = spectrum
-        self.q = q
-        self.rng = None
-
-    @cached_property
-    def space(self):
-        return build_space(parse_spectrum(self.spectrum))
+    def __init__(self, space: sp.DeformedSpace, q: float, degree: int):
+        self.space, self.q, self.degree = space, q, degree
 
     @cached_property
     def ctx(self) -> FockContext:
-        return FockContext(self.space, self.q, self.config.degree)
-
-    @property
-    def channel_degree(self) -> int:
-        return channel_degree(2 * self.space.dim, self.config.degree)
+        return FockContext(self.space, self.q, self.degree)
 
     @cached_property
-    def channel_ctx(self) -> FockContext:
-        """Source context at the channel truncation degree: the main context
-        when the degrees agree."""
-        n_ch = self.channel_degree
-        return self.ctx if n_ch == self.config.degree else FockContext(self.space, self.q, n_ch)
-
-    @cached_property
-    def channel_ctxs(self):
-        """(src_ctx, comb_ctx) pair at the channel truncation degree."""
-        return self.channel_ctx, FockContext(sp.direct_sum(self.space, self.space), self.q,
-                                             self.channel_degree)
+    def comb_ctx(self) -> FockContext:
+        """Context over ``space (+) space``, the channels' combined space."""
+        return FockContext(sp.direct_sum(self.space, self.space), self.q, self.degree)
 
     @cached_property
     def family(self) -> haagerup.ApproximantFamily:
@@ -239,9 +220,9 @@ class _Point:
     @cached_property
     def subspace_ctx(self) -> FockContext:
         """Context over the conjugation-invariant subspace picked by
-        ``_subspace_indices``, at the configured degree."""
+        ``_subspace_indices``."""
         sub = toeplitz.subspace(self.space, _subspace_indices(self.space))
-        return FockContext(sub, self.q, self.config.degree)
+        return FockContext(sub, self.q, self.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +230,7 @@ class _Point:
 # ---------------------------------------------------------------------------
 
 
-def _sym_positivity(pt: _Point):
+def _sym_positivity(pt: _Point, rng):
     for n in range(pt.ctx.degree + 1):
         yield -hermitian_min_eig(pt.ctx.stacks("sym", n))
 
@@ -259,8 +240,8 @@ def _over_pairs(residual):
     all its splits (n, p - n) at once, one value per split.  The tables pass
     a library function in a lambda that names it, so the name is looked up
     when the row runs and a rebinding of it (a layer trace) is seen."""
-    return lambda pt: itertools.chain.from_iterable(
-        residual(pt.ctx, p).tolist() for p in range(pt.config.degree + 1))
+    return lambda pt, rng: itertools.chain.from_iterable(
+        residual(pt.ctx, p).tolist() for p in range(pt.degree + 1))
 
 
 def _deformed_norm_excess(ctx: FockContext, p: int) -> np.ndarray:
@@ -268,8 +249,8 @@ def _deformed_norm_excess(ctx: FockContext, p: int) -> np.ndarray:
         - np.sqrt(c_constant(ctx.q))
 
 
-def _q_commutation_residual(pt: _Point):
-    ctx, rng = pt.ctx, pt.rng
+def _q_commutation_residual(pt: _Point, rng):
+    ctx = pt.ctx
     for _ in range(3):
         v = _gaussian(rng, ctx.dim)
         w = _gaussian(rng, ctx.dim)
@@ -283,17 +264,17 @@ def _q_commutation_residual(pt: _Point):
             yield ctx.block_norm(diff, n, n)
 
 
-def _creation_adjoint_residual(pt: _Point):
-    ctx, rng = pt.ctx, pt.rng
+def _creation_adjoint_residual(pt: _Point, rng):
+    ctx = pt.ctx
     for _ in range(3):
         v = _gaussian(rng, ctx.dim)
         yield creation(ctx, v).adjoint().max_diff(annihilation(ctx, v))
 
 
-def _wick_vacuum(pt: _Point):
+def _wick_vacuum(pt: _Point, rng):
     """Vacuum residuals of random Wick words: every (degree, tensor) draw
     first, then the draws of one degree as one stack."""
-    ctx, rng = pt.ctx, pt.rng
+    ctx = pt.ctx
     deg_max = min(3, ctx.degree)
     draws = []
     for _ in range(SAMPLES["wick_vacuum"]):
@@ -303,8 +284,8 @@ def _wick_vacuum(pt: _Point):
         ctx, np.stack([xi for _, xi in group]), group[0][0])).tolist()
 
 
-def _wick_self_adjoint(pt: _Point):
-    ctx, rng = pt.ctx, pt.rng
+def _wick_self_adjoint(pt: _Point, rng):
+    ctx = pt.ctx
     deg_max = min(3, ctx.degree)
     for _ in range(3):
         n = int(rng.integers(1, deg_max + 1))
@@ -312,8 +293,8 @@ def _wick_self_adjoint(pt: _Point):
         yield wick.self_adjoint_residual(ctx, wick.wick_word(ctx, xi, n))
 
 
-def _wick_linearity(pt: _Point):
-    ctx, rng = pt.ctx, pt.rng
+def _wick_linearity(pt: _Point, rng):
+    ctx = pt.ctx
     n = min(2, ctx.degree)
     xi = _gaussian(rng, ctx.block_size(n))
     eta = _gaussian(rng, ctx.block_size(n))
@@ -330,9 +311,9 @@ def _real_wick_tensor(ctx: FockContext, rng, n: int) -> np.ndarray:
     return (xi + wick.adjoint_tensor(ctx, xi, n)) / 2.0
 
 
-def _dilation(pt: _Point):
+def _dilation(pt: _Point, rng):
     """Unitarity and corner residuals of random dilations, as one stack."""
-    space, rng = pt.space, pt.rng
+    space = pt.space
     comb = sp.direct_sum(space, space)
     T = np.stack([sp.random_contraction(rng, space, space, norm=0.5).matrix
                   for _ in range(SAMPLES["dilate"])])
@@ -344,13 +325,12 @@ def _dilation(pt: _Point):
                        _spectral_norm(corner - T)], axis=0).tolist()
 
 
-def _channel_on_words(pt: _Point):
+def _channel_on_words(pt: _Point, rng):
     """Wick covariance, unitality, vacuum state and GNS residuals of random
     channels, each on one random Wick word.  The point's contractions, word
     degrees and tensors are all drawn first; the draws of one word degree are
     then one stack (``quantize.channel_residuals``), bit for bit as alone."""
-    space, rng = pt.space, pt.rng
-    src_ctx, comb_ctx = pt.channel_ctxs
+    space, src_ctx, comb_ctx = pt.space, pt.ctx, pt.comb_ctx
     deg_max = max(1, min(2, src_ctx.degree - 1))
     draws = []
     for _ in range(SAMPLES["covariance"]):
@@ -360,9 +340,8 @@ def _channel_on_words(pt: _Point):
     yield from map(tuple, quantize.channel_residuals(draws, src_ctx, src_ctx, comb_ctx).tolist())
 
 
-def _functoriality(pt: _Point):
-    space, rng = pt.space, pt.rng
-    src_ctx, comb_ctx = pt.channel_ctxs
+def _functoriality(pt: _Point, rng):
+    space, src_ctx, comb_ctx = pt.space, pt.ctx, pt.comb_ctx
     n = max(1, min(2, src_ctx.degree - 1))
     for _ in range(SAMPLES["functoriality"]):
         S = sp.random_jti_contraction(rng, space, space, norm=0.8)
@@ -378,14 +357,14 @@ def _functoriality(pt: _Point):
         yield blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - n + 1))
 
 
-def _positivity(pt: _Point):
+def _positivity(pt: _Point, rng):
     """Negated Kadison-Schwarz and 2-positivity minima of ``Gamma_q(T)`` over
-    random contractions, on the source context at the channel degree.  The
-    published number of Kadison-Schwarz draws is spread over the
-    contractions; every contraction and word is drawn first, in probe order,
-    and the margins of all of them are evaluated together, by pattern of
-    word degrees (``quantize.positivity_margins``)."""
-    space, ctx, rng = pt.space, pt.channel_ctx, pt.rng
+    random contractions, on the point's context.  The published number of
+    Kadison-Schwarz draws is spread over the contractions; every contraction
+    and word is drawn first, in probe order, and the margins of all of them
+    are evaluated together, by pattern of word degrees
+    (``quantize.positivity_margins``)."""
+    space, ctx = pt.space, pt.ctx
     n_samples = SAMPLES["kadison_schwarz"]
     n_channels = max(1, n_samples // 20)
     probes = []
@@ -397,11 +376,10 @@ def _positivity(pt: _Point):
         yield -np.min(ks_margins), -np.min(two_pos_margins)
 
 
-def _projection_monomial_residual(pt: _Point):
+def _projection_monomial_residual(pt: _Point, rng):
     """The displayed conjugation identity for the orthogonal projection onto
     the second summand, checked on random monomials."""
-    rng = pt.rng
-    src_ctx, comb_ctx = pt.channel_ctxs
+    src_ctx, comb_ctx = pt.ctx, pt.comb_ctx
     P = sp.projection_matrix(pt.space, pt.space)
     channel = quantize.conjugation_channel(comb_ctx, src_ctx, P)
     for _ in range(3):
@@ -414,9 +392,8 @@ def _projection_monomial_residual(pt: _Point):
         yield blockwise_gap(src_ctx, lhs, rhs, range(src_ctx.degree - k + 1))
 
 
-def _embed_multiplicativity_residual(pt: _Point):
-    rng = pt.rng
-    src_ctx, comb_ctx = pt.channel_ctxs
+def _embed_multiplicativity_residual(pt: _Point, rng):
+    src_ctx, comb_ctx = pt.ctx, pt.comb_ctx
     deg = 1 if src_ctx.degree < 4 else 2
     for _ in range(2):
         xi = _gaussian(rng, src_ctx.block_size(deg))
@@ -432,9 +409,9 @@ def _embed_multiplicativity_residual(pt: _Point):
                             range(comb_ctx.degree - 2 * deg + 1))
 
 
-def _expectation_residual(pt: _Point):
+def _expectation_residual(pt: _Point, rng):
     ctx = pt.ctx
-    op = _random_graded(ctx, pt.rng)
+    op = _random_graded(ctx, rng)
     ex = toeplitz.degree_expectation(op)
     yield toeplitz.degree_expectation(ex).max_diff(ex)  # idempotent
     ident = GradedOperator.identity(ctx)
@@ -467,10 +444,10 @@ def _random_graded(ctx: FockContext, rng) -> GradedOperator:
     return GradedOperator(ctx, ctx, blocks)
 
 
-def _balanced_corners(pt: _Point):
+def _balanced_corners(pt: _Point, rng):
     """Lowest-corner, compression-identity and negated norm-bound margin of
     random balanced elements."""
-    ctx, rng = pt.ctx, pt.rng
+    ctx = pt.ctx
     for _ in range(SAMPLES["balanced"]):
         n = int(rng.integers(1, ctx.degree // 2 + 1))  # both legs fit: 2n <= N
         elem = toeplitz.random_balanced(ctx, rng, n)
@@ -480,8 +457,8 @@ def _balanced_corners(pt: _Point):
                -toeplitz.norm_bound_margin(ctx, elem))
 
 
-def _flip_pairing(pt: _Point):
-    ctx, rng = pt.ctx, pt.rng
+def _flip_pairing(pt: _Point, rng):
+    ctx = pt.ctx
     n = min(2, ctx.degree // 2)  # the realized element has length 2n
     for _ in range(3):
         v = _gaussian(rng, ctx.block_size(n))
@@ -490,8 +467,8 @@ def _flip_pairing(pt: _Point):
         yield toeplitz.flip_pairing_residual(ctx, v, w, e, n)
 
 
-def _compression_residual(pt: _Point):
-    ctx, rng = pt.ctx, pt.rng
+def _compression_residual(pt: _Point, rng):
+    ctx = pt.ctx
     ctx_small = pt.subspace_ctx
     indices = _subspace_indices(ctx.space)
     for _ in range(2):
@@ -511,14 +488,14 @@ def _embedded_vector(ctx: FockContext, indices, rng) -> np.ndarray:
     return v
 
 
-def _finkernel_rank(pt: _Point):
+def _finkernel_rank(pt: _Point, rng):
     ctx = pt.ctx
     rank = toeplitz.finkernel_rank(ctx, _subspace_indices(ctx.space),
                                    max_length=min(2, ctx.degree // 2))
     yield 0.0 if rank["full_rank"] else 1.0
 
 
-def _majorisation(pt: _Point):
+def _majorisation(pt: _Point, rng):
     """The majorisation margin at each split (n, p - n), the splits of one
     total degree p as one check; an inconsistent split is red."""
     ctx = pt.ctx
@@ -528,12 +505,12 @@ def _majorisation(pt: _Point):
         yield from np.where(check["consistent"], -check["margin"], np.inf).tolist()
 
 
-def _admissible(pt: _Point):
+def _admissible(pt: _Point, rng):
     for T in pt.family.maps.values():
         yield from haagerup.admissible_residuals(T).values()
 
 
-def _tail(pt: _Point):
+def _tail(pt: _Point, rng):
     """Worst excess of the tail norms over their geometric bound, and the
     relative gap of the degree profile to its closed form ``||T||^d``, of
     each approximant."""
@@ -545,24 +522,24 @@ def _tail(pt: _Point):
                haagerup.free_reduction_crosscheck(T, per_degree))
 
 
-def _strong_convergence(pt: _Point):
+def _strong_convergence(pt: _Point, rng):
     ctx = pt.ctx
     vectors = [GradedVector.vacuum(ctx)] + \
-        [GradedVector.random(ctx, pt.rng) for _ in range(3)]
+        [GradedVector.random(ctx, rng) for _ in range(3)]
     sweep = haagerup.strong_convergence_sweep(pt.family, ctx, vectors,
                                               final_tol=TOLERANCES["strong"])
     yield 0.0 if (sweep["all_monotone"] and sweep["all_converged"]) else 1.0
 
 
-def _compactness_profile(pt: _Point):
+def _compactness_profile(pt: _Point, rng):
     profile = haagerup.compactness_profile(pt.profiles[4], 0.5, pt.ctx.degree - 1)
     yield 0.0 if profile["all_within_bound"] else 1.0
 
 
-def _approximant_state_residual(pt: _Point):
+def _approximant_state_residual(pt: _Point, rng):
     """Vacuum-state gap of the damped approximant ``Gamma_q(exp(-1/2) T_4)``,
-    the intrinsic image on the main context, over random Wick words."""
-    space, ctx, rng = pt.space, pt.ctx, pt.rng
+    the intrinsic image on the point's context, over random Wick words."""
+    space, ctx = pt.space, pt.ctx
     damped = sp.DeformedContraction(space, space, pt.family.damped_matrix(4, 0.5))
     deg_max = max(1, min(2, ctx.degree - 1))
     # the image of a degree-n word reads the degree-n power only
@@ -593,7 +570,8 @@ def _free_reduction_bound(q: float) -> float:
 # one residual per check (a tuple for several) for each draw, degree, pair or
 # map it measures; each check reports the largest, or nan when any is nan
 # (``_worst``).  A bound is a key of ``TOLERANCES``, a literal, or a rule of
-# q.  Each row draws from its own generator, named by its first check
+# q.  A row is called as ``row(pt, rng)``: ``pt`` is the point at the degree
+# its records report, and ``rng`` its own generator, named by its first check
 # (``_rng``), so check names are unique and rows can be reordered or appended
 # without moving another row's records.
 _TABLES = {
@@ -665,27 +643,32 @@ def run_suite(config: SweepConfig, suite="all") -> list:
     """Execute the selected suites over the configured grid.
 
     ``suite`` is one suite name, a tuple of distinct names, or ``"all"`` for
-    ``SUITES``.  The grid is walked once, point by point; every selected
-    suite runs its table there, each row with its own generator, so the point's
-    contexts are shared by the suites and freed when the point is done.
-    Records are returned suite by suite, in the order named, each suite in
-    grid order.  Each check records the largest residual its row yields (nan
-    when any is nan) and the row's wall time."""
+    ``SUITES``.  The grid is walked once, (spectrum, q) by (spectrum, q):
+    the space is built once there, with one ``_Point`` per degree, and every
+    selected suite runs its table on the point at the degree it reports (the
+    quantization suite at ``channel_degree``), each row with its own
+    generator.  So suites at one degree share their contexts, and all are
+    freed when the (spectrum, q) is done.  Records are returned suite by
+    suite, in the order named, each suite in grid order.  Each check records
+    the largest residual its row yields (nan when any is nan) and the row's
+    wall time."""
     names = SUITES if suite == "all" else (suite,) if isinstance(suite, str) else tuple(suite)
     if not names or len(set(names)) != len(names) or any(n not in SUITES for n in names):
         raise ValueError(f"unknown suite selection {suite!r}; expected one of "
                          f"{', '.join(SUITES)}, a tuple of distinct ones, or 'all'")
     out = {name: [] for name in names}
     for spectrum, q in itertools.product(config.spectra, config.q_values):
-        pt = _Point(config, spectrum, q)
+        space, points = build_space(parse_spectrum(spectrum)), {}
         for name in names:
-            # the quantization suite reports the channel truncation degree
-            degree = pt.channel_degree if name == "quantization" else config.degree
+            # the quantization suite runs at the channel truncation degree
+            degree = channel_degree(2 * space.dim, config.degree) \
+                if name == "quantization" else config.degree
+            pt = points.setdefault(degree, _Point(space, q, degree))
             params = {"spectrum": spectrum, "q": q, "degree": degree}
             for residual, *checks in _TABLES[name]:
-                pt.rng = _rng(config.seed, checks[0][0], params)
+                rng = _rng(config.seed, checks[0][0], params)
                 t0 = time.perf_counter()
-                measured = [v if len(checks) > 1 else (v,) for v in residual(pt)]
+                measured = [v if len(checks) > 1 else (v,) for v in residual(pt, rng)]
                 if not measured:
                     raise ValueError(f"row of {checks[0][0]} measured nothing")
                 for (check, rule), *values in zip(checks, *measured, strict=True):

@@ -285,18 +285,17 @@ class DeformedContraction:
     source: DeformedSpace
     target: DeformedSpace
     matrix: np.ndarray = field(repr=False)
+    norm: float = field(init=False, repr=False, compare=False)  # the deformed operator norm
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=complex)
         if M.shape != (self.target.dim, self.source.dim):
             raise ValueError("matrix shape does not match source/target dimensions")
-        if deformed_op_norm(self.source, self.target, M) > 1.0 + NORM_TOL:
+        norm = deformed_op_norm(self.source, self.target, M)
+        if norm > 1.0 + NORM_TOL:
             raise ValueError("not a contraction w.r.t. the deformed metrics")
         object.__setattr__(self, "matrix", M)
-
-    @property
-    def norm(self) -> float:
-        return deformed_op_norm(self.source, self.target, self.matrix)
+        object.__setattr__(self, "norm", norm)
 
     def iti_residual(self) -> float:
         return iti_residual(self.source, self.target, self.matrix)

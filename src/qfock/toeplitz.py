@@ -183,9 +183,17 @@ def _realization_singular_values(ctx: FockContext, indices, max_length: int) -> 
     return np.sort(np.concatenate(svals))[::-1]
 
 
+def _check_context(ctx: FockContext, elem: LengthElement) -> None:
+    """Refuse an element of another context: its blocks would be measured in
+    ``ctx``'s metric."""
+    if elem.ctx is not ctx:
+        raise ValueError("context mismatch: the element belongs to another context")
+
+
 def compression_identity_residual(ctx: FockContext, elem: LengthElement, k: int) -> float:
     """Residual of the corner propagation identity
     ``P_{n+k} x P_{n+k} = (P_n x P_n (x) Id_k) R*`` for balanced x."""
+    _check_context(ctx, elem)
     if not elem.balanced:
         raise ValueError("identity applies to balanced elements")
     n = elem.n_create
@@ -199,6 +207,7 @@ def compression_identity_residual(ctx: FockContext, elem: LengthElement, k: int)
 def norm_bound_margin(ctx: FockContext, elem: LengthElement) -> float:
     """``C(q) ||P_n x P_n|| - sup_k ||P_{n+k} x P_{n+k}||`` for balanced x of
     leg degree n; nonnegative up to numerics."""
+    _check_context(ctx, elem)
     if not elem.balanced:
         raise ValueError("bound applies to balanced elements")
     n = elem.n_create
@@ -210,6 +219,7 @@ def low_degree_residual(ctx: FockContext, elem: LengthElement) -> float:
     """Max norm of corners ``P_m x P_m`` below the annihilation leg degree;
     zero for pure-length elements.  A corner without a block has norm
     exactly 0 and is skipped."""
+    _check_context(ctx, elem)
     res = 0.0
     for m in range(min(elem.n_annihilate, ctx.degree + 1)):
         if (m, m) in elem.op.blocks:

@@ -96,4 +96,6 @@ def vacuum_residual(ctx: FockContext, xi, degree: int):
 
 
 def self_adjoint_residual(ctx: FockContext, word: WickWord) -> float:
+    if word.ctx is not ctx:
+        raise ValueError("context mismatch: the word belongs to another context")
     return word.op.max_diff(word.op.adjoint())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qfock
-from qfock import FockContext, build_space
+from qfock import FockContext, build_space, reports
 from qfock.reports import parse_spectrum
 
 # The CLI tests run ``python -m qfock.cli`` in a subprocess: let it import the
@@ -45,6 +45,16 @@ def ctx_free(space_t2):
 
 def make_ctx(spectrum, q, degree):
     return FockContext(build_space(parse_spectrum(spectrum)), q, degree)
+
+
+def grid_point(spectrum, q, degree, channel=False):
+    """The ``reports._Point`` that ``run_suite`` runs a row on at (spectrum, q)
+    of a degree-``degree`` grid; a quantization row's (``channel``) is at
+    ``reports.channel_degree``."""
+    space = build_space(parse_spectrum(spectrum))
+    if channel:
+        degree = reports.channel_degree(2 * space.dim, degree)
+    return reports._Point(space, q, degree)
 
 
 def allocation_peak(call) -> float:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qfock import fock, reports, toeplitz
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedVector, annihilation, c_constant, creation, s_q
-from conftest import Q_GRID, SPECTRA, make_ctx
+from conftest import Q_GRID, SPECTRA, grid_point, make_ctx
 
 
 def brute_symmetrizer(dim, q, n):
@@ -570,8 +570,7 @@ def test_second_round_of_residuals_gathers_nothing(monkeypatch):
         return gather(self, n, M)
 
     monkeypatch.setattr(FockContext, "type_stacks", counted)
-    pt = reports._Point(reports.SweepConfig(q_values=(0.5,), spectra=("b2+t1",), degree=4),
-                        "b2+t1", 0.5)
+    pt = grid_point("b2+t1", 0.5, 4)
     residuals = (fock.factorization_residual, fock.rstar_free_norm, fock.id_embedding_norm,
                  fock.rstar_deformed_norm, fock.rstar_adjoint_residual)
 
@@ -582,7 +581,7 @@ def test_second_round_of_residuals_gathers_nothing(monkeypatch):
     assert calls
     calls.clear()
     assert one_round() == first
-    assert list(reports._majorisation(pt))  # a generator runs only when consumed
+    assert list(reports._majorisation(pt, None))  # a generator runs only when consumed
     assert calls == []
 
 
@@ -768,6 +767,19 @@ def test_blockwise_gap_equals_the_gap_over_every_block_pair():
             expected = max([0.0] + [ctx.block_norm(X.block(m, p) - Y.block(m, p), m, p)
                                     for p in inputs for m in range(ctx.degree + 1)])
             assert fock.blockwise_gap(ctx, X, Y, inputs) == expected
+
+
+def test_blockwise_gap_refuses_operators_of_another_context():
+    # the gap of two q = 0.5 operators read in the q = 0.9 metric was 2.49
+    # (1.68 in their own)
+    ctx, other = make_ctx("b2", 0.5, 4), make_ctx("b2", 0.9, 4)
+    v = np.array([1.0, 0.5j])
+    A, B = fock.creation(ctx, v), fock.annihilation(ctx, v)
+    assert fock.blockwise_gap(ctx, A, B, range(ctx.degree + 1)) > 0.0
+    for gap_ctx, X, Y in ((other, A, B), (ctx, A, fock.annihilation(other, v)),
+                          (ctx, fock.creation(other, v), B)):
+        with pytest.raises(ValueError, match="context"):
+            fock.blockwise_gap(gap_ctx, X, Y, range(ctx.degree + 1))
 
 
 # Bound fixed before measuring: the typed and dense products of a metric

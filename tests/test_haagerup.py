@@ -4,7 +4,7 @@ import pytest
 from qfock import haagerup, quantize, reports, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedOperator, GradedVector, first_quantization
-from conftest import Q_GRID, make_ctx
+from conftest import Q_GRID, grid_point, make_ctx
 
 
 def test_profile_value_on_trivial_directions():
@@ -285,13 +285,12 @@ def test_tail_norms_equal_the_tail_norm_loop_bit_for_bit(spectrum, degree):
 
 @pytest.mark.parametrize("spectrum", ["t1", "t2", "b2", "b2+t1"])
 def test_tail_row_equals_its_per_entry_loop_bit_for_bit(spectrum):
-    config = reports.SweepConfig(q_values=(0.9,), spectra=(spectrum,), degree=5)
-    pt = reports._Point(config, spectrum, 0.9)
+    pt = grid_point(spectrum, 0.9, 5)
     expected = [(max(_tail_norm_one_entry(pt.profiles[k], t, n) - float(np.exp(-t * (n + 1)))
                      for t in pt.family.ts for n in range(pt.ctx.degree)),
                  haagerup.free_reduction_crosscheck(T, pt.profiles[k]))
                 for k, T in pt.family.maps.items()]
-    assert list(reports._tail(pt)) == expected
+    assert list(reports._tail(pt, None)) == expected
 
 
 def _one_level_distances(family, ctx, vectors):

@@ -4,7 +4,7 @@ import pytest
 from qfock import fock, quantize, reports, toeplitz, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext, GradedOperator, GradedVector, first_quantization
-from conftest import Q_GRID, make_ctx
+from conftest import Q_GRID, grid_point, make_ctx
 
 
 def build_channel(spectrum, q, degree, rng, norm=0.7, matrix=None):
@@ -475,6 +475,15 @@ def test_embed_wick_restricts_to_source_word(rng):
     assert np.allclose(vac_img[ctx.dim:], 0.0)
 
 
+def test_embed_wick_refuses_a_word_of_another_source_context():
+    # the word's tensor would be embedded as if it had the source's metric
+    ctx = make_ctx("t2", 0.3, 3)
+    comb_ctx = FockContext(sp.direct_sum(ctx.space, ctx.space), 0.3, 3)
+    word = wick.wick_word(FockContext(ctx.space, 0.5, 3), np.array([1.0, 0.5j]), 1)
+    with pytest.raises(ValueError, match="context"):
+        quantize.embed_wick(ctx, comb_ctx, word)
+
+
 def test_second_quantization_builds_combined_context(rng):
     ctx = make_ctx("t1", 0.5, 4)
     T = sp.DeformedContraction(ctx.space, ctx.space, 0.5 * np.eye(1))
@@ -551,11 +560,10 @@ def _lone_channel_residuals(ctx, comb_ctx, contraction, n, xi):
             abs(image.vacuum_expectation() - word.op.vacuum_expectation()), gns.norm())
 
 
-def _one_draw_channel_row(pt):
+def _one_draw_channel_row(pt, rng):
     """(word degree, residuals) of each draw of the channel row, evaluated one
     channel at a time in the row's draw order."""
-    space, rng = pt.space, pt.rng
-    src_ctx, comb_ctx = pt.channel_ctxs
+    space, src_ctx, comb_ctx = pt.space, pt.ctx, pt.comb_ctx
     deg_max = max(1, min(2, src_ctx.degree - 1))
     for _ in range(reports.SAMPLES["covariance"]):
         T = sp.random_jti_contraction(rng, space, space, norm=0.7)
@@ -572,13 +580,10 @@ def test_stacked_channel_row_equals_one_draw_channels(monkeypatch, spectrum):
     # b2x2 the covariance and unitality gaps gauge 64-wide stacks the typed way
     monkeypatch.setitem(reports.SAMPLES, "covariance", 8)
     for q in (0.5, -0.9, 0.9):
-        config = reports.SweepConfig(q_values=(q,), spectra=(spectrum,), degree=5)
-        pt = reports._Point(config, spectrum, q)
-        assert pt.channel_ctx.degree == reports.channel_degree(2 * pt.space.dim, 5)
-        pt.rng = np.random.default_rng(58)
-        stacked = list(reports._channel_on_words(pt))
-        pt.rng = np.random.default_rng(58)
-        degrees, reference = zip(*_one_draw_channel_row(pt))
+        pt = grid_point(spectrum, q, 5, channel=True)
+        assert pt.ctx.degree == reports.channel_degree(2 * pt.space.dim, 5)
+        stacked = list(reports._channel_on_words(pt, np.random.default_rng(58)))
+        degrees, reference = zip(*_one_draw_channel_row(pt, np.random.default_rng(58)))
         assert stacked == list(reference)
         assert set(degrees) == {1, 2}
         assert all(cov <= 1e-8 and unit <= 1e-10 and vac <= 1e-10 and gns <= 1e-8

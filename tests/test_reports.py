@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import os
@@ -14,7 +15,7 @@ from qfock import cli, fock, haagerup, quantize, reports, toeplitz, wick
 from qfock import spaces as sp
 from qfock.fock import FockContext
 from qfock.reports import TOLERANCES, SweepConfig, parse_spectrum, run_suite
-from conftest import allocation_peak
+from conftest import allocation_peak, grid_point
 
 
 SMALL_SAMPLES = {"wick_vacuum": 5, "covariance": 3, "kadison_schwarz": 4, "functoriality": 1,
@@ -222,9 +223,8 @@ def test_embedding_check_has_teeth(monkeypatch):
     config = small_config(monkeypatch, spectra=("b2",))
 
     def residual():
-        pt = reports._Point(config, "b2", 0.5)
-        pt.rng = np.random.default_rng(43)
-        return max(reports._embed_multiplicativity_residual(pt))
+        pt = grid_point("b2", 0.5, config.degree, channel=True)
+        return max(reports._embed_multiplicativity_residual(pt, np.random.default_rng(43)))
 
     def second_summand(src_ctx, comb_ctx, xi, degree):
         out = np.zeros(comb_ctx.block_size(degree), dtype=complex)
@@ -244,9 +244,8 @@ def test_functoriality_check_has_teeth(monkeypatch, spectrum):
     # Gamma(0.9 S) Gamma(0.9 T) is not Gamma(0.9 ST)
     def residual(q):
         config = SweepConfig(q_values=(q,), spectra=(spectrum,))
-        pt = reports._Point(config, spectrum, q)
-        pt.rng = np.random.default_rng(44)
-        return max(reports._functoriality(pt))
+        pt = grid_point(spectrum, q, config.degree, channel=True)
+        return max(reports._functoriality(pt, np.random.default_rng(44)))
 
     dilate = sp.dilate
 
@@ -263,10 +262,10 @@ def test_functoriality_check_has_teeth(monkeypatch, spectrum):
         assert residual(q) > bound
 
 
-def _one_draw_dilation_row(pt):
+def _one_draw_dilation_row(pt, rng):
     """The dilation row one contraction at a time, each dilated alone right
     after its draw."""
-    space, rng = pt.space, pt.rng
+    space = pt.space
     comb = sp.direct_sum(space, space)
     for _ in range(reports.SAMPLES["dilate"]):
         T = sp.random_contraction(rng, space, space, norm=0.5)
@@ -283,11 +282,9 @@ def test_stacked_dilation_row_equals_one_draw_dilations(spectrum):
     # the row draws its contractions first, its only draws, and dilates them
     # as one stack: the same residuals, exactly, as the loop it replaced
     for seed in (45, 46):
-        pt = reports._Point(SweepConfig(spectra=(spectrum,)), spectrum, 0.5)
-        pt.rng = np.random.default_rng(seed)
-        stacked = list(reports._dilation(pt))
-        pt.rng = np.random.default_rng(seed)
-        assert stacked == list(_one_draw_dilation_row(pt))
+        pt = grid_point(spectrum, 0.5, SweepConfig().degree, channel=True)
+        stacked = list(reports._dilation(pt, np.random.default_rng(seed)))
+        assert stacked == list(_one_draw_dilation_row(pt, np.random.default_rng(seed)))
         assert len(stacked) == 20 and max(stacked) <= TOLERANCES["algebraic"]
 
 
@@ -297,9 +294,8 @@ def test_dilation_check_has_teeth(monkeypatch, spectrum, defect):
     # +(1 - T T#)^{1/2} in the target corner breaks unitarity; a T corner
     # scaled by 0.9 breaks it too and misses P U iota = T by 0.05
     def residuals():
-        pt = reports._Point(SweepConfig(spectra=(spectrum,)), spectrum, 0.5)
-        pt.rng = np.random.default_rng(47)
-        return list(reports._dilation(pt))
+        pt = grid_point(spectrum, 0.5, SweepConfig().degree, channel=True)
+        return list(reports._dilation(pt, np.random.default_rng(47)))
 
     dilate = sp.dilate
 
@@ -328,15 +324,13 @@ def test_q_commutation_row_skips_the_top_block():
     # the row reads the blocks (n, n), n < N, of a c - q c a; c a composed
     # with the whole a adds (N, N) blocks it never reads, and its peak at
     # (b2+t1, 0.9, N = 5) is then 4.1 MiB
-    config = SweepConfig(q_values=(0.9,), spectra=("b2+t1",), degree=5)
-    pt = reports._Point(config, "b2+t1", 0.9)
-    pt.rng = np.random.default_rng(0)
-    list(reports._q_commutation_residual(pt))  # warm the context's caches
-    assert allocation_peak(lambda: list(reports._q_commutation_residual(pt))) < 3.0
+    pt, rng = grid_point("b2+t1", 0.9, 5), np.random.default_rng(0)
+    list(reports._q_commutation_residual(pt, rng))  # warm the context's caches
+    assert allocation_peak(lambda: list(reports._q_commutation_residual(pt, rng))) < 3.0
 
 
 def test_run_suite_keeps_each_checks_worst_measurement(monkeypatch):
-    def row(pt):
+    def row(pt, rng):
         yield 1.0, 5.0
         yield 3.0, 2.0
 
@@ -351,7 +345,7 @@ def test_run_suite_records_nan_when_any_measurement_is_nan(monkeypatch, yields):
     # max() kept a nan only when it came first: (1e-20, nan) recorded 1e-20
     # and passed
     checks = ("a", "b") if isinstance(yields[0], tuple) else ("a",)
-    recs = _one_row_suite(monkeypatch, lambda pt: iter(yields), *checks)
+    recs = _one_row_suite(monkeypatch, lambda pt, rng: iter(yields), *checks)
     assert np.isnan(recs[0].residual) and not recs[0].passed
     if len(recs) > 1:
         assert (recs[1].residual, recs[1].passed) == (2.0, True)
@@ -377,9 +371,8 @@ def test_positivity_runs_the_configured_number_of_draws(monkeypatch, n, counts):
     monkeypatch.setattr(quantize, "positivity_margins", counted_margins)
     config = small_config(monkeypatch, spectra=("t1",))
     monkeypatch.setitem(reports.SAMPLES, "kadison_schwarz", n)
-    pt = reports._Point(config, "t1", 0.5)
-    pt.rng = np.random.default_rng(0)
-    assert len(list(reports._positivity(pt))) == len(counts)
+    pt = grid_point("t1", 0.5, config.degree, channel=True)
+    assert len(list(reports._positivity(pt, np.random.default_rng(0)))) == len(counts)
     assert drawn == evaluated == counts
 
 
@@ -406,7 +399,7 @@ def test_positivity_probe_minimum_is_nan_when_any_margin_is(monkeypatch):
 def test_run_suite_rejects_a_row_that_measures_the_wrong_count(monkeypatch, checks, yields):
     # a row yielding too few values used to drop a check from the report
     with pytest.raises(ValueError):
-        _one_row_suite(monkeypatch, lambda pt: iter(yields), *checks)
+        _one_row_suite(monkeypatch, lambda pt, rng: iter(yields), *checks)
 
 
 def test_all_suites_equal_single_suite_runs(monkeypatch):
@@ -437,9 +430,9 @@ def isolation_records():
 def test_a_row_that_draws_more_moves_only_its_own_records(monkeypatch, isolation_records):
     # each row has its own generator: one extra draw in the q-commutation row
     # moves its records, and the creation-adjoint row after it keeps its draws
-    def extra_draw(pt):
-        pt.rng.standard_normal()
-        return reports._q_commutation_residual(pt)
+    def extra_draw(pt, rng):
+        rng.standard_normal()
+        return reports._q_commutation_residual(pt, rng)
 
     table = tuple((extra_draw if residual is reports._q_commutation_residual else residual,
                    *checks) for residual, *checks in reports._TABLES["symmetrizer"])
@@ -458,6 +451,69 @@ def test_a_point_run_alone_reports_its_grid_records(isolation_records):
                                if (rec[1]["spectrum"], rec[1]["q"]) == ("b2", 0.9)]
 
 
+@pytest.fixture(scope="module")
+def contexts_by_row():
+    """The ``FockContext``s each row calls a method of, by (spectrum, the
+    row's first check), with the degree its records report, over every suite
+    at t1, b2 and b2+t1 (q = 0.5, N = 5) with the draw counts cut."""
+    used, rows = set(), {}
+
+    def recording(method):
+        @functools.wraps(method)
+        def wrapped(self, *args, **kwargs):
+            used.add(self)
+            return method(self, *args, **kwargs)
+        return wrapped
+
+    measure = reports.VerificationReport.measure
+
+    def closing(check, params, *rest):
+        # run_suite measures a row's records right after the row: its first
+        # record closes the row's contexts
+        if used:
+            rows[params["spectrum"], check] = (set(used), params["degree"])
+            used.clear()
+        return measure(check, params, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        small_config(mp)  # cuts the draw counts
+        for name, attr in vars(FockContext).items():
+            if callable(attr) and not name.startswith("__"):
+                mp.setattr(FockContext, name, recording(attr))
+        mp.setattr(reports.VerificationReport, "measure", staticmethod(closing))
+        run_suite(SweepConfig(q_values=(0.5,), spectra=("t1", "b2", "b2+t1"), degree=5))
+    return rows
+
+
+def test_a_row_measures_on_contexts_of_the_degree_its_records_report(contexts_by_row):
+    # b2 and b2+t1 run the quantization suite at channel degree 4 and 3
+    first_checks = {checks[0][0] for table in reports._TABLES.values() for _, *checks in table}
+    # rows on the base space only, and one that reads the tail row's profiles
+    without = {"quantization/dilation", "haagerup/admissible", "haagerup/compactness_profile"}
+    for spectrum in ("t1", "b2", "b2+t1"):
+        assert {check for s, check in contexts_by_row if s == spectrum} == first_checks - without
+    degrees = {(s, check.split("/")[0]): degree
+               for (s, check), (_, degree) in contexts_by_row.items()}
+    assert degrees["b2", "quantization"] == 4 and degrees["b2+t1", "quantization"] == 3
+    for (spectrum, check), (contexts, degree) in contexts_by_row.items():
+        assert {ctx.degree for ctx in contexts} == {degree}, (spectrum, check)
+
+
+def test_the_quantization_suite_shares_the_context_only_at_one_degree(contexts_by_row):
+    # on t1 the channel degree is N: one point, so one context serves the
+    # symmetrizer and quantization suites; on b2 it is 4 < N
+    def source_context(spectrum, check):
+        (ctx,) = contexts_by_row[spectrum, check][0]
+        return ctx
+
+    for spectrum in ("t1", "b2"):
+        sym = source_context(spectrum, "symmetrizer/positivity")
+        channel = source_context(spectrum, "quantization/kadison_schwarz")
+        assert (channel is sym) == (spectrum == "t1")
+        assert sym in contexts_by_row[spectrum, "symmetrizer/q_commutation"][0]
+        assert channel in contexts_by_row[spectrum, "quantization/wick_covariance"][0]
+
+
 def test_check_names_are_unique_across_the_tables():
     # a row's first check names its generator, so no two rows may share one
     names = [check for table in reports._TABLES.values() for _, *checks in table
@@ -466,8 +522,8 @@ def test_check_names_are_unique_across_the_tables():
 
 
 def test_equal_record_identities_draw_equal_numbers(monkeypatch):
-    def draw(pt):
-        yield pt.rng.standard_normal()
+    def draw(pt, rng):
+        yield rng.standard_normal()
 
     monkeypatch.setitem(reports._TABLES, "wick", ((draw, ("draw", 4.0)),))
 
@@ -733,10 +789,10 @@ def test_no_cache_pins_a_context(monkeypatch):
     assert all(ref() is None for ref in refs)
 
 
-def _one_draw_wick_vacuum_row(pt):
+def _one_draw_wick_vacuum_row(pt, rng):
     """The wick vacuum row one draw at a time, each residual taken before
     the next draw: the oracle of the grouped row."""
-    ctx, rng = pt.ctx, pt.rng
+    ctx = pt.ctx
     for _ in range(reports.SAMPLES["wick_vacuum"]):
         n = int(rng.integers(1, min(3, ctx.degree) + 1))
         yield wick.vacuum_residual(ctx, sp._gaussian(rng, ctx.block_size(n)), n)
@@ -747,11 +803,9 @@ def test_stacked_wick_vacuum_row_equals_one_draw_residuals_bit_for_bit(monkeypat
     # the row draws every (degree, tensor) first, in the order the loop drew
     # them, then takes the draws of each degree as one stack
     def both_routes():
-        pt = reports._Point(SweepConfig(spectra=(spectrum,)), spectrum, q)
-        pt.rng = np.random.default_rng(48)
-        stacked = list(reports._wick_vacuum(pt))
-        pt.rng = np.random.default_rng(48)
-        return stacked, list(_one_draw_wick_vacuum_row(pt))
+        pt = grid_point(spectrum, q, SweepConfig().degree)
+        stacked = list(reports._wick_vacuum(pt, np.random.default_rng(48)))
+        return stacked, list(_one_draw_wick_vacuum_row(pt, np.random.default_rng(48)))
 
     stacked, alone = both_routes()
     assert stacked == alone and len(stacked) == 100
@@ -790,7 +844,7 @@ def test_grouped_pair_rows_have_teeth_in_one_pair(monkeypatch, spectrum):
     bad = pairs.index((1, 2))
 
     def row_values(perturb):
-        pt = reports._Point(config, spectrum, 0.5)
+        pt = grid_point(spectrum, 0.5, config.degree)
         if perturb:
             splits = pt.ctx.splits
             monkeypatch.setattr(pt.ctx, "splits", lambda name, p: (
@@ -799,7 +853,7 @@ def test_grouped_pair_rows_have_teeth_in_one_pair(monkeypatch, spectrum):
         for check, (suite, index) in _PAIR_ROWS.items():
             residual, (name, rule) = reports._TABLES[suite][index]
             assert name == check
-            values[check] = (list(residual(pt)), reports._bound(rule, 0.5))
+            values[check] = (list(residual(pt, None)), reports._bound(rule, 0.5))
         return values
 
     clean, perturbed = row_values(False), row_values(True)
@@ -846,9 +900,8 @@ def test_degree_expectation_positivity_equals_its_former_formula(spectrum):
     nonzero = 0
     for q in (0.5, -0.9, 0.9):
         for seed in (81, 82, 83):
-            pt = reports._Point(SweepConfig(q_values=(q,), spectra=(spectrum,)), spectrum, q)
-            pt.rng = np.random.default_rng(seed)
-            value = list(reports._expectation_residual(pt))[2]
+            pt = grid_point(spectrum, q, SweepConfig().degree)
+            value = list(reports._expectation_residual(pt, np.random.default_rng(seed)))[2]
             old = _old_positivity_gap(pt.ctx, np.random.default_rng(seed))
             assert abs(value - old) <= 1e-14 * old, (q, seed)
             nonzero += old > 0.0

@@ -100,6 +100,18 @@ def test_contraction_rejects_norm_above_one(space_b2t1):
         sp.DeformedContraction(space_b2t1, space_b2t1, 2.0 * np.eye(3))
 
 
+def test_contraction_norm_is_the_number_its_check_computed(monkeypatch, space_b2t1):
+    # each read of the norm ran one SVD more, for the number the constructor
+    # had just computed
+    T = sp.random_jti_contraction(np.random.default_rng(933), space_b2t1, space_b2t1, norm=0.7)
+    expected = sp.deformed_op_norm(space_b2t1, space_b2t1, T.matrix)
+    calls = []
+    spectral_norm = sp._spectral_norm
+    monkeypatch.setattr(sp, "_spectral_norm", lambda M: calls.append(M) or spectral_norm(M))
+    assert T.norm == expected and T.norm == expected
+    assert calls == []
+
+
 def test_dilation_properties_random_sweep(rng):
     # 100 random contractions across spaces: dilation is deformed-unitary
     # with the prescribed corner

@@ -236,6 +236,39 @@ def test_norm_bound_margin_nonnegative(rng):
             assert toeplitz.norm_bound_margin(ctx, elem) > -1e-8
 
 
+def _element_and_another_context():
+    """A balanced element of leg degree 1 on (b2, q = 0.5, N = 4), its
+    context, and the q = 0.9 context of the same space and degree."""
+    ctx = make_ctx("b2", 0.5, 4)
+    elem = toeplitz.random_balanced(ctx, np.random.default_rng(931), 1)
+    return elem, ctx, FockContext(ctx.space, 0.9, 4)
+
+
+def test_compression_identity_refuses_an_element_of_another_context():
+    # read in the q = 0.9 metric, this element's residual was 5.1 (6e-16 on
+    # its own context)
+    elem, ctx, other = _element_and_another_context()
+    assert toeplitz.compression_identity_residual(ctx, elem, 2) < 1e-10
+    with pytest.raises(ValueError, match="context"):
+        toeplitz.compression_identity_residual(other, elem, 2)
+
+
+def test_norm_bound_margin_refuses_an_element_of_another_context():
+    # read in the q = 0.9 metric, this element's margin was 1.8e6 (4.27 on
+    # its own context)
+    elem, ctx, other = _element_and_another_context()
+    assert toeplitz.norm_bound_margin(ctx, elem) > -1e-8
+    with pytest.raises(ValueError, match="context"):
+        toeplitz.norm_bound_margin(other, elem)
+
+
+def test_low_degree_residual_refuses_an_element_of_another_context():
+    elem, ctx, other = _element_and_another_context()
+    assert toeplitz.low_degree_residual(ctx, elem) == 0.0
+    with pytest.raises(ValueError, match="context"):
+        toeplitz.low_degree_residual(other, elem)
+
+
 def test_norm_bound_uses_frozen_constant():
     assert abs(c_constant(0.5) - 3.46275) < 1e-5
 

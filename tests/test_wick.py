@@ -93,6 +93,16 @@ def test_self_adjoint_for_fixed_tensors(ctx_half, rng):
         assert wick.self_adjoint_residual(ctx, word) < 1e-10
 
 
+def test_self_adjoint_residual_refuses_a_word_of_another_context():
+    # the residual ignored its context and measured the word in its own
+    ctx, other = make_ctx("b2", 0.5, 3), make_ctx("b2", 0.9, 3)
+    xi = np.random.default_rng(932).standard_normal(ctx.block_size(2)) + 0j
+    word = wick.wick_word(ctx, (xi + wick.adjoint_tensor(ctx, xi, 2)) / 2.0, 2)
+    assert wick.self_adjoint_residual(ctx, word) < 1e-10
+    with pytest.raises(ValueError, match="context"):
+        wick.self_adjoint_residual(other, word)
+
+
 @settings(max_examples=25, deadline=None)
 @given(q=st.floats(min_value=-0.9, max_value=0.9),
        seed=st.integers(min_value=0, max_value=2 ** 31))
